@@ -1,8 +1,6 @@
 #include "plbhec/adapt/drift.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "plbhec/common/contracts.hpp"
 
@@ -80,80 +78,10 @@ std::size_t DriftMonitor::total_trips() const {
   return total;
 }
 
-// Mirrors fit::select_model_from's enumeration (parsimony-first size
-// classes under 6 effective samples, BIC-among-plausible otherwise, the
-// same DoF guard and physical filter) but solves every candidate from the
-// window's moments alone — the point of the discounted twin is that this
-// never touches raw samples. Conditioning failures just skip the subset.
 fit::FitResult fit_recent(const WindowedSampleSet& window,
                           const fit::SelectionOptions& options) {
-  fit::FitResult best_plausible;
-  fit::FitResult best_any;
-  best_plausible.bic = std::numeric_limits<double>::infinity();
-  best_any.bic = std::numeric_limits<double>::infinity();
-
-  const std::span<const fit::BasisFn> candidates = fit::paper_terms();
-  const std::size_t m = candidates.size();
-  const std::size_t limit = std::min(options.max_terms, m);
-  const double n_eff = window.effective_count();
-  const auto n_floor = static_cast<std::size_t>(n_eff);
-
-  const std::size_t max_params =
-      n_floor < 2
-          ? 1
-          : std::max<std::size_t>(
-                2, n_floor /
-                       std::max<std::size_t>(1, options.samples_per_param));
-  const bool hierarchical = n_floor < 6;
-
-  PLBHEC_EXPECTS(m < 20);
-  const std::size_t subsets = std::size_t{1} << m;
-  std::vector<fit::BasisFn> terms;
-  for (std::size_t size_class = 1; size_class <= limit; ++size_class) {
-    fit::FitResult best_of_class;
-    best_of_class.bic = std::numeric_limits<double>::infinity();
-    bool class_found = false;
-    for (std::size_t mask = 1; mask < subsets; ++mask) {
-      const auto bits = static_cast<std::size_t>(__builtin_popcountll(mask));
-      if (bits != size_class) continue;
-      terms.clear();
-      if (options.include_intercept) terms.push_back(fit::BasisFn::kOne);
-      for (std::size_t i = 0; i < m; ++i)
-        if (mask & (std::size_t{1} << i)) terms.push_back(candidates[i]);
-      if (terms.size() > max_params) continue;
-
-      auto fitted = fit::fit_terms(window.moments(), n_eff, terms,
-                                   options.relative_weighting);
-      if (!fitted) continue;
-
-      if (fitted->bic < best_any.bic - 1e-12) best_any = *fitted;
-      if (options.physical_filter &&
-          !fit::physically_plausible(fitted->model, window.x_lo()))
-        continue;
-      if (fitted->bic < best_plausible.bic - 1e-12) best_plausible = *fitted;
-      if (fitted->bic < best_of_class.bic - 1e-12) {
-        best_of_class = *fitted;
-        class_found = true;
-      }
-    }
-    const double bar = std::max(options.class_r2, options.r2_threshold);
-    if (hierarchical && class_found && best_of_class.r2 >= bar) {
-      best_of_class.acceptable = best_of_class.r2 >= options.r2_threshold;
-      return best_of_class;
-    }
-  }
-
-  fit::FitResult best =
-      best_plausible.model.valid() ? best_plausible : best_any;
-
-  if (!best.model.valid() && options.include_intercept && window.count() > 0) {
-    std::vector<fit::BasisFn> constant{fit::BasisFn::kOne};
-    if (auto fitted = fit::fit_terms(window.moments(), n_eff, constant, false))
-      best = *fitted;
-  }
-
-  best.acceptable = best.model.valid() && best.r2 >= options.r2_threshold;
-  return best;
+  return fit::select_model(window.moments(), window.effective_count(),
+                           window.x_lo(), options);
 }
 
 }  // namespace plbhec::adapt

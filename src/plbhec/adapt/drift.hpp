@@ -105,13 +105,13 @@ class DriftMonitor {
   std::vector<std::size_t> trips_;
 };
 
-/// Subset model selection over a window's moments alone: enumerates the
-/// paper basis subsets exactly like fit::select_model but solves every
-/// candidate Gram-only from the discounted (or downdated) moments with the
-/// window's effective sample mass — no raw samples required. Candidates
-/// whose sub-Gram is too ill-conditioned are skipped (there is no QR
-/// fallback without rows). Returns an invalid-model FitResult when nothing
-/// is fittable; callers fall back to their full-history fit.
+/// Subset model selection over a window's moments alone: fit::select_model's
+/// moments overload on the discounted (or downdated) moments, the window's
+/// effective sample mass and its smallest block fraction — no raw samples
+/// required. Candidates whose sub-Gram is too ill-conditioned are skipped
+/// (there is no QR fallback without rows). Returns an invalid-model
+/// FitResult when nothing is fittable; callers fall back to their
+/// full-history fit.
 [[nodiscard]] fit::FitResult fit_recent(const WindowedSampleSet& window,
                                         const fit::SelectionOptions& options);
 

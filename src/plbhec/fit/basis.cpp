@@ -37,6 +37,20 @@ double eval(BasisFn f, double x) {
   return 0.0;
 }
 
+void eval_all(double x, std::span<double, kBasisCount> out) {
+  PLBHEC_EXPECTS(x >= 0.0);
+  const double ln = std::log(clamp_x(x));
+  const double ex = std::exp(x);
+  out[static_cast<std::size_t>(BasisFn::kOne)] = 1.0;
+  out[static_cast<std::size_t>(BasisFn::kLnX)] = ln;
+  out[static_cast<std::size_t>(BasisFn::kX)] = x;
+  out[static_cast<std::size_t>(BasisFn::kX2)] = x * x;
+  out[static_cast<std::size_t>(BasisFn::kX3)] = x * x * x;
+  out[static_cast<std::size_t>(BasisFn::kExpX)] = ex;
+  out[static_cast<std::size_t>(BasisFn::kXExpX)] = x * ex;
+  out[static_cast<std::size_t>(BasisFn::kXLnX)] = x * ln;
+}
+
 double derivative(BasisFn f, double x) {
   const double xc = clamp_x(x);
   switch (f) {

@@ -8,6 +8,7 @@
 /// Block sizes are normalized fractions of the total input (x in (0, 1]),
 /// so all basis functions are well-behaved; ln-terms clamp x away from 0.
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,7 +29,13 @@ enum class BasisFn {
 /// Smallest block fraction considered; ln-terms clamp to this.
 inline constexpr double kMinX = 1e-9;
 
+/// Number of distinct basis functions; BasisFn enumerators index 0..7.
+inline constexpr std::size_t kBasisCount = 8;
+
 [[nodiscard]] double eval(BasisFn f, double x);
+/// Every basis function at `x`, indexed by BasisFn: out[f] is bitwise
+/// eval(f, x), with one log and one exp shared across the terms.
+void eval_all(double x, std::span<double, kBasisCount> out);
 [[nodiscard]] double derivative(BasisFn f, double x);
 [[nodiscard]] double second_derivative(BasisFn f, double x);
 [[nodiscard]] std::string name(BasisFn f);

@@ -115,14 +115,18 @@ struct FitResult {
     const SampleSet& samples, std::span<const BasisFn> candidate_terms,
     const SelectionOptions& options = {}, FitCounters* counters = nullptr);
 
+/// Selection from moments alone (a drift window's discounted or downdated
+/// moments): the same enumeration, with every candidate solved by the
+/// moments-only fit_terms at sample mass `effective_n`, whose floor stands
+/// in for the sample count in the DoF guard and the parsimony classes.
+/// `x_lo` is the smallest block fraction behind the moments (the
+/// plausibility grid's lower edge). Candidates too ill-conditioned for the
+/// Gram path are skipped; `options.engine` does not apply.
+[[nodiscard]] FitResult select_model(const MomentSet& moments,
+                                     double effective_n, double x_lo,
+                                     const SelectionOptions& options = {});
+
 /// Fits G_p(x) = slope * x + latency, clamping both to be non-negative.
 [[nodiscard]] TransferModel fit_transfer(const SampleSet& samples);
-
-/// The candidate filter's physics check: time curves must stay non-negative
-/// and must not decrease substantially anywhere on (x_lo, 1] (small local
-/// dips < 5% of the curve's range are tolerated as fit noise). Exposed for
-/// selection paths outside this file (the drift subsystem's moments-only
-/// recent-window selection applies the same rule).
-[[nodiscard]] bool physically_plausible(const CurveModel& model, double x_lo);
 
 }  // namespace plbhec::fit

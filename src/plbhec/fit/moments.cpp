@@ -6,8 +6,7 @@ namespace plbhec::fit {
 
 void MomentSet::add(double x, double time) {
   std::array<double, kBasisCount> phi;
-  for (std::size_t i = 0; i < kBasisCount; ++i)
-    phi[i] = eval(static_cast<BasisFn>(i), x);
+  eval_all(x, phi);
 
   // Same weight the design-matrix path applies to rows and rhs; the normal
   // equations therefore accumulate w^2.
@@ -34,8 +33,7 @@ void MomentSet::add(double x, double time) {
 
 void MomentSet::remove(double x, double time) {
   std::array<double, kBasisCount> phi;
-  for (std::size_t i = 0; i < kBasisCount; ++i)
-    phi[i] = eval(static_cast<BasisFn>(i), x);
+  eval_all(x, phi);
 
   const double w = 1.0 / std::max(time, 1e-9);
   const double w2 = w * w;

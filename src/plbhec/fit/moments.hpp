@@ -17,9 +17,6 @@
 
 namespace plbhec::fit {
 
-/// Number of distinct basis functions; BasisFn enumerators index 0..7.
-inline constexpr std::size_t kBasisCount = 8;
-
 /// Plain-data image of a MomentSet, byte-serializable by the on-disk
 /// ProfileStore. Round-tripping a snapshot restores the accumulators
 /// bit-identically — no replay, no recomputation — so a warm-started fit

@@ -53,4 +53,22 @@ struct SpdSolve {
     const Matrix& g, std::span<const double> b, double rcond_floor = 1e-7,
     double refine_tol = 1e-9);
 
+/// Scratch doubles solve_equilibrated_spd_in_place() needs for an n x n
+/// system.
+[[nodiscard]] constexpr std::size_t spd_scratch(std::size_t n) {
+  return 2 * n * n + 3 * n;
+}
+
+/// solve_equilibrated_spd() on caller storage, for callers that solve many
+/// small systems (the curve fitter's subset search) in fixed-size arrays:
+/// `g` is n x n row-major, the solution goes to `x` (n entries) and
+/// `scratch` holds at least spd_scratch(n) doubles. Returns the rcond
+/// estimate, or nullopt in the cases solve_equilibrated_spd() does.
+/// Cholesky and solve_equilibrated_spd() run on the same in-place
+/// factorization.
+[[nodiscard]] std::optional<double> solve_equilibrated_spd_in_place(
+    std::span<const double> g, std::size_t n, std::span<const double> b,
+    std::span<double> x, std::span<double> scratch, double rcond_floor = 1e-7,
+    double refine_tol = 1e-9);
+
 }  // namespace plbhec::linalg

@@ -77,6 +77,12 @@ class Matrix {
 /// e^x vs ln x).
 Vector equilibrate_columns(Matrix& a);
 
+/// Allocation-free core of equilibrate_columns(Matrix&): `a` is a rows x
+/// cols row-major buffer, and the per-column factors go to `factor`
+/// (cols entries).
+void equilibrate_columns(std::span<double> a, std::size_t rows,
+                         std::size_t cols, std::span<double> factor);
+
 /// y = A x. Sizes must agree.
 [[nodiscard]] Vector matvec(const Matrix& a, std::span<const double> x);
 /// y = A^T x.

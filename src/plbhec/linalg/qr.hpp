@@ -50,4 +50,28 @@ class Qr {
 [[nodiscard]] std::optional<LsSolution> least_squares(const Matrix& a,
                                                       std::span<const double> b);
 
+/// Residual and rank of a least-squares solve whose coefficients were
+/// written to caller storage.
+struct LsResidual {
+  double residual_norm = 0.0;
+  std::size_t rank = 0;
+};
+
+/// Scratch doubles least_squares_in_place() needs for an m x n system.
+[[nodiscard]] constexpr std::size_t least_squares_scratch(std::size_t m,
+                                                          std::size_t n) {
+  return m + 2 * n;
+}
+
+/// least_squares() on caller storage, for callers that solve many small
+/// systems (the curve fitter's subset search) in buffers sized once:
+/// equilibrates and factors the m x n row-major `a` in place and writes the
+/// n coefficients to `x`. `scratch` holds at least least_squares_scratch(m,
+/// n) doubles. Returns nullopt in the cases least_squares() does. Qr and
+/// least_squares() run on the same in-place factorization.
+[[nodiscard]] std::optional<LsResidual> least_squares_in_place(
+    std::span<double> a, std::size_t m, std::size_t n,
+    std::span<const double> b, std::span<double> x,
+    std::span<double> scratch);
+
 }  // namespace plbhec::linalg

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
@@ -351,6 +352,38 @@ net::RemoteUnitOptions steady_rig_options(std::uint16_t port) {
   return ro;
 }
 
+/// Event gate for a real-rig unit that a script faults last: forwards the
+/// unit's first block, then holds every later block until `release`
+/// returns before forwarding it. With `release` waiting for the
+/// ScriptPlayer to finish, the unit always has a block outstanding when
+/// the script's last event lands, so the run cannot complete before it,
+/// and that block meets the fault exactly as a block in flight does.
+class HoldAfterFirstBlock final : public rt::ExecUnit {
+ public:
+  HoldAfterFirstBlock(std::unique_ptr<rt::ExecUnit> inner,
+                      std::function<void()> release)
+      : inner_(std::move(inner)), release_(std::move(release)) {}
+
+  [[nodiscard]] rt::UnitInfo describe() const override {
+    return inner_->describe();
+  }
+  [[nodiscard]] bool begin_run(rt::Workload& workload) override {
+    return inner_->begin_run(workload);
+  }
+  [[nodiscard]] bool execute(rt::Workload& workload, std::size_t begin,
+                             std::size_t end,
+                             rt::BlockTiming& timing) override {
+    if (blocks_++ > 0) release_();
+    return inner_->execute(workload, begin, end, timing);
+  }
+  void end_run() override { inner_->end_run(); }
+
+ private:
+  std::unique_ptr<rt::ExecUnit> inner_;
+  std::function<void()> release_;
+  std::size_t blocks_ = 0;  ///< only the unit's engine worker touches it
+};
+
 TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
   // One script, written once: freeze unit 1 early, kill unit 2 much
   // later (the wide gap keeps the two demotions ordered even when a
@@ -382,33 +415,35 @@ TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
   // Real side: unit 0 is coordinator-local, units 1 and 2 are daemons.
   // The player arms once both daemons have served a block (the run is
   // demonstrably in flight on every scripted unit), then replays the
-  // same script in wall time.
+  // same script in wall time. Completion is event-gated, not raced: unit
+  // 2, whose kill is the script's last event, holds every block after
+  // its first until the player has delivered the whole script, so the
+  // kill always lands on a block in flight however fast the rig runs.
   std::vector<rt::UnitId> net_order;
   {
     net::WorkerDaemon d1({0, "wd1", 1.0});
     net::WorkerDaemon d2({0, "wd2", 1.0});
     NetFaultTarget target({nullptr, &d1, &d2});
 
-    std::vector<std::unique_ptr<rt::ExecUnit>> units;
-    units.push_back(std::make_unique<rt::LocalExecUnit>(
-        rt::LocalExecUnit::Options{"local0", 1.0, true}));
-    units.push_back(
-        std::make_unique<net::RemoteUnit>(chaos_rig_options(d1.port())));
-    units.push_back(
-        std::make_unique<net::RemoteUnit>(steady_rig_options(d2.port())));
-    rt::ThreadEngine engine(rt::ThreadEngineOptions{}, std::move(units));
-
-    // Sized to keep the run in flight well past the last scripted event
-    // (~1 s+ of work on three units) so the kill cannot race run
-    // completion even on a fast machine.
-    apps::SyntheticWorkload workload(apps::SyntheticWorkload::Config{
-        40'000, 1e6, 64.0, 16.0, 2.0, 0.97, 0.5, 0.5, 6'000});
-
     ScriptPlayer::Options options;
     options.armed = [&] {
       return d1.blocks_served() > 0 && d2.blocks_served() > 0;
     };
     ScriptPlayer player(script, target, std::move(options));
+
+    std::vector<std::unique_ptr<rt::ExecUnit>> units;
+    units.push_back(std::make_unique<rt::LocalExecUnit>(
+        rt::LocalExecUnit::Options{"local0", 1.0, true}));
+    units.push_back(
+        std::make_unique<net::RemoteUnit>(chaos_rig_options(d1.port())));
+    units.push_back(std::make_unique<HoldAfterFirstBlock>(
+        std::make_unique<net::RemoteUnit>(steady_rig_options(d2.port())),
+        [&player] { player.join(); }));
+    rt::ThreadEngine engine(rt::ThreadEngineOptions{}, std::move(units));
+
+    apps::SyntheticWorkload workload(apps::SyntheticWorkload::Config{
+        40'000, 1e6, 64.0, 16.0, 2.0, 0.97, 0.5, 0.5, 6'000});
+
     player.start();
 
     RecordingScheduler scheduler(std::make_unique<core::PlbHecScheduler>());

@@ -133,6 +133,10 @@ struct GeneratedCurve {
   double (*fn)(double);
 };
 
+// gtest puts the printed parameter into each listed test name; the default
+// byte dump would embed the pointers' run-time addresses, so print the label.
+void PrintTo(const GeneratedCurve& gc, std::ostream* os) { *os << gc.label; }
+
 class SelectRecovers : public ::testing::TestWithParam<GeneratedCurve> {};
 
 TEST_P(SelectRecovers, PredictsHeldOutPoints) {

@@ -178,6 +178,10 @@ TEST(ThreadPool, StatsCountWorkDistribution) {
   pool.wait_idle();
   pool.parallel_for(0, 10'000, 16,
                     [&](std::size_t lo, std::size_t hi) { ran += hi - lo; });
+  // parallel_for returns once every chunk ran, but a helper task it queued
+  // can still be picked up (and counted) afterwards; settle the pool so the
+  // two stats reads below see the same counters.
+  pool.wait_idle();
   const exec::PoolStats stats = pool.stats();
   EXPECT_GT(stats.tasks_executed, 0u);
   EXPECT_GE(stats.injected, 32u);  // submits came from this non-worker thread
