@@ -1,13 +1,15 @@
-/// Ablation: interior-point vs analytic equal-time solver. Verifies the
-/// two agree on well-conditioned systems (they solve the same equations),
-/// measures their cost across unit counts, and reports how often the
-/// interior-point path needs its fallback.
+/// Ablation: the production block-size selector (the equal-time root
+/// find) against the paper's interior-point formulation of Eq. (3)-(5),
+/// kept as the fidelity oracle. Sweeps 2-256 units; per size it reports
+/// the largest share difference and the predicted-makespan ratio where the
+/// oracle converges, the cost per solve of each, and how often the oracle
+/// fails to converge.
 
 #include <chrono>
 
 #include "bench_common.hpp"
 #include "plbhec/solver/block_selection.hpp"
-#include "plbhec/solver/equal_time.hpp"
+#include "plbhec/solver/ip_oracle.hpp"
 
 namespace {
 
@@ -45,58 +47,61 @@ std::vector<fit::PerfModel> random_models(std::size_t n, Rng& rng) {
 
 int main(int argc, char** argv) {
   using namespace plbhec;
+  using Clock = std::chrono::steady_clock;
   const Cli cli(argc, argv);
-  const auto trials =
-      static_cast<std::size_t>(cli.get_int("trials", cli.full() ? 200 : 50));
+  const std::size_t trial_budget = cli.full() ? 1600 : 400;
+  solver::BlockSelectionOptions opt;
+  opt.total_fraction = 0.25;  // PLB-HeC's default execution window
+  const solver::EqualTimeOptions eq{opt.x_min, opt.total_fraction};
 
-  std::printf("=== Ablation — interior-point vs analytic equal-time ===\n");
-  Table t({"units", "max |x_ip - x_analytic|", "max time spread (IP)",
-           "IP ms (mean)", "analytic ms (mean)", "fallbacks"});
+  std::printf(
+      "=== Ablation — equal-time root find vs interior-point oracle ===\n");
+  Table t({"units", "trials", "max |x - x_ip|", "makespan / IP (max)",
+           "root find us", "IP us", "IP failures"});
   Rng rng(11);
-  for (std::size_t n : {2u, 4u, 8u, 16u}) {
-    RunningStats diff, spread, ip_ms, an_ms;
-    std::size_t fallbacks = 0;
+  for (std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u}) {
+    const std::size_t trials = std::max<std::size_t>(4, trial_budget / n);
+    RunningStats diff, ratio, sel_us, ip_us;
+    std::size_t failures = 0;
     for (std::size_t trial = 0; trial < trials; ++trial) {
       const auto models = random_models(n, rng);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto sel = solver::select_block_sizes(models);
-      const auto t1 = std::chrono::steady_clock::now();
-      const auto eq = solver::solve_equal_time(models);
-      const auto t2 = std::chrono::steady_clock::now();
-      if (!sel.ok || !eq.ok) continue;
-      if (sel.used_fallback) ++fallbacks;
-
-      double worst = 0.0;
-      for (std::size_t u = 0; u < n; ++u)
-        worst = std::max(worst,
-                         std::fabs(sel.fractions[u] - eq.fractions[u]));
-      diff.add(worst);
-
-      double tmin = 1e300, tmax = 0.0;
-      for (std::size_t u = 0; u < n; ++u) {
-        const double tu = models[u].total_time(sel.fractions[u]);
-        tmin = std::min(tmin, tu);
-        tmax = std::max(tmax, tu);
+      const auto t0 = Clock::now();
+      const auto sel = solver::select_block_sizes(models, opt);
+      const auto t1 = Clock::now();
+      const auto ip = solver::solve_equal_time_ip(models, eq);
+      const auto t2 = Clock::now();
+      sel_us.add(std::chrono::duration<double, std::micro>(t1 - t0).count());
+      ip_us.add(std::chrono::duration<double, std::micro>(t2 - t1).count());
+      if (ip.status != solver::IpStatus::kSolved) {
+        ++failures;
+        continue;
       }
-      spread.add((tmax - tmin) / std::max(tmax, 1e-12));
-      ip_ms.add(std::chrono::duration<double, std::milli>(t1 - t0).count());
-      an_ms.add(std::chrono::duration<double, std::milli>(t2 - t1).count());
+      double worst = 0.0;
+      double ip_makespan = 0.0;
+      for (std::size_t u = 0; u < n; ++u) {
+        worst = std::max(worst, std::fabs(sel.fractions[u] - ip.x[u]));
+        ip_makespan = std::max(ip_makespan, models[u].total_time(ip.x[u]));
+      }
+      diff.add(worst);
+      ratio.add(sel.predicted_time / ip_makespan);
     }
+    char max_dx[32];
+    std::snprintf(max_dx, sizeof(max_dx), "%.1e", diff.max());
     t.row()
         .add(n)
-        .add(diff.max(), 4)
-        .add(spread.max(), 4)
-        .add(ip_ms.mean(), 3)
-        .add(an_ms.mean(), 3)
-        .add(fallbacks);
+        .add(trials)
+        .add(std::string(max_dx))
+        .add(ratio.max(), 9)
+        .add(sel_us.mean(), 1)
+        .add(ip_us.mean(), 1)
+        .add(failures);
   }
   t.print();
   std::printf(
-      "\nExpected: both solvers agree to a few percent, the equal-time\n"
-      "constraint is met (small spread), and fallbacks are rare. The paper\n"
-      "reports 170 +- 32 ms per IPOPT solve on 2015 hardware; our dense\n"
-      "solver at 8-10 units is far cheaper, so the overhead argument of\n"
-      "§V-a holds a fortiori.\n");
+      "\nExpected: these curves are monotone, so where the oracle converges\n"
+      "the two agree to rounding, with a makespan ratio of 1. The root find\n"
+      "costs O(n) per step, the oracle factors a dense KKT system per\n"
+      "Newton step. The paper reports 170 +- 32 ms per IPOPT solve at 4\n"
+      "machines on 2015 hardware (§V-a).\n");
   return 0;
 }

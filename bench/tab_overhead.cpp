@@ -1,15 +1,17 @@
 /// Reproduces the §V-a scalar: the time spent computing the task-size
 /// distribution with the interior-point method (paper: mean 170 ms,
 /// sd 32.3 ms, for 4 machines and 65536^2 matrices — on 2015 hardware).
-/// Google-benchmark micro-benchmarks of the full block-size selection
-/// (fit + interior point) and of its parts, across processing-unit counts.
+/// Google-benchmark micro-benchmarks of the production block-size
+/// selection (the equal-time root find), of the paper's interior-point
+/// formulation kept as the fidelity oracle, and of the full fit + select
+/// pipeline, across processing-unit counts.
 
 #include <benchmark/benchmark.h>
 
 #include "plbhec/common/rng.hpp"
 #include "plbhec/fit/least_squares.hpp"
 #include "plbhec/solver/block_selection.hpp"
-#include "plbhec/solver/equal_time.hpp"
+#include "plbhec/solver/ip_oracle.hpp"
 
 namespace {
 
@@ -47,21 +49,26 @@ fit::SampleSet make_samples(std::size_t count) {
 
 void BM_BlockSelection(benchmark::State& state) {
   const auto models = make_models(static_cast<std::size_t>(state.range(0)));
+  solver::BlockSelectionOptions opt;
+  opt.total_fraction = 0.25;
   for (auto _ : state) {
-    const auto sel = solver::select_block_sizes(models);
+    const auto sel = solver::select_block_sizes(models, opt);
     benchmark::DoNotOptimize(sel.fractions.data());
   }
 }
-BENCHMARK(BM_BlockSelection)->Arg(4)->Arg(8)->Arg(10)->Arg(16)->Arg(32);
+BENCHMARK(BM_BlockSelection)->RangeMultiplier(2)->Range(4, 256);
 
-void BM_EqualTimeAnalytic(benchmark::State& state) {
+void BM_InteriorPointOracle(benchmark::State& state) {
   const auto models = make_models(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto eq = solver::solve_equal_time(models);
-    benchmark::DoNotOptimize(eq.fractions.data());
+    const auto ip = solver::solve_equal_time_ip(models, {1e-6, 0.25});
+    benchmark::DoNotOptimize(ip.x.data());
   }
 }
-BENCHMARK(BM_EqualTimeAnalytic)->Arg(8)->Arg(32);
+BENCHMARK(BM_InteriorPointOracle)
+    ->RangeMultiplier(2)
+    ->Range(4, 256)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ModelSelection(benchmark::State& state) {
   const auto samples = make_samples(static_cast<std::size_t>(state.range(0)));

@@ -15,10 +15,6 @@ void publish_counters(obs::CounterRegistry& registry,
   registry.set("plbhec.solves", stats.solves);
   registry.set("plbhec.refinements", stats.refinements);
   registry.set("plbhec.rebalances", stats.rebalances);
-  registry.set("plbhec.fallback_solves", stats.fallback_solves);
-  registry.set("plbhec.warm_solves", stats.warm_solves);
-  registry.set("plbhec.kkt_solves", stats.kkt_solves);
-  registry.set("plbhec.kkt_solves_saved", stats.kkt_solves_saved);
   registry.set("plbhec.modeling_grains",
                static_cast<std::uint64_t>(stats.modeling_grains));
   registry.set("plbhec.probe_blocks", stats.probe_blocks);
@@ -128,7 +124,6 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   threshold_strikes_.assign(units.size(), 0);
   issued_grains_ = 0;
   generation_ = 0;
-  cold_kkt_solves_ = 0;
   issue_gen_.assign(units.size(), 0);
   grains_consumed_ = 0.0;
   last_now_ = 0.0;
@@ -701,49 +696,19 @@ void PlbHecScheduler::fit_and_select() {
   // actually issued, and window-level shares stay within the probed range.
   solver::BlockSelectionOptions sel_opt = options_.selection;
   sel_opt.total_fraction = options_.step_fraction;
-  // Re-solves (§III-D rebalances, refinements, failure redistribution)
-  // start from the previous selection instead of re-deriving the analytic
-  // equal-time point: the observations only perturbed the optimum.
-  if (!stats_.fraction_history.empty()) {
-    double prev_sum = 0.0;
-    for (rt::UnitId u : alive_ids) prev_sum += fractions_[u];
-    if (prev_sum > 0.0) {
-      sel_opt.warm_start.reserve(alive_ids.size());
-      for (rt::UnitId u : alive_ids)
-        sel_opt.warm_start.push_back(fractions_[u] / prev_sum *
-                                     options_.step_fraction);
-    }
-  }
   const solver::BlockSelection sel =
       solver::select_block_sizes(alive_models, sel_opt);
   ++stats_.solves;
-  PLBHEC_OBS_RECORD(sink_,
-                    {last_now_, obs::EventKind::kSolve, obs::kNoUnit,
-                     sel.solve_seconds, sel.predicted_time, sel.ip.kkt_solves,
-                     (sel.warm_started ? 1u : 0u) |
-                         (sel.used_fallback ? 2u : 0u)});
+  PLBHEC_OBS_RECORD(sink_, {last_now_, obs::EventKind::kSolve, obs::kNoUnit,
+                            sel.solve_seconds, sel.predicted_time, 0, 0});
   stats_.solve_seconds.push_back(sel.solve_seconds);
-  if (sel.used_fallback) ++stats_.fallback_solves;
-  stats_.kkt_solves += sel.ip.kkt_solves;
-  if (sel.warm_started) {
-    ++stats_.warm_solves;
-    if (cold_kkt_solves_ > sel.ip.kkt_solves)
-      stats_.kkt_solves_saved += cold_kkt_solves_ - sel.ip.kkt_solves;
-  } else if (sel.ip.kkt_solves > 0) {
-    cold_kkt_solves_ = sel.ip.kkt_solves;
-  }
+  PLBHEC_ASSERT(sel.ok);
 
+  // Normalize window shares to a unit sum: next_block() multiplies by the
+  // effective window, and Fig. 6 reports the normalized shares.
   fractions_.assign(units_.size(), 0.0);
-  if (sel.ok) {
-    // Normalize window shares to a unit sum: next_block() multiplies by
-    // the effective window, and Fig. 6 reports the normalized shares.
-    for (std::size_t i = 0; i < alive_ids.size(); ++i)
-      fractions_[alive_ids[i]] = sel.fractions[i] / options_.step_fraction;
-  } else {
-    // Pathological fits everywhere: fall back to a uniform split.
-    for (rt::UnitId u : alive_ids)
-      fractions_[u] = 1.0 / static_cast<double>(alive_ids.size());
-  }
+  for (std::size_t i = 0; i < alive_ids.size(); ++i)
+    fractions_[alive_ids[i]] = sel.fractions[i] / options_.step_fraction;
 
   stats_.fraction_history.push_back(fractions_);
 

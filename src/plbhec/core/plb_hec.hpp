@@ -12,7 +12,8 @@
 ///   until every unit's fitted curve reaches R^2 >= 0.7 (minimum four
 ///   samples each) or 20% of the input has been consumed.
 /// Phase 2 — block size selection: fit F_p, G_p per unit, solve the
-///   equal-time system (Eq. 3-5) with the interior-point method.
+///   equal-time system (Eq. 3-5) by a root find on the common finish time
+///   (the paper uses IPOPT; see solver/equal_time.hpp).
 /// Phase 3 — execution & rebalancing: hand each unit blocks of its selected
 ///   size; when task durations across units diverge by more than the
 ///   threshold (default 10% of a block's execution time), drain, re-fit
@@ -71,7 +72,8 @@ struct PlbHecOptions {
   std::size_t refinements = 2;
   /// Curve-fit configuration (r2_threshold is the paper's 0.7).
   fit::SelectionOptions fit;
-  /// Interior-point block-selection configuration.
+  /// Block-selection configuration (total_fraction is set per solve from
+  /// step_fraction).
   solver::BlockSelectionOptions selection;
   /// Per-unit warm-start profiles (the service layer loads these from its
   /// ProfileStore at job admission), indexed by the unit ids passed to
@@ -134,15 +136,9 @@ struct PlbHecOptions {
 /// Diagnostics exposed for the benchmark harness.
 struct PlbHecStats {
   std::size_t probe_rounds = 0;
-  std::size_t solves = 0;          ///< interior-point selections performed
+  std::size_t solves = 0;          ///< block-size selections performed
   std::size_t refinements = 0;     ///< barrier-free progressive refinements
   std::size_t rebalances = 0;      ///< execution-phase rebalances
-  std::size_t fallback_solves = 0; ///< analytic fallback used
-  std::size_t warm_solves = 0;     ///< solves warm-started from the
-                                   ///< previous selection's fractions
-  std::size_t kkt_solves = 0;      ///< KKT factorizations across all solves
-  std::size_t kkt_solves_saved = 0;///< factorizations avoided by warm
-                                   ///< starts, vs. the last cold solve
   std::vector<double> solve_seconds;  ///< wall time per selection
   double modeling_grains = 0.0;    ///< grains consumed by the modeling phase
   std::vector<std::vector<double>> fraction_history;  ///< per selection
@@ -304,11 +300,6 @@ class PlbHecScheduler final : public rt::Scheduler {
   std::vector<std::size_t> threshold_strikes_;  ///< per-unit debounce
   std::size_t issued_grains_ = 0;            ///< grains handed out so far
   std::size_t generation_ = 0;               ///< bumped at every selection
-  std::size_t cold_kkt_solves_ = 0;          ///< KKT count of the last
-                                             ///< cold (analytic-started)
-                                             ///< solve — the baseline the
-                                             ///< warm-start saving is
-                                             ///< measured against
   std::vector<std::size_t> issue_gen_;       ///< generation of the unit's
                                              ///< outstanding block (the
                                              ///< engine keeps at most one

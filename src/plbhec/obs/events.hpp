@@ -2,7 +2,7 @@
 /// \file events.hpp
 /// Typed observability events: the scheduler/runtime decisions that the
 /// busy-segment trace (rt/trace.hpp) cannot show — probe rounds, fit
-/// acceptance, interior-point re-solves, rebalance triggers, dispatches
+/// acceptance, block-size re-solves, rebalance triggers, dispatches
 /// and failures. Events are plain 48-byte records with a fixed payload
 /// layout per kind (two doubles, two integers) so recording them is a
 /// buffer append, never an allocation; the exporters in

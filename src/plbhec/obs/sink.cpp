@@ -1,6 +1,7 @@
 #include "plbhec/obs/sink.hpp"
 
 #include <algorithm>
+#include <new>
 
 namespace plbhec::obs {
 
@@ -45,7 +46,7 @@ std::array<const char*, 4> arg_names(EventKind kind) {
     case EventKind::kModelFitted:
       return {"r2", nullptr, "samples", "acceptable"};
     case EventKind::kSolve:
-      return {"solve_seconds", "predicted_time", "kkt_solves", "flags"};
+      return {"solve_seconds", "predicted_time", nullptr, nullptr};
     case EventKind::kRebalanceTriggered:
       return {"deviation", "threshold", "strikes", nullptr};
     case EventKind::kRefinement:
@@ -94,12 +95,6 @@ std::array<const char*, 4> arg_names(EventKind kind) {
 
 #if PLBHEC_OBS_ENABLED
 
-struct EventSink::Shard {
-  std::thread::id owner;
-  std::mutex mutex;  ///< uncontended except against drain()
-  std::vector<Event> events;
-};
-
 namespace {
 
 /// One-entry per-thread cache of the last sink this thread recorded into.
@@ -114,7 +109,59 @@ thread_local TlsShardCache tls_shard_cache;
 
 std::atomic<std::uint64_t> next_sink_epoch{1};
 
+const Event& slot(const std::byte* storage, std::size_t i) {
+  return *std::launder(
+      reinterpret_cast<const Event*>(storage + i * sizeof(Event)));
+}
+
 }  // namespace
+
+EventSink::Shard::~Shard() {
+  for (Chunk* c = head; c != nullptr;) {
+    Chunk* next = c->next.load(std::memory_order_acquire);
+    if (c != &first) delete c;
+    c = next;
+  }
+}
+
+void EventSink::Shard::append(const Event& event) {
+  std::size_t n = tail->count.load(std::memory_order_relaxed);
+  if (n == kChunkEvents) {
+    Chunk* fresh = new Chunk;
+    tail->next.store(fresh, std::memory_order_release);
+    tail = fresh;
+    n = 0;
+  }
+  ::new (static_cast<void*>(tail->storage + n * sizeof(Event))) Event(event);
+  tail->count.store(n + 1, std::memory_order_release);
+}
+
+void EventSink::Shard::drain_into(std::vector<Event>& out) {
+  for (;;) {
+    // `next` before `count`: a linked successor means the count is final.
+    Chunk* next = head->next.load(std::memory_order_acquire);
+    const std::size_t n = head->count.load(std::memory_order_acquire);
+    for (std::size_t i = head_read; i < n; ++i)
+      out.push_back(slot(head->storage, i));
+    head_read = n;
+    if (next == nullptr) return;
+    // The owner never touches a chunk again once it has linked the next.
+    if (head != &first) delete head;
+    head = next;
+    head_read = 0;
+  }
+}
+
+std::size_t EventSink::Shard::unread() const {
+  std::size_t total = 0;
+  std::size_t read = head_read;
+  for (const Chunk* c = head; c != nullptr; read = 0) {
+    const Chunk* next = c->next.load(std::memory_order_acquire);
+    total += c->count.load(std::memory_order_acquire) - read;
+    c = next;
+  }
+  return total;
+}
 
 EventSink::EventSink()
     : epoch_(next_sink_epoch.fetch_add(1, std::memory_order_relaxed)) {}
@@ -126,40 +173,33 @@ EventSink::Shard& EventSink::local_shard() {
   if (cache.sink == this && cache.epoch == epoch_) return *cache.shard;
 
   const std::thread::id self = std::this_thread::get_id();
-  std::lock_guard lock(mutex_);
-  for (auto& shard : shards_) {
-    if (shard->owner == self) {
-      cache = {this, epoch_, shard.get()};
-      return *shard;
+  std::thread::id owner;
+  Shard* shard = &home_;
+  if (!home_.owner.compare_exchange_strong(owner, self) && owner != self) {
+    std::lock_guard lock(mutex_);
+    shard = nullptr;
+    for (auto& s : extra_)
+      if (s->owner.load(std::memory_order_relaxed) == self) shard = s.get();
+    if (shard == nullptr) {
+      shard = extra_.emplace_back(std::make_unique<Shard>()).get();
+      shard->owner.store(self, std::memory_order_relaxed);
     }
   }
-  shards_.push_back(std::make_unique<Shard>());
-  Shard& shard = *shards_.back();
-  shard.owner = self;
-  shard.events.reserve(256);
-  cache = {this, epoch_, &shard};
-  return shard;
+  cache = {this, epoch_, shard};
+  return *shard;
 }
 
 void EventSink::record(const Event& event) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  Shard& shard = local_shard();
-  std::lock_guard lock(shard.mutex);
-  shard.events.push_back(event);
+  local_shard().append(event);
 }
 
 std::vector<Event> EventSink::drain() {
   std::vector<Event> out;
   {
     std::lock_guard lock(mutex_);
-    std::size_t total = 0;
-    for (const auto& shard : shards_) total += shard->events.size();
-    out.reserve(total);
-    for (auto& shard : shards_) {
-      std::lock_guard shard_lock(shard->mutex);
-      out.insert(out.end(), shard->events.begin(), shard->events.end());
-      shard->events.clear();
-    }
+    home_.drain_into(out);
+    for (auto& shard : extra_) shard->drain_into(out);
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const Event& x, const Event& y) {
@@ -170,11 +210,8 @@ std::vector<Event> EventSink::drain() {
 
 std::size_t EventSink::size() const {
   std::lock_guard lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard shard_lock(shard->mutex);
-    total += shard->events.size();
-  }
+  std::size_t total = home_.unread();
+  for (const auto& shard : extra_) total += shard->unread();
   return total;
 }
 

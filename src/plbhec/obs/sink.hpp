@@ -1,10 +1,14 @@
 #pragma once
 /// \file sink.hpp
-/// Low-overhead typed event sink. Recording threads append to per-thread
-/// shards (one cache-warm vector per recording thread, found through a
-/// thread-local fast path) and the shards are merged into one time-sorted
-/// stream by drain() at run end, so recording never contends across
-/// threads and never allocates on the hot path once a shard has warmed up.
+/// Low-overhead typed event sink. Each recording thread appends to its own
+/// shard, an append-only chain of fixed-size chunks found through a
+/// thread-local fast path, and drain() merges the shards into one
+/// time-sorted stream at run end. A slot is written first and then
+/// published with a release store of its chunk's count, so recording takes
+/// no lock and drain()/size() still only ever read published events. The
+/// first thread to record claims the shard embedded in the sink with one
+/// compare-exchange, so a run recorded from one thread never allocates
+/// until it outgrows the embedded chunk.
 ///
 /// The whole sink compiles to no-ops when the build sets
 /// PLBHEC_OBS_ENABLED=0 (CMake option PLBHEC_OBS=OFF): record() becomes an
@@ -22,6 +26,7 @@
 
 #if PLBHEC_OBS_ENABLED
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,7 +40,7 @@ inline constexpr bool kCompiledIn = PLBHEC_OBS_ENABLED != 0;
 
 #if PLBHEC_OBS_ENABLED
 
-class EventSink {
+class alignas(64) EventSink {
  public:
   EventSink();
   ~EventSink();
@@ -65,17 +70,50 @@ class EventSink {
   /// recording).
   [[nodiscard]] std::size_t size() const;
 
-  struct Shard;  ///< public name so the thread-local cache can point at one
+ private:
+  static constexpr std::size_t kChunkEvents = 256;
+
+  /// kChunkEvents event slots, left uninitialized until written. `count`
+  /// publishes the written prefix; `next` is set once the chunk is full.
+  struct Chunk {
+    std::atomic<std::size_t> count{0};
+    std::atomic<Chunk*> next{nullptr};
+    alignas(Event) std::byte storage[kChunkEvents * sizeof(Event)];
+  };
+
+ public:
+  /// One recording thread's append-only log (public so the thread-local
+  /// cache can point at one).
+  struct Shard {
+    Shard() = default;
+    ~Shard();
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+
+    void append(const Event& event);        ///< owner thread only
+    void drain_into(std::vector<Event>& out);  ///< under the sink mutex
+    [[nodiscard]] std::size_t unread() const;  ///< under the sink mutex
+
+    std::atomic<std::thread::id> owner{};
+    Chunk* tail = &first;    ///< owner's write position
+    Chunk* head = &first;    ///< oldest chunk with unread events
+    std::size_t head_read = 0;  ///< events of *head already drained
+    Chunk first;  ///< last, so the fields above share a line with its count
+  };
 
  private:
-  /// Finds (or registers) the calling thread's shard; the fast path is one
-  /// thread_local compare.
+  /// Finds (or claims, or registers) the calling thread's shard; the fast
+  /// path is one thread_local compare.
   Shard& local_shard();
 
-  mutable std::mutex mutex_;  ///< guards shard registration and drain
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Everything a record from the claiming thread reads or writes, other
+  // than its slot, sits in the sink's first cache line: enabled_, epoch_,
+  // and home_'s owner, tail and first.count.
   std::atomic<bool> enabled_{true};
   std::uint64_t epoch_;  ///< process-unique sink id for the TLS fast path
+  Shard home_;           ///< claimed by the first recording thread
+  mutable std::mutex mutex_;  ///< guards extra_ and every shard's read side
+  std::vector<std::unique_ptr<Shard>> extra_;  ///< any further threads
 };
 
 /// Records an event iff `sink` is non-null; compiles away entirely (the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "plbhec/common/contracts.hpp"
@@ -11,93 +12,19 @@
 namespace plbhec::solver {
 namespace {
 
-/// NLP encoding of Eq. (3)-(5):
-///   variables  x_1..x_n (fractions),
-///   objective  E_1(x_1),
-///   c_0        sum_g x_g - 1 = 0,
-///   c_g        E_1(x_1) - E_{g+1}(x_{g+1}) = 0   for g = 1..n-1,
-///   bounds     x_min <= x_g <= 1.
-class EqualTimeNlp final : public NlpProblem {
- public:
-  EqualTimeNlp(std::span<const fit::PerfModel> models, double x_min,
-               double target)
-      : models_(models.begin(), models.end()),
-        x_min_(x_min),
-        target_(target) {}
-
-  [[nodiscard]] std::size_t num_vars() const override {
-    return models_.size();
-  }
-  [[nodiscard]] std::size_t num_constraints() const override {
-    return models_.size();  // 1 simplex + (n-1) equal-time
-  }
-
-  [[nodiscard]] double objective(std::span<const double> x) const override {
-    return models_[0].total_time(x[0]);
-  }
-
-  void gradient(std::span<const double> x,
-                std::span<double> grad) const override {
-    std::fill(grad.begin(), grad.end(), 0.0);
-    grad[0] = models_[0].total_derivative(x[0]);
-  }
-
-  void constraints(std::span<const double> x,
-                   std::span<double> c) const override {
-    const std::size_t n = models_.size();
-    double sum = 0.0;
-    for (std::size_t g = 0; g < n; ++g) sum += x[g];
-    c[0] = sum - target_;
-    const double e1 = models_[0].total_time(x[0]);
-    for (std::size_t g = 1; g < n; ++g)
-      c[g] = e1 - models_[g].total_time(x[g]);
-  }
-
-  void jacobian(std::span<const double> x,
-                linalg::Matrix& jac) const override {
-    const std::size_t n = models_.size();
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t cidx = 0; cidx < n; ++cidx) jac(r, cidx) = 0.0;
-    for (std::size_t cidx = 0; cidx < n; ++cidx) jac(0, cidx) = 1.0;
-    const double de1 = models_[0].total_derivative(x[0]);
-    for (std::size_t g = 1; g < n; ++g) {
-      jac(g, 0) = de1;
-      jac(g, g) = -models_[g].total_derivative(x[g]);
-    }
-  }
-
-  void lagrangian_hessian(std::span<const double> x, double obj_factor,
-                          std::span<const double> lambda,
-                          linalg::Matrix& hess) const override {
-    const std::size_t n = models_.size();
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t cidx = 0; cidx < n; ++cidx) hess(r, cidx) = 0.0;
-    const double d2e1 = models_[0].total_second_derivative(x[0]);
-    double h00 = obj_factor * d2e1;
-    for (std::size_t g = 1; g < n; ++g) {
-      h00 += lambda[g] * d2e1;
-      hess(g, g) = -lambda[g] * models_[g].total_second_derivative(x[g]);
-    }
-    hess(0, 0) = h00;
-  }
-
-  void bounds(std::span<double> lower, std::span<double> upper) const override {
-    std::fill(lower.begin(), lower.end(), x_min_);
-    std::fill(upper.begin(), upper.end(), target_);
-  }
-
- private:
-  std::vector<fit::PerfModel> models_;
-  double x_min_;
-  double target_;
-};
-
-double predicted_makespan(std::span<const fit::PerfModel> models,
-                          std::span<const double> fractions) {
-  double worst = 0.0;
-  for (std::size_t g = 0; g < models.size(); ++g)
-    worst = std::max(worst, models[g].total_time(fractions[g]));
-  return worst;
+/// How far E(x) may sit from the common time without a fault in the
+/// solve: the rounding error of evaluating E (16 ulps of its summed term
+/// magnitudes; fits whose e^x terms cancel carry ~1e9 coefficients for a
+/// curve of ~1 s) plus the slope times the precision a crossing pins x to
+/// (a steep curve near E = 0). On ordinary curves both are far below
+/// 1e-9 of the finish time.
+double finish_time_slack(const fit::PerfModel& m, double x) {
+  double magnitude = std::fabs(m.transfer(x));
+  for (std::size_t i = 0; i < m.exec.terms.size(); ++i)
+    magnitude +=
+        std::fabs(m.exec.coefficients[i] * fit::eval(m.exec.terms[i], x));
+  return 16.0 * std::numeric_limits<double>::epsilon() * magnitude +
+         4.0 * kCrossingTolerance * x * std::fabs(m.total_derivative(x));
 }
 
 }  // namespace
@@ -107,134 +34,69 @@ BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
   BlockSelection out;
   const auto t_begin = std::chrono::steady_clock::now();
   const std::size_t n = models.size();
-  const double target = opt.total_fraction;
-  PLBHEC_EXPECTS(target > 0.0 && target <= 1.0);
+  const double window = opt.total_fraction;
+  PLBHEC_EXPECTS(window > 0.0 && window <= 1.0);
   if (n == 0) return out;
   for (const auto& m : models) PLBHEC_EXPECTS(m.valid());
-
-  if (n == 1) {
-    out.ok = true;
-    out.fractions = {target};
-    out.predicted_time = models[0].total_time(target);
-    out.solve_seconds = 0.0;
-    return out;
-  }
 
   // Units whose fitted curve is (near-)flat carry no size information —
   // typically an intercept-only fallback from a single profiling sample.
   // Solving the equal-time system with a flat curve hands that unit an
   // arbitrary (often huge) share, so park such units at the minimum
-  // fraction and solve over the informative ones.
+  // fraction and solve the informative ones over the rest of the window.
   std::vector<std::size_t> informative;
-  std::vector<fit::PerfModel> informative_models;
   for (std::size_t g = 0; g < n; ++g) {
     const double span =
-        models[g].total_time(target) - models[g].total_time(opt.x_min);
+        models[g].total_time(window) - models[g].total_time(opt.x_min);
     const double scale =
-        std::max(std::fabs(models[g].total_time(target)), 1e-12);
-    if (span > 1e-3 * scale) {
-      informative.push_back(g);
-      informative_models.push_back(models[g]);
-    }
+        std::max(std::fabs(models[g].total_time(window)), 1e-12);
+    if (span > 1e-3 * scale) informative.push_back(g);
   }
-  if (informative.size() < n) {
-    if (informative.empty()) {
-      // Nothing informative at all: uniform split.
-      out.ok = true;
-      out.used_fallback = true;
-      out.fractions.assign(n, target / static_cast<double>(n));
-      out.predicted_time = predicted_makespan(models, out.fractions);
-      return out;
-    }
-    BlockSelectionOptions sub_opt = opt;
-    sub_opt.warm_start.clear();
-    if (opt.warm_start.size() == n) {
-      // Project the warm start onto the informative subset.
-      for (std::size_t idx : informative)
-        sub_opt.warm_start.push_back(opt.warm_start[idx]);
-    }
-    const BlockSelection sub =
-        select_block_sizes(informative_models, sub_opt);
-    if (!sub.ok) return out;
-    out = sub;
-    const double flat_share =
-        opt.x_min * static_cast<double>(n - informative.size());
-    std::vector<double> full(n, opt.x_min);
+  out.ok = true;
+  EqualTimeResult eq;
+  if (informative.empty()) {
+    // Nothing informative at all: uniform split.
+    out.fractions.assign(n, window / static_cast<double>(n));
+  } else {
+    std::vector<fit::PerfModel> subset;
+    if (informative.size() < n)
+      for (std::size_t g : informative) subset.push_back(models[g]);
+    EqualTimeOptions eq_opt;
+    eq_opt.x_min = opt.x_min;
+    eq_opt.target =
+        window - opt.x_min * static_cast<double>(n - informative.size());
+    eq = solve_equal_time(
+        subset.empty() ? models : std::span<const fit::PerfModel>(subset),
+        eq_opt);
+    PLBHEC_ASSERT(eq.ok);
+    out.fractions.assign(n, opt.x_min);
     for (std::size_t i = 0; i < informative.size(); ++i)
-      full[informative[i]] =
-          sub.fractions[i] * (target - flat_share) / target;
-    out.fractions = std::move(full);
-    out.predicted_time = predicted_makespan(models, out.fractions);
-    return out;
+      out.fractions[informative[i]] = eq.fractions[i];
   }
 
-  // Starting point, in priority order: the caller's warm start (the
-  // previous selection's fractions, §III-D rebalances only perturb them),
-  // else the analytic equal-time split, else the uniform split. The
-  // analytic system is solved lazily — a usable warm start skips it
-  // entirely and only a failed NLP brings it back for the fallback.
-  EqualTimeOptions eq_opt;
-  eq_opt.x_min = opt.x_min;
-  eq_opt.target = target;
-  EqualTimeResult warm;
-  bool warm_computed = false;
-
-  std::vector<double> x0(n, target / static_cast<double>(n));
-  bool warm_usable = opt.warm_start.size() == n;
-  double warm_sum = 0.0;
-  for (std::size_t g = 0; warm_usable && g < n; ++g) {
-    if (!std::isfinite(opt.warm_start[g]) || opt.warm_start[g] <= 0.0)
-      warm_usable = false;
-    else
-      warm_sum += opt.warm_start[g];
+  // Postconditions, on in every build: Eq. (3) to rounding, the bounds,
+  // and Eq. (4) to 1e-9 relative (plus the curve's own slack, see
+  // finish_time_slack) on every solved unit strictly inside them but at
+  // most one (the one that took the leftover inside a dip, see
+  // equal_time.hpp).
+  double sum = 0.0;
+  for (std::size_t g = 0; g < n; ++g) {
+    const double f = out.fractions[g];
+    PLBHEC_ENSURES(f >= opt.x_min && f <= window);
+    sum += f;
+    out.predicted_time = std::max(out.predicted_time, models[g].total_time(f));
   }
-  if (warm_usable && warm_sum > 0.0) {
-    for (std::size_t g = 0; g < n; ++g)
-      x0[g] = std::clamp(opt.warm_start[g] * target / warm_sum, opt.x_min,
-                         target);
-    out.warm_started = true;
-  } else {
-    warm = solve_equal_time(models, eq_opt);
-    warm_computed = true;
-    if (warm.ok) x0 = warm.fractions;
+  PLBHEC_ENSURES(std::fabs(sum - window) <= 1e-12 * window);
+  std::size_t off_time = 0;
+  for (std::size_t g : informative) {
+    const double f = out.fractions[g];
+    if (f <= opt.x_min || f >= window) continue;
+    const double miss = std::fabs(models[g].total_time(f) - eq.common_time) -
+                        1e-9 * std::fabs(eq.common_time);
+    if (miss > 0.0 && miss > finish_time_slack(models[g], f)) ++off_time;
   }
+  PLBHEC_ENSURES(off_time <= 1);
 
-  EqualTimeNlp nlp(models, opt.x_min, target);
-  out.ip = solve_interior_point(nlp, x0, opt.ip);
-
-  const bool ip_usable =
-      (out.ip.status == IpStatus::kSolved ||
-       out.ip.status == IpStatus::kMaxIterations) &&
-      out.ip.constraint_violation < 1e-5;
-
-  if (ip_usable) {
-    out.fractions = out.ip.x;
-    // Numerical cleanup: clamp into bounds and renormalize exactly.
-    double sum = 0.0;
-    for (double& f : out.fractions) {
-      f = std::clamp(f, opt.x_min, target);
-      sum += f;
-    }
-    for (double& f : out.fractions) f *= target / sum;
-    out.ok = true;
-    out.used_fallback = false;
-  } else if (opt.allow_fallback) {
-    if (!warm_computed) {
-      warm = solve_equal_time(models, eq_opt);
-      warm_computed = true;
-    }
-    if (warm.ok) {
-      out.fractions = warm.fractions;
-      out.ok = true;
-      out.used_fallback = true;
-    } else {
-      out.ok = false;
-    }
-  } else {
-    out.ok = false;
-  }
-
-  if (out.ok) out.predicted_time = predicted_makespan(models, out.fractions);
   out.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_begin)
           .count();

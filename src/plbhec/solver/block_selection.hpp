@@ -1,16 +1,15 @@
 #pragma once
 /// \file block_selection.hpp
-/// The block-size selection phase of PLB-HeC (§III-C). Builds the nonlinear
+/// The block-size selection phase of PLB-HeC (§III-C): the equal-time
 /// system of Eq. (5), subject to the simplex restriction Eq. (3) and the
-/// equal-time restriction Eq. (4), and solves it with the interior-point
-/// line-search filter method. The analytic equal-time solver provides the
-/// starting point and a fallback when the NLP solve does not converge.
+/// equal-time restriction Eq. (4), solved by the exact root find of
+/// equal_time.hpp. The selection checks its own result on every call (see
+/// select_block_sizes).
 
 #include <span>
 #include <vector>
 
 #include "plbhec/fit/model.hpp"
-#include "plbhec/solver/interior_point.hpp"
 
 namespace plbhec::solver {
 
@@ -22,30 +21,22 @@ struct BlockSelectionOptions {
   /// nonlinear, and it keeps x_g within the block sizes the modeling phase
   /// actually probed.
   double total_fraction = 1.0;
-  IpOptions ip;          ///< interior-point configuration
-  bool allow_fallback = true;  ///< fall back to the analytic solver on failure
-  /// Optional warm start: the previous selection's window-level fractions
-  /// (one per model, in the same order). When its size matches, the
-  /// interior-point solve starts here instead of re-deriving a starting
-  /// point from the analytic equal-time system — a §III-D rebalance only
-  /// perturbs the previous optimum, so the Newton iteration typically
-  /// needs far fewer KKT factorizations. Ignored if the size mismatches
-  /// or the entries are degenerate; the analytic path is then used.
-  std::vector<double> warm_start;
 };
 
 struct BlockSelection {
   bool ok = false;
-  std::vector<double> fractions;  ///< x_g, sums to 1
+  std::vector<double> fractions;  ///< x_g, sums to total_fraction
   double predicted_time = 0.0;    ///< max_g E_g(x_g) under the models
-  bool used_fallback = false;     ///< analytic path was used
-  bool warm_started = false;      ///< x0 came from options.warm_start
-  IpResult ip;                    ///< interior-point diagnostics
   double solve_seconds = 0.0;     ///< wall-clock time of the selection
 };
 
 /// Computes the fraction of the remaining input assigned to each processing
-/// unit. `models` must all be valid (fitted).
+/// unit. `models` must all be valid (fitted). Postconditions, checked in
+/// every build: the fractions sum to total_fraction within 1e-12 relative,
+/// each lies in [x_min, total_fraction], and every solved unit strictly
+/// inside those bounds finishes at the common time within 1e-9 relative
+/// (plus the slack of evaluating its curve), except at most one that ends
+/// inside a dip of its curve.
 [[nodiscard]] BlockSelection select_block_sizes(
     std::span<const fit::PerfModel> models,
     const BlockSelectionOptions& options = {});

@@ -1,50 +1,88 @@
 #include "plbhec/solver/equal_time.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include "plbhec/common/contracts.hpp"
 
 namespace plbhec::solver {
 namespace {
 
-/// Monotone non-decreasing envelope of E(x) on [x_min, 1].
-class MonotoneEnvelope {
+constexpr std::size_t kScan = 64;     ///< scan points bracketing a crossing
+constexpr double kBracketTol = 1e-10;  ///< relative width of the last T bracket
+constexpr std::size_t kMaxIterations = 200;
+
+/// The curves of one solve, each scanned once on a shared grid of
+/// [x_min, x_max]; the running maximum of a curve over the grid brackets
+/// its first crossing of any level T.
+class Crossings {
  public:
-  MonotoneEnvelope(const fit::PerfModel& model, double x_min, double x_max,
-                   std::size_t grid) {
-    PLBHEC_EXPECTS(grid >= 2);
-    PLBHEC_EXPECTS(x_max > x_min);
-    xs_.resize(grid);
-    ts_.resize(grid);
-    for (std::size_t i = 0; i < grid; ++i) {
-      const double f = static_cast<double>(i) / static_cast<double>(grid - 1);
-      xs_[i] = x_min + f * (x_max - x_min);
-      double t = model.total_time(xs_[i]);
-      if (!std::isfinite(t)) t = i ? ts_[i - 1] : 0.0;
-      ts_[i] = std::max(t, i ? ts_[i - 1] : t);
+  Crossings(std::span<const fit::PerfModel> models, double x_min,
+            double x_max)
+      : models_(models), peak_(models.size() * kScan) {
+    for (std::size_t k = 0; k < kScan; ++k)
+      xs_[k] = x_min + (x_max - x_min) * static_cast<double>(k) /
+                           static_cast<double>(kScan - 1);
+    xs_.back() = x_max;
+    for (std::size_t g = 0; g < models.size(); ++g) {
+      double* peak = &peak_[g * kScan];
+      for (std::size_t k = 0; k < kScan; ++k) {
+        const double t = models[g].total_time(xs_[k]);
+        const double prev = k > 0 ? peak[k - 1] : 0.0;
+        peak[k] = !std::isfinite(t) ? prev : k > 0 ? std::max(t, prev) : t;
+      }
     }
   }
 
-  [[nodiscard]] double min_time() const { return ts_.front(); }
-  [[nodiscard]] double max_time() const { return ts_.back(); }
+  /// Every curve starts above this level...
+  [[nodiscard]] double lowest() const {
+    double t = peak_[0];
+    for (std::size_t i = 0; i < peak_.size(); i += kScan)
+      t = std::min(t, peak_[i]);
+    return std::nextafter(t, -std::numeric_limits<double>::infinity());
+  }
+  /// ...and none exceeds this one on the grid.
+  [[nodiscard]] double highest() const {
+    double t = peak_[kScan - 1];
+    for (std::size_t i = kScan - 1; i < peak_.size(); i += kScan)
+      t = std::max(t, peak_[i]);
+    return t;
+  }
 
-  /// Largest x with envelope(x) <= T (clamped to [x_min, 1]).
-  [[nodiscard]] double inverse(double t) const {
-    if (t <= ts_.front()) return xs_.front();
-    if (t >= ts_.back()) return xs_.back();
-    auto it = std::upper_bound(ts_.begin(), ts_.end(), t);
-    const std::size_t hi = static_cast<std::size_t>(it - ts_.begin());
-    const std::size_t lo = hi - 1;
-    const double span_t = ts_[hi] - ts_[lo];
-    if (span_t <= 0.0) return xs_[hi];
-    const double f = (t - ts_[lo]) / span_t;
-    return xs_[lo] + f * (xs_[hi] - xs_[lo]);
+  /// Moves x to unit g's first crossing above t and returns dx/dt there
+  /// (0 at a bound). The incoming x seeds Newton when it lies in the new
+  /// bracket, so successive levels cost a step or two.
+  double cross(std::size_t g, double t, double& x) const {
+    const double* peak = &peak_[g * kScan];
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(peak, peak + kScan, t) - peak);
+    if (k == 0 || k == kScan) {
+      x = k == 0 ? xs_.front() : xs_.back();
+      return 0.0;
+    }
+    double lo = xs_[k - 1];  // E(lo) <= t < E(hi)
+    double hi = xs_[k];
+    if (!(x > lo && x < hi)) x = 0.5 * (lo + hi);
+    const fit::PerfModel& m = models_[g];
+    double d = 0.0;
+    for (std::size_t it = 0; it < kMaxIterations; ++it) {
+      const double e = m.total_time(x) - t;
+      d = m.total_derivative(x);
+      if (std::fabs(e) <= kCrossingTolerance * std::fabs(t)) break;
+      (e > 0.0 ? hi : lo) = x;
+      if (hi - lo <= kCrossingTolerance * hi) break;
+      const double newton = x - e / d;
+      x = newton > lo && newton < hi ? newton : 0.5 * (lo + hi);
+    }
+    return d > 0.0 ? 1.0 / d : 0.0;
   }
 
  private:
-  std::vector<double> xs_;
-  std::vector<double> ts_;
+  std::span<const fit::PerfModel> models_;
+  std::array<double, kScan> xs_{};
+  std::vector<double> peak_;  ///< per unit: running max of E on xs_
 };
 
 }  // namespace
@@ -56,8 +94,10 @@ EqualTimeResult solve_equal_time(std::span<const fit::PerfModel> models,
   const double target = opt.target;
   PLBHEC_EXPECTS(target > 0.0 && target <= 1.0);
   if (n == 0) return result;
+  for (const auto& m : models)
+    if (!m.valid()) return result;
+  result.ok = true;
   if (n == 1) {
-    result.ok = true;
     result.fractions = {target};
     result.common_time = models[0].total_time(target);
     return result;
@@ -65,62 +105,71 @@ EqualTimeResult solve_equal_time(std::span<const fit::PerfModel> models,
   PLBHEC_EXPECTS(opt.x_min > 0.0 &&
                  opt.x_min * static_cast<double>(n) < target);
 
-  std::vector<MonotoneEnvelope> envelopes;
-  envelopes.reserve(n);
-  for (const auto& m : models) {
-    if (!m.valid()) return result;
-    envelopes.emplace_back(m, opt.x_min, target, opt.grid);
-  }
+  // Below every curve's start each unit keeps x_min (sum n x_min < target);
+  // above every curve's peak each takes the whole window (sum >= target).
+  const Crossings curves(models, opt.x_min, target);
+  double t_lo = curves.lowest();
+  double t_hi = curves.highest();
+  std::vector<double> x_lo(n, opt.x_min);
+  std::vector<double> x_hi(n, target);
+  std::vector<double> x(n, target / static_cast<double>(n));
 
-  auto total_fraction = [&](double t) {
-    double s = 0.0;
-    for (const auto& e : envelopes) s += e.inverse(t);
-    return s;
-  };
+  // First guess: the harmonic mean of the uniform split's finish times,
+  // exact for curves proportional to x.
+  double inv_sum = 0.0;
+  for (std::size_t g = 0; g < n; ++g)
+    inv_sum += 1.0 / models[g].total_time(x[g]);
+  double t = static_cast<double>(n) / inv_sum;
+  if (!(t > t_lo && t < t_hi)) t = 0.5 * (t_lo + t_hi);
 
-  double t_lo = envelopes[0].min_time();
-  double t_hi = envelopes[0].max_time();
-  for (const auto& e : envelopes) {
-    t_lo = std::min(t_lo, e.min_time());
-    t_hi = std::max(t_hi, e.max_time());
-  }
-  // At t_hi every unit takes the whole window, so the sum reaches
-  // n * target >= target; at t_lo it is about n * x_min < target. Bisect.
-  if (total_fraction(t_hi) < target) {
-    // Degenerate flat curves; fall back to proportional-to-speed split.
-    result.fractions.assign(n, 0.0);
-    double wsum = 0.0;
+  double last_miss = 0.0;
+  for (std::size_t it = 0;
+       it < kMaxIterations &&
+       t_hi - t_lo > kBracketTol * std::max(std::fabs(t_lo), std::fabs(t_hi));
+       ++it) {
+    double sum = 0.0;
+    double slope = 0.0;
     for (std::size_t g = 0; g < n; ++g) {
-      const double t = std::max(
-          models[g].total_time(target / static_cast<double>(n)), 1e-12);
-      result.fractions[g] = 1.0 / t;
-      wsum += result.fractions[g];
+      slope += curves.cross(g, t, x[g]);
+      sum += x[g];
     }
-    for (double& f : result.fractions) f *= target / wsum;
-    result.common_time = t_hi;
-    result.ok = true;
-    return result;
+    if (sum < target) {
+      t_lo = t;
+      x_lo = x;
+    } else {
+      t_hi = t;
+      x_hi = x;
+    }
+    // Newton, but bisect once a step overshoots the root without halving
+    // the miss: a slope that misjudges a kinked sum can otherwise bounce
+    // between the bracket ends.
+    const double miss = sum - target;
+    double next = slope > 0.0 ? t - miss / slope : t_lo;
+    if (!(next > t_lo && next < t_hi) ||
+        (miss * last_miss < 0.0 &&
+         std::fabs(miss) > 0.5 * std::fabs(last_miss)))
+      next = 0.5 * (t_lo + t_hi);
+    last_miss = miss;
+    // Step at least half the closing width, so Newton iterates converging
+    // from one side still bracket the root from the other.
+    const double min_step = 0.5 * kBracketTol * std::fabs(t);
+    if (std::fabs(next - t) < min_step)
+      next = sum < target ? t + min_step : t - min_step;
+    t = next;
   }
 
-  for (std::size_t it = 0; it < opt.max_bisect; ++it) {
-    const double mid = 0.5 * (t_lo + t_hi);
-    if (total_fraction(mid) >= target)
-      t_hi = mid;
-    else
-      t_lo = mid;
-    if (std::fabs(total_fraction(t_hi) - target) <= opt.tolerance) break;
-  }
-
-  result.common_time = t_hi;
-  result.fractions.resize(n);
-  double sum = 0.0;
+  // sum x_lo < target <= sum x_hi, and the two levels are ~1e-10 apart:
+  // a unit whose share is continuous in T moves by a rounding error, so
+  // the leftover lands on the units whose share jumps at T.
+  double leftover = target;
+  for (const double v : x_lo) leftover -= v;
   for (std::size_t g = 0; g < n; ++g) {
-    result.fractions[g] = envelopes[g].inverse(t_hi);
-    sum += result.fractions[g];
+    const double take = std::max(0.0, std::min(x_hi[g] - x_lo[g], leftover));
+    x[g] = x_lo[g] + take;
+    leftover -= take;
   }
-  PLBHEC_ASSERT(sum > 0.0);
-  for (double& f : result.fractions) f *= target / sum;  // exact projection
-  result.ok = true;
+  result.fractions = std::move(x);
+  result.common_time = t_hi;
   return result;
 }
 

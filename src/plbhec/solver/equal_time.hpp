@@ -1,16 +1,26 @@
 #pragma once
 /// \file equal_time.hpp
-/// Analytic solver for the equal-time block distribution: find the common
-/// finish time T and fractions x_g with E_g(x_g) = T and sum x_g = 1.
+/// The block-size selector of PLB-HeC's hot path: the equal-time system of
+/// Eq. (3)-(5) — common finish time T, fractions x_g with E_g(x_g) = T and
+/// sum x_g = target — solved as a 1-D root find on T, as in the
+/// functional-performance-model partitioning of Lastovetsky et al.
 ///
-/// Because each fitted E_g may be locally non-monotone (small negative
-/// coefficients on some basis terms), the solver works on the monotone
-/// non-decreasing envelope of each curve sampled on a grid, inverts the
-/// envelopes, and bisects on T (sum_g E_g^{-1}(T) is non-decreasing in T).
+/// A unit's share at finish time T is the *first crossing* of its curve
+/// above T, x_g(T) = the smallest x with E_g(x) > T on [x_min, target]: the
+/// inverse of the curve's running maximum, so the small dips the physical
+/// filter tolerates never move a unit onto a later branch of its curve. A
+/// per-solve scan of each curve brackets the crossing and a safeguarded
+/// Newton iteration on the real curve finishes it. sum_g x_g(T) is
+/// non-decreasing in T, and a safeguarded Newton/bisection on T brackets
+/// the root to 1e-10 relative.
 ///
-/// This serves as (a) the feasibility-restoration / fallback path of the
-/// interior-point block selection and (b) an independent cross-check in the
-/// test suite: on well-behaved curves both must agree.
+/// Where the sum jumps over the target (T sits at the top of a dip or a
+/// flat stretch), the jumping units take the leftover in index order, so
+/// every unit strictly inside the bounds finishes at T except at most one,
+/// which ends inside its dip.
+///
+/// The interior-point NLP the paper solves (IPOPT there) is kept as a
+/// fidelity oracle in ip_oracle.hpp; the scheduler never runs it.
 
 #include <span>
 #include <vector>
@@ -19,24 +29,26 @@
 
 namespace plbhec::solver {
 
+/// Relative tolerance of a crossing: |E(x) - T| <= tol |T|, or, on a curve
+/// too steep or too cancelling to get there, x pinned to within tol x.
+inline constexpr double kCrossingTolerance = 1e-11;
+
 struct EqualTimeOptions {
-  double x_min = 1e-6;       ///< smallest admissible fraction per unit
-  /// The fractions must sum to this (1 = the whole input; PLB-HeC solves
-  /// per execution window, e.g. 0.25). Envelopes are sampled on
-  /// [x_min, target], which keeps the inversion inside the probed range.
+  double x_min = 1e-6;  ///< smallest admissible fraction per unit
+  /// The fractions sum to this (1 = the whole input; PLB-HeC solves per
+  /// execution window, e.g. 0.25). Shares stay within [x_min, target],
+  /// which keeps the crossings inside the probed range.
   double target = 1.0;
-  std::size_t grid = 512;    ///< envelope sampling resolution
-  std::size_t max_bisect = 200;
-  double tolerance = 1e-12;  ///< on |sum x - target|
 };
 
 struct EqualTimeResult {
   bool ok = false;
-  std::vector<double> fractions;  ///< sums to 1 when ok
-  double common_time = 0.0;       ///< the equalized E value T
+  std::vector<double> fractions;  ///< sums to target when ok
+  double common_time = 0.0;       ///< the equalized finish time T
 };
 
 [[nodiscard]] EqualTimeResult solve_equal_time(
-    std::span<const fit::PerfModel> models, const EqualTimeOptions& options = {});
+    std::span<const fit::PerfModel> models,
+    const EqualTimeOptions& options = {});
 
 }  // namespace plbhec::solver

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "plbhec/apps/grn.hpp"
@@ -99,6 +100,42 @@ TEST(EventSink, DrainClearsAndRuntimeDisableDrops) {
   sink.set_enabled(true);
   sink.record(make_event(3.0, obs::EventKind::kBarrier));
   EXPECT_EQ(sink.drain().size(), obs::kCompiledIn ? 1u : 0u);
+}
+
+TEST(EventSink, DrainAndSizeRunSafelyAgainstRecording) {
+  // Recording takes no lock: slots are published by a release store and
+  // drain()/size() read only published ones, across chunk boundaries.
+  obs::EventSink sink;
+  constexpr std::size_t kPerThread = 5'000;
+  std::vector<obs::Event> events;
+  {
+    std::vector<std::thread> recorders;
+    for (std::uint32_t t = 0; t < 2; ++t)
+      recorders.emplace_back([&sink, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i)
+          sink.record(make_event(static_cast<double>(i),
+                                 obs::EventKind::kBlockDispatched, t));
+      });
+    for (int round = 0; round < 200; ++round) {
+      (void)sink.size();
+      const std::vector<obs::Event> part = sink.drain();
+      events.insert(events.end(), part.begin(), part.end());
+    }
+    for (std::thread& r : recorders) r.join();
+  }
+  const std::vector<obs::Event> rest = sink.drain();
+  events.insert(events.end(), rest.begin(), rest.end());
+  EXPECT_EQ(sink.size(), 0u);
+  if (!obs::kCompiledIn) {
+    EXPECT_TRUE(events.empty());
+    return;
+  }
+  ASSERT_EQ(events.size(), 2 * kPerThread);
+  std::vector<int> seen(2 * kPerThread, 0);
+  for (const obs::Event& e : events)
+    ++seen[e.unit * kPerThread + static_cast<std::size_t>(e.time)];
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                          [](int c) { return c == 1; }));
 }
 
 TEST(EventSink, NullSinkMacroIsSafe) {

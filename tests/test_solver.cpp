@@ -1,9 +1,10 @@
 // Tests for the optimization layer: the interior-point NLP solver on
 // problems with known solutions (QPs, bound-constrained, equality-
-// constrained), KKT quality, the analytic equal-time solver, the
-// block-size selection front end and grain rounding. Includes the
-// cross-check property: on well-behaved curve sets the interior-point
-// selection and the analytic solver must agree.
+// constrained), KKT quality, the equal-time root find, the block-size
+// selection front end and its postconditions, and grain rounding.
+// Includes the oracle property: on seeded fitted systems with
+// non-decreasing curves, the root find and the paper's interior-point
+// formulation of Eq. (3)-(5) agree.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,11 @@
 #include <numeric>
 
 #include "plbhec/common/rng.hpp"
+#include "plbhec/fit/least_squares.hpp"
 #include "plbhec/solver/block_selection.hpp"
 #include "plbhec/solver/equal_time.hpp"
 #include "plbhec/solver/interior_point.hpp"
+#include "plbhec/solver/ip_oracle.hpp"
 
 namespace plbhec::solver {
 namespace {
@@ -290,22 +293,19 @@ TEST(EqualTime, NonMonotoneCurveHandledViaEnvelope) {
   EXPECT_GT(r.fractions[1], r.fractions[0]);  // the affine unit is faster
 }
 
-// ---- Block selection (interior point + fallback) --------------------------
+// ---- Block selection -------------------------------------------------------
 
 TEST(BlockSelection, MatchesAnalyticOnAffineCurves) {
+  // The paper's formulation, solved by the interior point, is the oracle.
   std::vector<fit::PerfModel> models{affine_model(0.01, 1.0, 0.3, 0.001),
                                      affine_model(0.02, 4.0, 0.3, 0.002),
                                      affine_model(0.005, 9.0, 0.3, 0.001)};
-  const BlockSelection ip = select_block_sizes(models);
-  ASSERT_TRUE(ip.ok);
-  EXPECT_FALSE(ip.used_fallback);
-
-  EqualTimeOptions eq_opts;
-  const EqualTimeResult eq = solve_equal_time(models, eq_opts);
-  ASSERT_TRUE(eq.ok);
+  const BlockSelection sel = select_block_sizes(models);
+  ASSERT_TRUE(sel.ok);
+  const IpResult ip = solve_equal_time_ip(models, EqualTimeOptions{});
+  ASSERT_EQ(ip.status, IpStatus::kSolved);
   for (std::size_t g = 0; g < models.size(); ++g)
-    EXPECT_NEAR(ip.fractions[g], eq.fractions[g], 0.02)
-        << "unit " << g;
+    EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6) << "unit " << g;
 }
 
 TEST(BlockSelection, FractionsSumToTarget) {
@@ -347,39 +347,20 @@ TEST(BlockSelection, NonlinearCurvesSolved) {
   EXPECT_NEAR(t1, t0, 0.05 * t0);
 }
 
-TEST(BlockSelection, WarmStartIsUsedAndSolvesNoHarder) {
+TEST(BlockSelection, PerturbedReSolveKeepsEqualTimes) {
+  // A §III-D re-fit only perturbs the curves; the re-solve must equalize
+  // the perturbed system as tightly as the first one.
   std::vector<fit::PerfModel> models{affine_model(0.03, 2.0, 0.2, 0.01),
                                      affine_model(0.01, 7.0, 0.2, 0.0),
                                      affine_model(0.02, 3.5, 0.2, 0.005)};
-  const BlockSelection cold = select_block_sizes(models);
-  ASSERT_TRUE(cold.ok);
-  EXPECT_FALSE(cold.warm_started);
-
-  // A re-fit only perturbs the curves (§III-D), so re-solving from the
-  // previous fractions must converge to the same quality with no more KKT
-  // factorizations than the cold analytic-started solve.
+  ASSERT_TRUE(select_block_sizes(models).ok);
   std::vector<fit::PerfModel> refit = models;
   refit[1].exec.coefficients[1] *= 1.05;
-  BlockSelectionOptions opts;
-  opts.warm_start = cold.fractions;
-  const BlockSelection warm = select_block_sizes(refit, opts);
-  ASSERT_TRUE(warm.ok);
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_FALSE(warm.used_fallback);
-  EXPECT_LE(warm.ip.kkt_solves, cold.ip.kkt_solves);
-  const double t0 = refit[0].total_time(warm.fractions[0]);
-  for (std::size_t g = 1; g < refit.size(); ++g)
-    EXPECT_NEAR(refit[g].total_time(warm.fractions[g]), t0, 0.05 * t0);
-}
-
-TEST(BlockSelection, MismatchedWarmStartIsIgnored) {
-  std::vector<fit::PerfModel> models{affine_model(0.0, 1.0),
-                                     affine_model(0.0, 2.0)};
-  BlockSelectionOptions opts;
-  opts.warm_start = {0.7};  // wrong length: fall back to the analytic start
-  const BlockSelection sel = select_block_sizes(models, opts);
+  const BlockSelection sel = select_block_sizes(refit);
   ASSERT_TRUE(sel.ok);
-  EXPECT_FALSE(sel.warm_started);
+  const double t0 = refit[0].total_time(sel.fractions[0]);
+  for (std::size_t g = 1; g < refit.size(); ++g)
+    EXPECT_NEAR(refit[g].total_time(sel.fractions[g]), t0, 1e-9 * t0);
 }
 
 TEST(BlockSelection, SingleUnit) {
@@ -400,7 +381,32 @@ TEST(BlockSelection, FlatModelGetsMinimumShare) {
   EXPECT_LE(sel.fractions[2], 1e-5);
   EXPECT_NEAR(
       std::accumulate(sel.fractions.begin(), sel.fractions.end(), 0.0), 1.0,
-      1e-6);
+      1e-12);
+  // The informative units are solved over what the parked one leaves, so
+  // they still finish together.
+  const double t0 = models[0].total_time(sel.fractions[0]);
+  EXPECT_NEAR(models[1].total_time(sel.fractions[1]), t0, 1e-9 * t0);
+}
+
+TEST(BlockSelection, DipAtTheRootEndsOneUnitEarly) {
+  // E_a = x - 4x^2 + 4.5x^3 peaks at x ~ 0.179 (E ~ 0.0768), dips to
+  // 0.048 at x ~ 0.413 and climbs past the peak again at x ~ 0.527. With
+  // E_b = 0.128 x the summed first-crossing shares jump over the window
+  // at T ~ 0.0768, where unit a jumps across its dip: it takes the
+  // leftover inside the dip and finishes before b.
+  fit::PerfModel dip;
+  dip.exec.terms = {fit::BasisFn::kX, fit::BasisFn::kX2, fit::BasisFn::kX3};
+  dip.exec.coefficients = {1.0, -4.0, 4.5};
+  const std::vector<fit::PerfModel> models{dip, affine_model(0.0, 0.128)};
+  const BlockSelection sel = select_block_sizes(models);
+  ASSERT_TRUE(sel.ok);
+  EXPECT_NEAR(sel.fractions[0] + sel.fractions[1], 1.0, 1e-12);
+  EXPECT_GT(sel.fractions[0], 0.179);
+  EXPECT_LT(sel.fractions[0], 0.527);
+  const double t_a = dip.total_time(sel.fractions[0]);
+  const double t_b = models[1].total_time(sel.fractions[1]);
+  EXPECT_LT(t_a, t_b);
+  EXPECT_NEAR(sel.predicted_time, 0.0768, 0.001);
 }
 
 TEST(BlockSelection, ManyUnitsScale) {
@@ -483,18 +489,17 @@ TEST(OverlapModel, DerivativesMatchFiniteDifferences) {
 
 TEST(OverlapModel, EqualTimesAchievedUnderMixedRegimes) {
   // A heavily pipelined unit, a partially overlapped one, and a sync one:
-  // the interior-point selection must still equalize finish times, now
-  // measured under each unit's own regime.
+  // the selection must still equalize finish times, now measured under
+  // each unit's own regime.
   std::vector<fit::PerfModel> models{
       with_overlap(affine_model(0.02, 2.0, 1.5, 0.01), 0.9),
       with_overlap(affine_model(0.01, 5.0, 0.8, 0.02), 0.4),
       affine_model(0.0, 7.0, 0.5, 0.0)};
   const BlockSelection sel = select_block_sizes(models);
   ASSERT_TRUE(sel.ok);
-  EXPECT_FALSE(sel.used_fallback);
   const double t0 = models[0].total_time(sel.fractions[0]);
   for (std::size_t g = 1; g < models.size(); ++g)
-    EXPECT_NEAR(models[g].total_time(sel.fractions[g]), t0, 0.05 * t0)
+    EXPECT_NEAR(models[g].total_time(sel.fractions[g]), t0, 1e-9 * t0)
         << "unit " << g;
 
   // Pipelining hides most of unit 0's wire time, so it must earn a
@@ -517,6 +522,297 @@ TEST(OverlapModel, AnalyticSolverConvergesUnderOverlapToo) {
   const double t0 = models[0].total_time(r.fractions[0]);
   const double t1 = models[1].total_time(r.fractions[1]);
   EXPECT_NEAR(t1, t0, 0.05 * std::max(t0, t1));
+}
+
+// ---- Root find against the interior-point oracle -------------------------
+
+/// A fitted system as PLB-HeC's modeling phase builds one: each unit's
+/// execution curve is selected from six noisy doubling probes of a
+/// synthetic device (launch latency, rate, and a mildly saturating or
+/// superlinear term), its transfer line from noisy wire timings.
+std::vector<fit::PerfModel> fitted_system(std::size_t n, bool overlap,
+                                          Rng& rng) {
+  std::vector<fit::PerfModel> models;
+  for (std::size_t u = 0; u < n; ++u) {
+    const double latency = rng.uniform(1e-4, 5e-3);
+    const double rate = rng.uniform(0.5, 20.0);
+    const double bend = rng.uniform(-1.0, 2.0);
+    const double wire = rng.uniform(0.2, 2.0);
+    fit::SampleSet exec;
+    fit::SampleSet wire_samples;
+    double x = rng.uniform(0.002, 0.004);
+    for (int probe = 0; probe < 6; ++probe, x *= 2.0) {
+      exec.add(x, (latency + rate * x * (1.0 + bend * x)) *
+                      rng.lognormal_factor(0.02));
+      wire_samples.add(x, (5e-4 + wire * x) * rng.lognormal_factor(0.02));
+    }
+    fit::PerfModel m;
+    m.exec = fit::select_model(exec).model;
+    m.transfer = fit::fit_transfer(wire_samples);
+    if (overlap) m.overlap = rng.uniform(0.3, 1.0);
+    models.push_back(std::move(m));
+  }
+  return models;
+}
+
+bool non_decreasing(const std::vector<fit::PerfModel>& models, double x_min,
+                    double window) {
+  for (const fit::PerfModel& m : models) {
+    double prev = m.total_time(x_min);
+    for (int i = 1; i <= 2000; ++i) {
+      const double t = m.total_time(x_min + (window - x_min) * i / 2000.0);
+      if (t < prev) return false;
+      prev = t;
+    }
+  }
+  return true;
+}
+
+/// select_block_sizes's postconditions, restated by the test.
+void expect_postconditions(const std::vector<fit::PerfModel>& models,
+                           const BlockSelection& sel, double x_min,
+                           double window) {
+  ASSERT_TRUE(sel.ok);
+  double sum = 0.0;
+  std::vector<double> inside;
+  for (std::size_t g = 0; g < models.size(); ++g) {
+    const double f = sel.fractions[g];
+    EXPECT_GE(f, x_min);
+    EXPECT_LE(f, window);
+    sum += f;
+    if (f > x_min && f < window) inside.push_back(models[g].total_time(f));
+  }
+  EXPECT_NEAR(sum, window, 1e-12 * window);
+  std::sort(inside.begin(), inside.end());
+  // All but at most one interior unit share one finish time.
+  if (inside.size() >= 3) {
+    const bool low_out = inside[1] - inside[0] > 1e-9 * inside[1];
+    const auto first = inside.begin() + (low_out ? 1 : 0);
+    const auto last = inside.end() - (low_out ? 1 : 2);
+    EXPECT_LE(*last - *first, 1e-9 * *last);
+  }
+}
+
+TEST(EqualTimeOracle, RootFindMatchesInteriorPointOnFittedSystems) {
+  constexpr double kXMin = 1e-6;
+  constexpr double kWindow = 0.25;
+  Rng rng(2015);
+  std::size_t agreed = 0;
+  std::size_t oracle_failed = 0;
+  for (const bool overlap : {false, true}) {
+    for (const std::size_t n : {2u, 4u, 16u, 64u, 256u}) {
+      const std::size_t systems = n >= 64 ? 2 : 6;
+      for (std::size_t s = 0; s < systems; ++s) {
+        const auto models = fitted_system(n, overlap, rng);
+        BlockSelectionOptions opts;
+        opts.total_fraction = kWindow;
+        const BlockSelection sel = select_block_sizes(models, opts);
+        expect_postconditions(models, sel, kXMin, kWindow);
+
+        const IpResult ip = solve_equal_time_ip(models, {kXMin, kWindow});
+        if (ip.status != IpStatus::kSolved) {
+          ++oracle_failed;
+          continue;
+        }
+        if (!non_decreasing(models, kXMin, kWindow)) continue;
+        double ip_makespan = 0.0;
+        for (std::size_t g = 0; g < n; ++g) {
+          EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6)
+              << n << " units, overlap " << overlap << ", unit " << g;
+          ip_makespan = std::max(ip_makespan, models[g].total_time(ip.x[g]));
+        }
+        EXPECT_NEAR(sel.predicted_time, ip_makespan, 1e-6 * ip_makespan);
+        ++agreed;
+      }
+    }
+  }
+  // The comparison must not be vacuous, and the postconditions must have
+  // been checked on systems the oracle fails on.
+  EXPECT_GE(agreed, 20u);
+  EXPECT_GE(oracle_failed, 1u);
+}
+
+TEST(EqualTimeOracle, MatchesOnAGridSystemTheOldHotPathFailedOn) {
+  // 24 fitted units captured from the smoke grid's
+  // u32-extreme/mixed/cascade@1 cell (window 0.25). Started from a
+  // 512-point monotone-envelope split the interior point fails its line
+  // search on this system; started from the uniform split it converges,
+  // and the root find must land on its point.
+  struct Unit {
+    std::vector<int> terms;
+    std::vector<double> coefficients;
+    double slope, latency, overlap;
+  };
+  const std::vector<Unit> units{
+      {{0, 7, 4, 6},
+       {-0.0029608648875991046, -98.919904342294373, 57508282.706505284,
+        -646.24197468113891},
+       0.012647580650585031, 7.0754982148012584e-05, 0},
+      {{0, 2, 7, 3},
+       {-0.00065327750211632331, 433.2734961857002, -31.107512563834696,
+        93095.828438607714},
+       0, 6.9274614860171473e-05, 0},
+      {{0, 7, 4},
+       {-0.0048716462638592126, -166.97782433350653, 551903233.20494509},
+       0.15508133525593606, 7.3545993320697669e-05, 0},
+      {{0, 2, 7, 1},
+       {-0.010286885548698081, 379.32529296663182, -9.9268062916384956,
+        -0.00085709722365625608},
+       0.098942972488073294, 7.1043373293191785e-05, 0},
+      {{0, 7, 1, 3},
+       {-0.029608630728189856, -67.119356251755804, -0.0023779555276688714,
+        109596.83413935268},
+       0.0012725607173014479, 7.1554173594223522e-05, 0},
+      {{0, 5},
+       {-113.10474240396216, 113.10476875615225},
+       0.18705038873592431, 7.1671978312041944e-05, 0},
+      {{0, 2, 4},
+       {2.8792437940410995e-05, 81.109014551172109, 93585.312847830748},
+       0.063576216611191297, 7.1550648811773721e-05, 0},
+      {{0, 2},
+       {0.0074278850087797776, 4702.6103874360824},
+       0.034776332746664099, 7.266167871235982e-05, 0},
+      {{0, 2, 7, 1},
+       {-0.0046675029583696324, 177.44363806951353, -5.8615282823611627,
+        -0.00038425686032874778},
+       0.024388363313132284, 7.2172181850995267e-05, 0},
+      {{0, 2, 3, 6},
+       {9.3463844405598306e-06, -18447474.695437878, -18474547.371525861,
+        18447756.616627574},
+       0.042972399484354697, 8.0967658279335487e-05, 0},
+      {{0, 2, 3, 6},
+       {-6.0287779038221594e-05, -81515452.505140111, -81562756.054529071,
+        81515977.684493452},
+       0.043420192601107271, 6.9856156307842446e-05, 0},
+      {{0, 2, 7, 1},
+       {-0.0011744160934441593, 97.071233145693014, -3.4726267895030363,
+        -9.6677685791660137e-05},
+       0.13134311422754724, 8.0310685307212693e-05, 0},
+      {{0, 7, 1, 6},
+       {0.024513348954126518, 32.377286126180778, 0.0019989939771508617,
+        939.8658224804276},
+       0.25114644851327883, 7.1004305374879246e-05, 0},
+      {{0, 2, 7, 1},
+       {-0.014252699286062237, 104.97094453149478, -17.402553313024619,
+        -0.0011753942054302281},
+       0.19255359892698271, 8.0245037034928362e-05, 0},
+      {{0, 7, 4},
+       {-0.0086589926595843792, -239.81274278484875, 39811163.277041122},
+       0, 7.0244127259721004e-05, 0},
+      {{0, 4, 5, 6},
+       {-2425.3203341253356, 25275.044541675925, 2425.3203930313057,
+        -2360.4491963940472},
+       0.099089834053670875, 7.8658121578580948e-05, 0},
+      {{0, 7, 1, 6},
+       {0.007498533424009691, 6.2381886258930663, 0.00061820826320749484,
+        480.10430127906363},
+       0.011399404361130154, 7.0556705999327989e-05, 0},
+      {{0, 2, 5, 6},
+       {66661.801115155613, 33630.233208444581, -66661.801056174285,
+        33046.95874573863},
+       0.0048679789638454794, 7.9873336514195171e-05, 0},
+      {{0, 2, 4, 5},
+       {112622.77610209252, 113145.34153296716, 40289123.736962669,
+        -112622.77615769058},
+       0.029622289948486879, 7.0445249017142986e-05, 0},
+      {{0, 2, 3, 6},
+       {5.0010259964717122e-05, -275507.26005074097, -277473.19959519856,
+        275585.28858166432},
+       0.015412724656094163, 8.0600808501364268e-05, 0},
+      {{0, 2, 7, 1},
+       {-0.0008447176893083292, 122.9628464351092, -0.54154915320865116,
+        -7.3674357438311777e-05},
+       0.23299142316580321, 7.0960914599551718e-05, 0},
+      {{0, 2, 5, 6},
+       {638415.27156866179, 320527.90756866493, -638415.27151080454,
+        317936.650788575},
+       0.0078437901325685063, 7.9886282635310203e-05, 0},
+      {{0, 2, 3, 6},
+       {-1.2252991858889789e-06, -5371410.3865345977, -5381678.9175778273,
+        5371556.7987674549},
+       0.0069055980997929254, 7.0131888613734838e-05, 0},
+      {{0, 7, 1, 6},
+       {-0.0075070809472924426, -14.921218665531697, -0.00060871694258777934,
+        300.68537028091902},
+       0.086400084278303896, 8.0140751262000812e-05, 0},
+  };
+  std::vector<fit::PerfModel> models;
+  for (const Unit& u : units) {
+    fit::PerfModel m;
+    for (const int t : u.terms) m.exec.terms.push_back(fit::BasisFn(t));
+    m.exec.coefficients = u.coefficients;
+    m.transfer = {u.slope, u.latency};
+    m.overlap = u.overlap;
+    models.push_back(std::move(m));
+  }
+  constexpr double kXMin = 1e-6;
+  constexpr double kWindow = 0.25;
+  ASSERT_TRUE(non_decreasing(models, kXMin, kWindow));
+  BlockSelectionOptions opts;
+  opts.total_fraction = kWindow;
+  const BlockSelection sel = select_block_sizes(models, opts);
+  expect_postconditions(models, sel, kXMin, kWindow);
+  const IpResult ip = solve_equal_time_ip(models, {kXMin, kWindow});
+  ASSERT_EQ(ip.status, IpStatus::kSolved);
+  double ip_makespan = 0.0;
+  for (std::size_t g = 0; g < models.size(); ++g) {
+    EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6) << "unit " << g;
+    ip_makespan = std::max(ip_makespan, models[g].total_time(ip.x[g]));
+  }
+  EXPECT_NEAR(sel.predicted_time, ip_makespan, 1e-6 * ip_makespan);
+}
+
+TEST(EqualTimeOracle, KinkedSumStillConverges) {
+  // Unphysical fits (negative, decreasing and cancelling curves) whose
+  // summed shares are so kinked that plain Newton steps on T bounce
+  // between the bracket ends for the whole iteration budget. The root
+  // find must still close its bracket and meet the postconditions.
+  struct Unit {
+    std::vector<int> terms;
+    std::vector<double> coefficients;
+    double slope, latency, overlap;
+  };
+  const std::vector<Unit> units{
+      {{0, 6},
+       {0.039248378302982251, 26.467687001045771},
+       26.956419449042265, 0.037770504602480201, 0.18820984680636921},
+      {{4, 0, 7},
+       {-2.1866422481693655, -0.0014588027615024986, -0.80729232463361367},
+       4.8357580470793602, 0.0034105094529811777, 0},
+      {{1, 0, 1},
+       {-0.022395123963272021, -0.033926634953711197, 37.639253597959211},
+       0.29987183446783083, 0.0095506841573847548, 0},
+      {{3, 3, 6, 2},
+       {85.51021830970636, 84132505.947116345, -83.229849912562017,
+        3080568.5967018791},
+       3.5614773978992837, 0.0093107517882275743, 0},
+      {{7, 4, 3},
+       {4.4251401366705698, 1.1411067045850343, -1.9595378898000464},
+       2.6811080590241003, 0.0032724107132383849, 0},
+      {{2, 5, 0},
+       {-0.24747755812378389, 31693766.476076949, 0.41720807301920543},
+       4.032822806121005, 0.0071523602525028034, 0},
+      {{0},
+       {0.078976986659163917},
+       60.90096389716394, 0, 0.078550361281086278},
+      {{0, 4, 6},
+       {0.0013999877562022949, 325.09630768720854, 45.852784055078821},
+       60.078189794342144, 0, 0.49958987026113122},
+  };
+  std::vector<fit::PerfModel> models;
+  for (const Unit& u : units) {
+    fit::PerfModel m;
+    for (const int t : u.terms) m.exec.terms.push_back(fit::BasisFn(t));
+    m.exec.coefficients = u.coefficients;
+    m.transfer = {u.slope, u.latency};
+    m.overlap = u.overlap;
+    models.push_back(std::move(m));
+  }
+  constexpr double kWindow = 0.81888764067583109;
+  BlockSelectionOptions opts;
+  opts.total_fraction = kWindow;
+  expect_postconditions(models, select_block_sizes(models, opts), opts.x_min,
+                        kWindow);
 }
 
 // ---- Grain rounding --------------------------------------------------------
