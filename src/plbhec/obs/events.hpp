@@ -38,7 +38,6 @@ enum class EventKind : std::uint8_t {
   kMsgReceived,         ///< net: frame read from a worker connection
   kHeartbeatMissed,     ///< net: heartbeat ack overdue on a worker link
   kReconnect,           ///< net: reconnect attempt to a worker daemon
-  kShardMigration,      ///< service: unit ownership moved between shards
   kKernelDispatch,      ///< kdisp: a (kernel, width) slot resolved to an ISA
   kDriftDetected,       ///< adapt: residual CUSUM tripped on a unit
   kReprobeSwap,         ///< adapt: refreshed fit swapped in after re-probe

@@ -28,7 +28,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kMsgReceived: return "msg_received";
     case EventKind::kHeartbeatMissed: return "heartbeat_missed";
     case EventKind::kReconnect: return "reconnect";
-    case EventKind::kShardMigration: return "shard_migration";
     case EventKind::kKernelDispatch: return "kernel_dispatch";
     case EventKind::kDriftDetected: return "drift_detected";
     case EventKind::kReprobeSwap: return "reprobe_swap";
@@ -53,8 +52,8 @@ std::array<const char*, 4> arg_names(EventKind kind) {
       return {nullptr, nullptr, "budget_left", nullptr};
     case EventKind::kPhaseChange:
       return {"consumed_grains", nullptr, "phase", nullptr};
-    case EventKind::kBarrier:
-      return {nullptr, nullptr, "count", nullptr};
+    case EventKind::kBarrier:  // the engine's single job is job 0
+      return {nullptr, nullptr, "count", "job"};
     case EventKind::kUnitFailed:
       return {nullptr, nullptr, "lost_grains", nullptr};
     case EventKind::kWeightUpdate:
@@ -68,7 +67,7 @@ std::array<const char*, 4> arg_names(EventKind kind) {
     case EventKind::kLeaseGranted:
       return {nullptr, nullptr, "job", "held"};
     case EventKind::kLeaseRevoked:
-      return {nullptr, nullptr, "from_job", "to_job"};
+      return {nullptr, nullptr, "from_job", "held"};
     case EventKind::kWarmStartHit:
       return {"rel_error", "r2", "seeded_samples", nullptr};
     case EventKind::kWarmStartMiss:
@@ -81,8 +80,6 @@ std::array<const char*, 4> arg_names(EventKind kind) {
       return {"overdue_seconds", nullptr, "missed", "sequence"};
     case EventKind::kReconnect:
       return {"backoff_seconds", nullptr, "attempt", "success"};
-    case EventKind::kShardMigration:
-      return {nullptr, nullptr, "from_shard", "to_shard"};
     case EventKind::kKernelDispatch:
       return {"width", nullptr, "isa", "kernel_hash"};
     case EventKind::kDriftDetected:

@@ -116,39 +116,18 @@ RunResult SimEngine::run(Workload& workload, Scheduler& scheduler) {
     lost_grains -= from_lost;
     next_grain += grains - from_lost;
 
-    const double bytes = static_cast<double>(grains) * work.bytes_per_grain;
-    const double transfer_s = options_.noise.perturb_transfer(
-        su.link_at(now).transfer_seconds(bytes), unit_rng[unit]);
-    const double speed = su.speed_factor(now);
-    PLBHEC_ASSERT(speed > 0.0);
-    // The speed factor goes through the device model, which applies it to
-    // the compute/overhead terms only — a throttled unit keeps its memory
-    // bandwidth, so bandwidth-bound families (spmv, stencil) are scaled
-    // consistently instead of dividing the whole roofline time.
-    const double exec_s = options_.noise.perturb_exec(
-        su.device->execution_seconds(profile, static_cast<double>(grains),
-                                     speed),
-        unit_rng[unit]);
-
-    InFlight task;
-    task.grains = grains;
-    task.start = now;
-    task.transfer_seconds = transfer_s;
-    task.exec_seconds = exec_s;
-    in_flight[unit] = task;
+    const sim::BlockCost cost =
+        sim::cost_block(su, profile, work.bytes_per_grain, grains, now,
+                        options_.noise, unit_rng[unit]);
+    in_flight[unit] = {grains, now, cost.transfer_s, cost.exec_s};
     busy[unit] = true;
 
     PLBHEC_OBS_RECORD(sink, {now, obs::EventKind::kBlockDispatched,
                              static_cast<std::uint32_t>(unit), 0.0, 0.0,
                              grains, sequence});
-
-    const double finish = now + transfer_s + exec_s;
-    const auto failure = su.failure_time();
-    if (failure && *failure < finish && *failure >= now) {
-      events.push({*failure, unit, EventKind::kFailure, sequence++});
-    } else {
-      events.push({finish, unit, EventKind::kCompletion, sequence++});
-    }
+    events.push({cost.event_s, unit,
+                 cost.fails ? EventKind::kFailure : EventKind::kCompletion,
+                 sequence++});
     return true;
   };
 

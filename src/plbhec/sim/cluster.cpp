@@ -36,6 +36,26 @@ std::optional<double> SimUnit::failure_time() const {
   return std::nullopt;
 }
 
+BlockCost cost_block(const SimUnit& unit, const WorkloadProfile& profile,
+                     double bytes_per_grain, std::size_t grains, double now,
+                     const NoiseModel& noise, Rng& rng) {
+  const double speed = unit.speed_factor(now);
+  PLBHEC_EXPECTS(speed > 0.0);
+  BlockCost cost;
+  const double bytes = static_cast<double>(grains) * bytes_per_grain;
+  cost.transfer_s =
+      noise.perturb_transfer(unit.link_at(now).transfer_seconds(bytes), rng);
+  cost.exec_s = noise.perturb_exec(
+      unit.device->execution_seconds(profile, static_cast<double>(grains),
+                                     speed),
+      rng);
+  const double finish = now + cost.transfer_s + cost.exec_s;
+  const auto failure = unit.failure_time();
+  cost.fails = failure && *failure < finish && *failure >= now;
+  cost.event_s = cost.fails ? *failure : finish;
+  return cost;
+}
+
 SimCluster::SimCluster(const std::vector<MachineConfig>& machines) {
   for (std::size_t m = 0; m < machines.size(); ++m) {
     for (const auto& u : machines[m].units) {

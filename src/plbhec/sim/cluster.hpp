@@ -53,6 +53,28 @@ struct SimUnit {
   [[nodiscard]] std::optional<double> failure_time() const;
 };
 
+/// The simulated cost of one block on one unit (see cost_block).
+struct BlockCost {
+  double transfer_s = 0.0;  ///< noisy master-to-device transfer time
+  double exec_s = 0.0;      ///< noisy execution time
+  /// When the block's event fires: its finish, or the unit's failure when
+  /// that comes first.
+  double event_s = 0.0;
+  bool fails = false;  ///< the unit fails before the block finishes
+};
+
+/// Costs a block of `grains` issued to `unit` at simulated time `now`. The
+/// transfer uses the link at `now` and the execution the 3-argument device
+/// model at the unit's current speed, so link-degrade faults and the
+/// memory roof under throttling both apply. Noise is drawn from `rng` in a
+/// fixed order, transfer then exec. The one block-cost path of every
+/// simulated dispatch loop; requires the unit to be alive at `now`.
+[[nodiscard]] BlockCost cost_block(const SimUnit& unit,
+                                   const WorkloadProfile& profile,
+                                   double bytes_per_grain, std::size_t grains,
+                                   double now, const NoiseModel& noise,
+                                   Rng& rng);
+
 class SimCluster {
  public:
   explicit SimCluster(const std::vector<MachineConfig>& machines);

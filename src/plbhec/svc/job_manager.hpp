@@ -23,21 +23,13 @@
 /// profiles loaded from the ProfileStore are handed to PLB-HeC, which
 /// replaces the exponential probing schedule with a single validation
 /// block when the stored fit still holds (see PlbHecOptions::warm). On
-/// completion the job's samples are merged back and persisted.
+/// completion the job's samples are merged back and persisted; a failed
+/// write bumps the svc.store.save_failed counter.
 ///
-/// Sharded coordinator (ServiceOptions::shards > 1): the service splits
-/// into N shard loops, each owning a disjoint subset of the cluster's
-/// units and a stripe of the jobs (id % shards). Shards run their
-/// discrete-event windows in parallel — admission, leasing and scheduling
-/// are shard-local and lock-free — and synchronise at a sequential
-/// *broker* barrier that (a) merges completed jobs' profiles into the
-/// shared store, (b) re-apportions unit entitlements across shards by
-/// demand (active + queued jobs, largest-remainder), and (c) migrates
-/// idle unleased units from over-provisioned shards to starving ones.
-/// Leased surplus is shed by the owning shard with the ordinary
-/// revoke-at-block-boundary protocol and crosses shards one broker round
-/// later, so the fairness floor and boundary semantics hold cluster-wide.
-/// shards == 1 (the default) is the classic single event loop.
+/// One event loop: arrivals, block completions and unit failures fire in
+/// virtual-time order, and every block is costed by sim::cost_block, the
+/// same function rt::SimEngine uses, so speed and link faults reach a
+/// service job exactly as they reach a single engine run.
 
 #include <cstdint>
 #include <functional>
@@ -114,9 +106,6 @@ struct ServiceResult {
   std::size_t reprobe_blocks = 0;
   std::size_t reprobe_swaps = 0;
   StoreLoadStatus store_status = StoreLoadStatus::kMissing;
-  std::size_t shards_used = 1;        ///< effective shard-loop count
-  std::size_t broker_rounds = 0;      ///< barrier synchronisations (shards > 1)
-  std::size_t broker_migrations = 0;  ///< unit ownership moves between shards
 };
 
 struct ServiceOptions {
@@ -145,17 +134,10 @@ struct ServiceOptions {
   /// quarter of its grains as a single unpreemptible block (see
   /// EXPERIMENTS.md). 0 disables the cap (pre-fix behavior).
   double preempt_windows = 16.0;
-  /// Coordinator shard loops (clamped to the unit count). 1 = the classic
-  /// single event loop; N > 1 partitions units and jobs across N loops
-  /// that run in parallel between broker barriers (see the file comment).
-  /// Note: lease.max_active_jobs then caps *per shard*, not globally.
+  /// Must be 1: the service runs one event loop, and the JobManager
+  /// constructor rejects any other value. Kept only for callers that
+  /// still set it; it will be removed with them.
   std::size_t shards = 1;
-  /// Virtual-seconds length of a parallel window between broker barriers
-  /// (shards > 1 only). Each window always extends past the earliest
-  /// pending event, so any positive value makes progress; smaller values
-  /// tighten cross-shard lease latency, larger ones amortise the barrier.
-  /// 0 = auto: ~4x the trace's mean inter-arrival gap.
-  double broker_quantum = 0.0;
   /// Optional scheduler factory for non-PLB-HeC tenants; null = PLB-HeC
   /// with the options above. Warm statistics are harvested only from
   /// schedulers that are PlbHecScheduler instances.
@@ -175,6 +157,7 @@ class JobManager {
  public:
   /// Loads the ProfileStore from options.store_path (when set); any load
   /// failure leaves the store empty — cold-start fallback, never an error.
+  /// Requires options.shards == 1.
   JobManager(const sim::SimCluster& cluster, ServiceOptions options = {});
 
   /// Registers a job (before run()). Returns its JobId.

@@ -9,13 +9,16 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "plbhec/apps/grn.hpp"
+#include "plbhec/apps/synthetic.hpp"
 #include "plbhec/baselines/acosta.hpp"
 #include "plbhec/baselines/hdss.hpp"
 #include "plbhec/core/plb_hec.hpp"
@@ -25,6 +28,7 @@
 #include "plbhec/obs/sink.hpp"
 #include "plbhec/rt/engine.hpp"
 #include "plbhec/sim/machine.hpp"
+#include "plbhec/svc/job_manager.hpp"
 
 namespace plbhec {
 namespace {
@@ -354,6 +358,71 @@ TEST(Exporters, RunSummaryNamesUnitsAndCounters) {
     EXPECT_NE(summary.find("block_dispatched"), std::string::npos);
   else
     EXPECT_NE(summary.find("(none recorded)"), std::string::npos);
+}
+
+TEST(Exporters, ServiceEventArgsCarryTheirExportedNames) {
+  sim::SimCluster cluster(sim::scenario(2));
+  obs::EventSink sink;
+  svc::ServiceOptions options;
+  options.noise = sim::NoiseModel::none();
+  options.seed = 7;
+  options.sink = &sink;
+  // Acosta tenants synchronise at a barrier every iteration.
+  options.make_scheduler = [](const svc::JobSpec&,
+                              const std::vector<rt::UnitInfo>&,
+                              const rt::WorkInfo&,
+                              std::vector<rt::WarmProfile>) {
+    return std::make_unique<baselines::AcostaScheduler>();
+  };
+  svc::JobManager manager(cluster, options);
+  // The second arrival shrinks the first job's lease (revocations).
+  for (const double arrival : {0.0, 0.01}) {
+    apps::SyntheticWorkload::Config config;
+    config.grains = 8'000;
+    config.flops_per_grain = 2e7;
+    config.bytes_per_grain = 2048;
+    manager.submit({"syn", "syn", svc::PriorityClass::kNormal, arrival,
+                    [config] {
+                      return std::make_unique<apps::SyntheticWorkload>(config);
+                    }});
+  }
+  const svc::ServiceResult result = manager.run();
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::vector<obs::Event> events = sink.drain();
+  if (!obs::kCompiledIn) {
+    EXPECT_TRUE(events.empty());
+    return;
+  }
+  const std::string json = obs::chrome_trace_json(rt::RunResult{}, events);
+  // Replay the lease stream: a revocation's j is its job's remaining
+  // held-unit count, a barrier's i the service-wide barrier count and j
+  // its job.
+  std::vector<std::uint64_t> held(result.jobs.size(), 0);
+  std::uint64_t barriers = 0;
+  std::size_t revoked = 0;
+  char args[96];
+  for (const obs::Event& e : events) {
+    const auto i = static_cast<unsigned long long>(e.i);
+    const auto j = static_cast<unsigned long long>(e.j);
+    if (e.kind == obs::EventKind::kLeaseGranted) {
+      held[e.i] = e.j;
+    } else if (e.kind == obs::EventKind::kLeaseRevoked) {
+      EXPECT_EQ(e.j + 1, held[e.i]);
+      held[e.i] = e.j;
+      ++revoked;
+      std::snprintf(args, sizeof args,
+                    "\"args\":{\"from_job\":%llu,\"held\":%llu}", i, j);
+      EXPECT_NE(json.find(args), std::string::npos) << args;
+    } else if (e.kind == obs::EventKind::kBarrier) {
+      EXPECT_EQ(e.i, ++barriers);
+      EXPECT_LT(e.j, result.jobs.size());
+      std::snprintf(args, sizeof args,
+                    "\"args\":{\"count\":%llu,\"job\":%llu}", i, j);
+      EXPECT_NE(json.find(args), std::string::npos) << args;
+    }
+  }
+  EXPECT_GT(revoked, 0u);
+  EXPECT_GT(barriers, 0u);
 }
 
 TEST(Exporters, EventArgNamesAreDefinedForEveryKind) {

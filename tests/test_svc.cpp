@@ -2,8 +2,10 @@
 // robustness (truncation / magic / checksum / version skew reject cleanly
 // and fall back to cold start), bit-identical warm-start round-trips,
 // lease-target fairness properties, JobManager admission ordering,
-// replay determinism, and the stretch bound under a bursty mixed-priority
-// trace.
+// replay determinism, the stretch bound under a bursty mixed-priority
+// trace, zero lost grains when a leased unit dies, counted store-write
+// failures, and block costs identical to rt::SimEngine's under speed and
+// link faults.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,12 @@
 #include <vector>
 
 #include "plbhec/apps/matmul.hpp"
+#include "plbhec/apps/spmv.hpp"
 #include "plbhec/apps/synthetic.hpp"
+#include "plbhec/chaos/fault.hpp"
+#include "plbhec/chaos/sim_target.hpp"
+#include "plbhec/core/plb_hec.hpp"
+#include "plbhec/rt/engine.hpp"
 #include "plbhec/rt/profile_db.hpp"
 #include "plbhec/sim/machine.hpp"
 #include "plbhec/svc/job_manager.hpp"
@@ -331,6 +338,37 @@ TEST(JobManager, ReplayIsDeterministic) {
   }
 }
 
+// The nine-job, three-priority trace on scenario(3) that once replayed
+// the sharded loops; the one event loop must replay it exactly too.
+TEST(JobManagerShard, ShardedReplayIsDeterministic) {
+  sim::SimCluster cluster(sim::scenario(3));
+  const auto run_once = [&cluster] {
+    auto manager = std::make_unique<JobManager>(cluster, quiet_options(11));
+    for (int i = 0; i < 9; ++i) {
+      const auto priority = (i % 3 == 0)   ? PriorityClass::kHigh
+                            : (i % 3 == 1) ? PriorityClass::kNormal
+                                           : PriorityClass::kLow;
+      manager->submit(synthetic_job("j" + std::to_string(i),
+                                    "syn-" + std::to_string(i % 4), priority,
+                                    0.004 * i, 4'000 + 500 * (i % 5)));
+    }
+    return manager->run();
+  };
+  const ServiceResult first = run_once();
+  const ServiceResult second = run_once();
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(first.completion_order.size(), 9u);
+  EXPECT_EQ(first.completion_order, second.completion_order);
+  EXPECT_EQ(first.makespan, second.makespan);  // exact, not approximate
+  EXPECT_EQ(first.leases_granted, second.leases_granted);
+  EXPECT_EQ(first.leases_revoked, second.leases_revoked);
+  for (std::size_t i = 0; i < first.jobs.size(); ++i) {
+    EXPECT_EQ(first.jobs[i].finished, second.jobs[i].finished);
+    EXPECT_EQ(first.jobs[i].tasks, second.jobs[i].tasks);
+  }
+}
+
 TEST(JobManager, AdmissionQueueHonorsPriorityThenFifo) {
   sim::SimCluster cluster(sim::scenario(1));
   ServiceOptions options = quiet_options();
@@ -408,6 +446,129 @@ TEST(JobManager, CorruptStoreFallsBackToColdStart) {
   ASSERT_TRUE(result.ok) << result.error;  // cold start, no crash
   EXPECT_EQ(result.warm_hits, 0u);
   std::remove(path.c_str());
+}
+
+TEST(JobManager, FailedStoreSaveIsCounted) {
+  obs::CounterRegistry counters;
+  sim::SimCluster cluster(sim::scenario(1));
+  ServiceOptions options = quiet_options();
+  options.store_path =
+      testing::TempDir() + "plbhec_missing_dir/profile_store.bin";
+  options.counters = &counters;
+  JobManager manager(cluster, options);
+  EXPECT_EQ(manager.store_status(), StoreLoadStatus::kMissing);
+  manager.submit(synthetic_job("a", "syn", PriorityClass::kNormal, 0.0,
+                               5'000));
+  manager.submit(synthetic_job("b", "syn", PriorityClass::kNormal, 0.01,
+                               5'000));
+  const ServiceResult result = manager.run();
+  ASSERT_TRUE(result.ok) << result.error;
+  // Every completion tries to persist the store; each attempt fails.
+  EXPECT_EQ(counters.value("svc.store.save_failed"),
+            result.completion_order.size());
+  EXPECT_EQ(counters.value("svc.store.load_failed"), 0u);
+}
+
+TEST(JobManager, UnitDeathDuringLeaseLosesZeroGrains) {
+  sim::SimCluster cluster(sim::scenario(2));
+  cluster.fail_unit(1, 0.015);
+  JobManager manager(cluster, quiet_options());
+  manager.submit(synthetic_job("early", "syn-a", PriorityClass::kNormal, 0.0,
+                               20'000));
+  manager.submit(synthetic_job("later", "syn-b", PriorityClass::kNormal, 0.03,
+                               6'000));
+  const ServiceResult result = manager.run();
+  ASSERT_TRUE(result.ok) << result.error;
+  // "early" arrives alone, leases every unit and is still running when
+  // unit 1 dies, so the unit dies inside its lease.
+  EXPECT_EQ(result.jobs[0].max_units_held, cluster.size());
+  EXPECT_GT(result.jobs[0].finished, 0.015);
+  // Zero lost grains: a job only reports ok when every grain executed,
+  // so completion of both jobs across the failure is the conservation
+  // statement.
+  for (const JobOutcome& job : result.jobs) {
+    EXPECT_TRUE(job.ok) << job.name;
+    EXPECT_GT(job.tasks, 0u) << job.name;
+  }
+  EXPECT_EQ(result.completion_order.size(), 2u);
+}
+
+TEST(JobManagerDeathTest, MoreThanOneShardFailsItsPrecondition) {
+  sim::SimCluster cluster(sim::scenario(1));
+  ServiceOptions options = quiet_options();
+  options.shards = 2;
+  EXPECT_DEATH(JobManager(cluster, options), "precondition");
+}
+
+// ---- the service costs blocks like the engine -----------------------------
+
+struct Makespans {
+  double engine = 0.0;
+  double service = 0.0;
+};
+
+/// Runs one job alone through a bare SimEngine and through JobManager on
+/// the same scenario(2) cluster under `faults`. Both sides get a fresh
+/// PlbHecScheduler, no noise and seed 7, and the service neither
+/// warm-starts nor caps block length, so only the block costs could tell
+/// the two loops apart.
+Makespans engine_and_service(const JobSpec& spec,
+                             const chaos::FaultScript& faults) {
+  sim::SimCluster cluster(sim::scenario(2));
+  chaos::SimFaultTarget target(cluster);
+  EXPECT_TRUE(chaos::inject(faults, target));
+
+  rt::EngineOptions engine_options;
+  engine_options.noise = sim::NoiseModel::none();
+  engine_options.seed = 7;
+  rt::SimEngine engine(cluster, engine_options);
+  core::PlbHecScheduler plb;
+  const std::unique_ptr<rt::Workload> workload = spec.make_workload();
+  const rt::RunResult run = engine.run(*workload, plb);
+  EXPECT_TRUE(run.ok) << run.error;
+
+  ServiceOptions options = quiet_options(7);
+  options.preempt_windows = 0.0;
+  options.warm_start = false;
+  JobManager manager(cluster, options);
+  manager.submit(spec);
+  const ServiceResult result = manager.run();
+  EXPECT_TRUE(result.ok) << result.error;
+  return {run.makespan, result.makespan};
+}
+
+TEST(JobManager, CostsBlocksLikeTheEngineWithoutFaults) {
+  const Makespans m = engine_and_service(
+      synthetic_job("syn", "syn", PriorityClass::kNormal, 0.0, 20'000),
+      chaos::FaultScript{});
+  EXPECT_EQ(m.service, m.engine);
+}
+
+TEST(JobManager, CostsBlocksLikeTheEngineUnderSlowdown) {
+  // SpMV is bandwidth-bound, so a throttled unit's time is set by its
+  // memory roof, which a slowdown must leave at full bandwidth.
+  apps::SpmvWorkload::Config config;
+  config.rows = 200'000;
+  const JobSpec spmv{"spmv", "spmv-200k", PriorityClass::kNormal, 0.0,
+                     [config] {
+                       return std::make_unique<apps::SpmvWorkload>(config);
+                     }};
+  chaos::FaultScript faults;
+  faults.slow_down(0, 0.5e-3, 0.5).slow_down(1, 0.5e-3, 0.25);
+  const Makespans m = engine_and_service(spmv, faults);
+  EXPECT_EQ(m.service, m.engine);
+}
+
+TEST(JobManager, CostsBlocksLikeTheEngineUnderLinkDegrade) {
+  const JobSpec syn =
+      synthetic_job("syn", "syn", PriorityClass::kNormal, 0.0, 20'000);
+  chaos::FaultScript faults;
+  faults.slow_down(1, 2e-3, 0.25).degrade_link(0, 1e-3, 0.5e-3, 0.1);
+  const Makespans faulted = engine_and_service(syn, faults);
+  EXPECT_EQ(faulted.service, faulted.engine);
+  // The faults reached the service run at all.
+  EXPECT_GT(faulted.service,
+            engine_and_service(syn, chaos::FaultScript{}).service);
 }
 
 TEST(JobManager, LeaseFairnessBoundsStretchUnderBurstyLoad) {

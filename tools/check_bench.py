@@ -24,10 +24,6 @@ optimization is gone", not a 20% wobble:
   probing blocks the warm start saved relative to the cold run's total)
 * ``transfer_r2``          fresh >= 0.75 x baseline  (bench_net: G_p(x)
   fit quality over measured loopback wire timings)
-* ``sharded_speedup``      fresh >= 0.50 x baseline  (bench_service:
-  wall-clock of the single event loop over the sharded coordinator on
-  the 10k-job trace; wall-clock is noisy, so the floor only catches the
-  sharded path becoming catastrophically slower than the classic loop)
 
 Tail-latency keys from the 10k-job trace (``stretch_p50/p95/p99``,
 ``queue_wait_p50/p95/p99``) are *virtual-time* and deterministic for a
@@ -90,10 +86,10 @@ also fails the gate. For bench_service the arrival trace itself is
 identity-checked (``trace_kinds``, ``trace_priorities``, ``jobs``,
 ``replay_identical``): the fixed-seed trace must replay structurally
 unchanged, and the two warm replays must have agreed exactly. The
-10k-job trace is identity-checked on its shape (``trace10k_jobs``,
-``trace10k_shards``) but *not* on ``trace10k_order_digest``: the digest
-is deterministic per build yet moves with any scheduler-policy change,
-so it is published for replay debugging rather than gated. For
+10k-job trace is identity-checked on its shape (``trace10k_jobs``) but
+*not* on ``trace10k_order_digest``: the digest is deterministic per
+build yet moves with any scheduler-policy change, so it is published
+for replay debugging rather than gated. For
 bench_net the correctness facts are identity-checked
 (``bit_identical``, ``lost_grains``, ``demoted``, and their
 ``pipeline_*`` twins): the distributed product must stay bit-identical
@@ -117,7 +113,6 @@ RATIO_GATES = {
     "cache_speedup": ("floor", 0.05),
     "probing_saved_ratio": ("floor", 0.25),
     "transfer_r2": ("floor", 0.75),
-    "sharded_speedup": ("floor", 0.50),
 }
 CEIL_GATES = {
     "overhead_pct": 2.0,  # abs ceiling; recording must stay under 2%
@@ -333,7 +328,7 @@ IGNORED_KEYS = {"hardware_concurrency", "reps", "genes", "events"}
 IDENTITY_KEYS = {"n", "samples", "lanes", "units", "samples_per_unit",
                  "benchmark", "compiled_in", "makespan_equal",
                  "jobs", "seed", "trace_kinds", "trace_priorities",
-                 "replay_identical", "trace10k_jobs", "trace10k_shards",
+                 "replay_identical", "trace10k_jobs",
                  "curve_n", "dist_n", "kill_grains", "transfer_samples",
                  "payload_min_bytes", "payload_max_bytes",
                  "bit_identical", "dist_total_grains",
@@ -483,14 +478,12 @@ def self_test():
         "max_rel_diff": 1e-12,
         "run_us": 120.0,
         "arrival_times": [0.1, 0.2],
-        # 10k-trace fields (bench_service sharded-coordinator section).
+        # 10k-trace fields (bench_service).
         "trace10k_jobs": 10000,
-        "trace10k_shards": 4,
         "trace10k_order_digest": "8806bf5d731c1879",
         "stretch_p99": 5134.4,
         "queue_wait_p50": 0.17,
         "queue_wait_p99": 268.2,
-        "sharded_speedup": 1.02,
         "warm_vs_cold_makespan_ratio": 0.99,
         # bench_net-shaped facts ride along in the same baseline so the
         # transport gates are exercised by the same case table.
@@ -558,10 +551,6 @@ def self_test():
          variant(queue_wait_p50=0.9), False),
         ("queue-wait tail beyond ceiling fails",
          variant(queue_wait_p99=450.0), True),
-        ("wobbling sharded_speedup passes",
-         variant(sharded_speedup=0.75), False),
-        ("collapsed sharded_speedup fails",
-         variant(sharded_speedup=0.3), True),
         ("warm run 4% over cold passes the absolute ceiling",
          variant(warm_vs_cold_makespan_ratio=1.04), False),
         ("warm run 6% over cold fails the absolute ceiling",
@@ -569,7 +558,6 @@ def self_test():
         ("changed 10k digest is informational, not gated",
          variant(trace10k_order_digest="0000000000000000"), False),
         ("shrunk 10k trace fails", variant(trace10k_jobs=1000), True),
-        ("changed shard count fails", variant(trace10k_shards=1), True),
     ]
     # bench_matrix cases exercise the absolute WinRateGate on top of the
     # structural compare, via the same check_pair() entry point main uses.
