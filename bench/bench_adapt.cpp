@@ -30,12 +30,12 @@
 // A final section drives the same step drift through the real-execution
 // ThreadEngine: two LocalExecUnits, with a stimulus thread throttling one
 // via set_slowdown() mid-run. Wall-clock numbers are machine-dependent
-// and reported unchecked; the sim cells carry the gates (AdaptGate in
-// tools/check_bench.py): step-cell adaptive_vs_fitonce <= 0.90,
-// detection-latency fraction <= 0.30, step-cell reprobe_confined, >= 1
-// detection, zero lost grains. `--smoke` enforces the same claims via
-// the exit code; the committed baseline lives in
-// bench/results/bench_adapt.json.
+// and reported unchecked. The JSON's gates, evaluated by
+// tools/check_bench.py against the committed
+// bench/results/bench_adapt.json: every run finished with zero lost
+// grains (sim cells and ThreadEngine), and on the step cell
+// adaptive_vs_fitonce <= 0.90, detection-latency fraction in [0, 0.30],
+// reprobe_confined and >= 1 detection.
 
 #include <algorithm>
 #include <chrono>
@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "plbhec/apps/blackscholes.hpp"
 #include "plbhec/apps/grn.hpp"
 #include "plbhec/chaos/fault.hpp"
@@ -315,21 +316,17 @@ ThreadReport measure_thread(std::size_t grains) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
+  // `--smoke` is accepted but changes nothing: CI runs `--smoke
+  // fresh.json` and gates fresh.json against the committed baseline, so
+  // both must describe the same drift traces.
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke")
-      smoke = true;
-    else if (arg == "--verbose")
+    if (arg == "--verbose")
       g_verbose = true;
-    else
+    else if (arg != "--smoke")
       out_path = arg;
   }
-
-  // The trace is identical in smoke and full mode on purpose: CI runs
-  // `--smoke fresh.json` and gates fresh.json against the committed
-  // baseline, so both must describe the same drift traces.
 
   // Undrifted yardstick: the fit-once configuration on the clean cluster.
   // Drift times are fractions of this makespan, and the drifted unit is
@@ -403,9 +400,22 @@ int main(int argc, char** argv) {
   for (const CellReport& rep : reports)
     if (rep.id == "step-throttle") step = &rep;
   PLBHEC_ASSERT(step != nullptr);
+  const std::string step_cell =
+      "cells[" + std::to_string(step - reports.data()) + "].";
+
+  plbhec::bench::Gates gates;
+  gates.is_true("all_ok")
+      .abs("lost_grains", "==", 0)
+      .abs("thread_lost_grains", "==", 0)
+      .abs(step_cell + "drift_detections", ">=", 1)
+      .is_true(step_cell + "reprobe_confined")
+      .abs(step_cell + "adaptive_vs_fitonce", "<=", 0.90)
+      .abs(step_cell + "detection_latency_fraction", ">=", 0.0)
+      .abs(step_cell + "detection_latency_fraction", "<=", 0.30);
 
   char buf[1024];
   std::string json = "{\n  \"benchmark\": \"bench_adapt\",\n";
+  json += gates.json();
   std::snprintf(buf, sizeof(buf),
                 "  \"units\": %zu, \"seed\": %llu,\n"
                 "  \"total_grains\": %zu,\n"
@@ -427,13 +437,13 @@ int main(int argc, char** argv) {
         "     \"makespan_fitonce\": %.17g,\n"
         "     \"makespan_rebalance\": %.17g,\n"
         "     \"makespan_adaptive\": %.17g,\n"
-        "     \"adaptive_vs_fitonce\": %.4f,\n"
+        "     \"adaptive_vs_fitonce\": %.17g,\n"
         "     \"adaptive_vs_rebalance\": %.4f,\n"
         "     \"drift_detections\": %zu, \"reprobe_swaps\": %zu,\n"
         "     \"reprobe_blocks_drifted\": %zu, \"reprobe_blocks_other\": %zu,\n"
         "     \"reprobe_confined\": %s,\n"
         "     \"detection_latency_s\": %.17g,\n"
-        "     \"detection_latency_fraction\": %.4f,\n"
+        "     \"detection_latency_fraction\": %.17g,\n"
         "     \"rebalances_stock\": %zu,\n"
         "     \"lost_grains\": %zu, \"run_ok\": %s}%s\n",
         rep.id.c_str(), rep.onset, rep.makespan_fitonce,
@@ -470,55 +480,5 @@ int main(int argc, char** argv) {
       (ok_all && thread_rep.ok) ? "true" : "false");
   json += buf;
 
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
-
-  if (smoke) {
-    int rc = 0;
-    if (!ok_all || !thread_rep.ok) {
-      std::fputs("smoke FAIL: a run did not finish\n", stderr);
-      rc = 1;
-    }
-    if (lost_total != 0 || thread_rep.lost != 0) {
-      std::fprintf(stderr, "smoke FAIL: %zu grain(s) lost\n",
-                   lost_total + thread_rep.lost);
-      rc = 1;
-    }
-    if (step->detections == 0) {
-      std::fputs("smoke FAIL: step throttle produced no CUSUM trip\n",
-                 stderr);
-      rc = 1;
-    }
-    if (!step->confined) {
-      std::fputs(
-          "smoke FAIL: step-cell re-probe ladder touched an undrifted unit\n",
-          stderr);
-      rc = 1;
-    }
-    if (step->adaptive_vs_fitonce > 0.90) {
-      std::fprintf(stderr,
-                   "smoke FAIL: step-cell adaptive/fitonce makespan ratio "
-                   "%.3f > 0.90\n",
-                   step->adaptive_vs_fitonce);
-      rc = 1;
-    }
-    if (step->detection_fraction < 0.0 || step->detection_fraction > 0.30) {
-      std::fprintf(stderr,
-                   "smoke FAIL: step-cell detection latency fraction %.3f "
-                   "outside (0, 0.30]\n",
-                   step->detection_fraction);
-      rc = 1;
-    }
-    if (rc == 0) std::fputs("smoke OK\n", stderr);
-    return rc;
-  }
-  return (ok_all && thread_rep.ok) ? 0 : 1;
+  return plbhec::bench::write_json(json, {out_path});
 }

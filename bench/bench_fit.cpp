@@ -2,9 +2,10 @@
 // Gram/Cholesky engine against the legacy design-matrix QR engine across the
 // sample-count range the scheduler sees, and fit_all scaling of the per-unit
 // parallel fan-out against a serial loop. Emits JSON (stdout, plus an output
-// path if given) — see bench/results/bench_fit.json for the committed
-// numbers. `--smoke` runs a fast version and exits nonzero unless the Gram
-// engine agrees with QR and beats it at 64 samples (used by CI).
+// path if given) whose gates require the Gram engine to agree with QR and
+// to beat it 1.5x at 64 samples; tools/check_bench.py evaluates them
+// against the committed bench/results/bench_fit.json. `--smoke` runs a
+// fast version.
 
 #include <chrono>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "plbhec/common/rng.hpp"
 #include "plbhec/fit/least_squares.hpp"
 #include "plbhec/fit/samples.hpp"
@@ -142,21 +144,28 @@ int main(int argc, char** argv) {
   const double budget = smoke ? 0.02 : 0.25;
 
   const std::vector<std::size_t> counts{8, 16, 32, 64, 128, 256};
+  plbhec::bench::Gates gates;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::string row = "select_model[" + std::to_string(i) + "].";
+    gates.rel(row + "speedup", ">=", 0.20);
+    if (counts[i] == 64) gates.abs(row + "speedup", ">=", 1.5);
+    gates.abs(row + "max_rel_diff", "<=", 1e-6);
+  }
+  gates.rel("fit_all.parallel_speedup", ">=", 0.05)
+      .rel("fit_all.cache_speedup", ">=", 0.05);
+
   std::string json = "{\n  \"benchmark\": \"bench_fit\",\n";
+  json += gates.json();
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"select_model\": [\n";
-  double speedup_n64 = 0.0;
-  double worst_rel_diff = 0.0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const SelectTimes t = bench_select(counts[i], budget);
     const double speedup = t.qr_us / t.gram_us;
-    if (counts[i] == 64) speedup_n64 = speedup;
-    worst_rel_diff = std::max(worst_rel_diff, t.max_rel_diff);
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    {\"samples\": %zu, \"qr_us\": %.2f, \"gram_us\": %.2f, "
-                  "\"speedup\": %.2f, \"max_rel_diff\": %.3e}%s\n",
+                  "\"speedup\": %.17g, \"max_rel_diff\": %.17g}%s\n",
                   counts[i], t.qr_us, t.gram_us, speedup, t.max_rel_diff,
                   i + 1 < counts.size() ? "," : "");
     json += buf;
@@ -169,37 +178,11 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "  \"fit_all\": {\"units\": %zu, \"samples_per_unit\": 64, "
                 "\"serial_us\": %.2f, \"pool_us\": %.2f, "
-                "\"parallel_speedup\": %.2f, \"cached_us\": %.2f, "
-                "\"cache_speedup\": %.1f}\n}\n",
+                "\"parallel_speedup\": %.17g, \"cached_us\": %.2f, "
+                "\"cache_speedup\": %.17g}\n}\n",
                 units, f.serial_us, f.pool_us, f.serial_us / f.pool_us,
                 f.cached_us, f.serial_us / f.cached_us);
   json += buf;
 
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    if (std::FILE* out = std::fopen(out_path.c_str(), "w")) {
-      std::fputs(json.c_str(), out);
-      std::fclose(out);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
-
-  if (smoke) {
-    // Wide margins: CI machines are noisy, and the committed numbers in
-    // bench/results/bench_fit.json carry the real ratios.
-    if (worst_rel_diff > 1e-6) {
-      std::fprintf(stderr, "smoke FAIL: engines disagree (%.3e)\n",
-                   worst_rel_diff);
-      return 1;
-    }
-    if (speedup_n64 < 1.5) {
-      std::fprintf(stderr, "smoke FAIL: gram speedup %.2f < 1.5 at n=64\n",
-                   speedup_n64);
-      return 1;
-    }
-    std::fputs("smoke OK\n", stderr);
-  }
-  return 0;
+  return plbhec::bench::write_json(json, {out_path});
 }

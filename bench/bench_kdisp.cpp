@@ -14,11 +14,10 @@
 //     across variants (gemm is the documented FMA exception and is
 //     checked to rounding instead).
 //
-// Emits JSON (stdout, plus an output path if given); the committed
-// numbers live in bench/results/bench_kdisp.json and the absolute gates
-// (KdispGate in tools/check_bench.py) hold on every machine. `--smoke`
-// shrinks the timing budgets and enforces the same claims via the exit
-// code.
+// Emits JSON (stdout, plus an output path if given) whose gates state both
+// claims, plus the gemm residual against the committed
+// bench/results/bench_kdisp.json; tools/check_bench.py evaluates them.
+// `--smoke` shrinks the timing budgets.
 
 #include <algorithm>
 #include <chrono>
@@ -30,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "plbhec/apps/matmul.hpp"
 #include "plbhec/apps/nbody.hpp"
 #include "plbhec/apps/spmv.hpp"
@@ -363,7 +363,19 @@ int main(int argc, char** argv) {
   const bool simd_host = kdisp::effective_isa() >= kdisp::IsaClass::kAvx2;
 
   // --- JSON. ---
+  plbhec::bench::Gates gates;
+  gates.abs("fit_r2_min", ">=", 0.95)
+      .abs("distinct_subsets", ">=", 2)
+      .is_true("isa_identical")
+      .abs("best_isa_speedup", ">=", 1.3)
+      .when("simd_host");
+  for (std::size_t i = 0; i < kernels.size(); ++i)
+    if (kernels[i].max_rel_diff >= 0.0)
+      gates.rel_ceiling("kernels[" + std::to_string(i) + "].max_rel_diff",
+                        100.0, 1e-6);
+
   std::string json = "{\n  \"benchmark\": \"bench_kdisp\",\n";
+  json += gates.json();
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += std::string("  \"host_isa\": \"") +
@@ -391,7 +403,7 @@ int main(int argc, char** argv) {
   json += "  ],\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "  \"fit_r2_min\": %.4f,\n  \"distinct_subsets\": %zu,\n",
+                "  \"fit_r2_min\": %.17g,\n  \"distinct_subsets\": %zu,\n",
                 fit_r2_min, distinct_subsets);
   json += buf;
   json += "  \"kernels\": [\n";
@@ -407,7 +419,7 @@ int main(int argc, char** argv) {
                   k.identical ? "true" : "false");
     row += buf;
     if (k.max_rel_diff >= 0.0) {
-      std::snprintf(buf, sizeof(buf), ", \"max_rel_diff\": %.3e",
+      std::snprintf(buf, sizeof(buf), ", \"max_rel_diff\": %.17g",
                     k.max_rel_diff);
       row += buf;
     }
@@ -416,45 +428,9 @@ int main(int argc, char** argv) {
   }
   json += "  ],\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"best_isa_speedup\": %.2f,\n  \"isa_identical\": %s\n}\n",
+                "  \"best_isa_speedup\": %.17g,\n  \"isa_identical\": %s\n}\n",
                 best_isa_speedup, isa_identical ? "true" : "false");
   json += buf;
 
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
-
-  if (smoke) {
-    int rc = 0;
-    if (!isa_identical) {
-      std::fprintf(stderr,
-                   "smoke FAIL: ISA variants diverge on a reduction family\n");
-      rc = 1;
-    }
-    if (fit_r2_min < 0.95) {
-      std::fprintf(stderr, "smoke FAIL: family fit R^2 %.3f < 0.95\n",
-                   fit_r2_min);
-      rc = 1;
-    }
-    if (distinct_subsets < 2) {
-      std::fprintf(stderr,
-                   "smoke FAIL: all families fit the same basis subset\n");
-      rc = 1;
-    }
-    if (simd_host && best_isa_speedup < 1.3) {
-      std::fprintf(stderr, "smoke FAIL: best-ISA speedup %.2f < 1.3\n",
-                   best_isa_speedup);
-      rc = 1;
-    }
-    if (rc == 0) std::fputs("smoke OK\n", stderr);
-    return rc;
-  }
-  return 0;
+  return plbhec::bench::write_json(json, {out_path});
 }

@@ -1,11 +1,10 @@
 // Performance-backbone microbenchmark: packed GEMM micro-kernel GFLOP/s
 // against the seed scalar kernel, and per-block dispatch overhead of the
 // persistent work-stealing pool against the seed's spawn/join pattern.
-// Emits JSON (stdout, plus an output path if given) so the perf trajectory
-// of the real-execution path is tracked from PR 1 onward; see
-// bench/results/bench_kernels.json for the committed numbers. `--smoke`
-// runs with reduced timing budgets but the same JSON structure (used by
-// the CI regression gate, tools/check_bench.py).
+// Emits JSON (stdout, plus an output path if given) with its gates
+// declared inline; tools/check_bench.py evaluates them against the
+// committed bench/results/bench_kernels.json. `--smoke` runs with reduced
+// timing budgets but the same JSON structure.
 
 #include <algorithm>
 #include <chrono>
@@ -15,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "plbhec/common/rng.hpp"
 #include "plbhec/exec/thread_pool.hpp"
 #include "plbhec/linalg/blas.hpp"
@@ -163,7 +163,16 @@ int main(int argc, char** argv) {
   const double budget = smoke ? 0.03 : 0.3;
 
   const std::vector<std::size_t> sizes{128, 256, 512};
+  plbhec::bench::Gates gates;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::string row = "gemm[" + std::to_string(i) + "].";
+    gates.rel(row + "speedup", ">=", 0.20)
+        .rel_ceiling(row + "max_abs_diff", 100.0, 1e-6);
+  }
+  gates.rel("dispatch.overhead_ratio", ">=", 0.05);
+
   std::string json = "{\n  \"benchmark\": \"bench_kernels\",\n";
+  json += gates.json();
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"gemm\": [\n";
@@ -172,8 +181,8 @@ int main(int argc, char** argv) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    {\"n\": %zu, \"seed_gflops\": %.3f, "
-                  "\"packed_gflops\": %.3f, \"speedup\": %.2f, "
-                  "\"max_abs_diff\": %.3e}%s\n",
+                  "\"packed_gflops\": %.3f, \"speedup\": %.17g, "
+                  "\"max_abs_diff\": %.17g}%s\n",
                   sizes[i], t.seed_gflops, t.packed_gflops,
                   t.packed_gflops / t.seed_gflops, t.max_abs_diff,
                   i + 1 < sizes.size() ? "," : "");
@@ -186,20 +195,10 @@ int main(int argc, char** argv) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  \"dispatch\": {\"lanes\": %u, \"spawn_join_us\": %.2f, "
-                "\"pool_dispatch_us\": %.2f, \"overhead_ratio\": %.1f}\n}\n",
+                "\"pool_dispatch_us\": %.2f, \"overhead_ratio\": %.17g}\n}\n",
                 lanes, d.spawn_join_us, d.pool_dispatch_us,
                 d.spawn_join_us / d.pool_dispatch_us);
   json += buf;
 
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return plbhec::bench::write_json(json, {out_path});
 }

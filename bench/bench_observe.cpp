@@ -2,10 +2,11 @@
 // event sink attached against the identical run with a null sink. Virtual
 // results must be bitwise identical (the sink only observes; it never
 // perturbs scheduling), and the wall-clock cost of recording must stay
-// under 2% of the run. Emits JSON (stdout, plus an output path if given).
-// `--smoke` runs a fast version and exits nonzero on either violation
-// (used by CI); in a PLBHEC_OBS=OFF build the sink compiles to no-ops and
-// the same assertions hold trivially.
+// under 2% of the run. Emits JSON (stdout, plus an output path if given)
+// whose gates state both claims; tools/check_bench.py evaluates them (the
+// bench has no committed baseline, so CI pairs the JSON with itself).
+// `--smoke` runs a fast version. In a PLBHEC_OBS=OFF build the sink
+// compiles to no-ops and the gates require zero recorded events instead.
 
 #include <algorithm>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "plbhec/apps/grn.hpp"
 #include "plbhec/core/plb_hec.hpp"
 #include "plbhec/obs/counters.hpp"
@@ -100,23 +102,34 @@ int main(int argc, char** argv) {
     traced.best_seconds = std::min(traced.best_seconds, t.best_seconds);
   }
 
+  const bool all_ok = base.makespan >= 0.0 && traced.makespan >= 0.0;
   const bool makespan_equal = base.makespan == traced.makespan;
   const double overhead_pct =
       100.0 * (traced.best_seconds / base.best_seconds - 1.0);
 
+  plbhec::bench::Gates gates;
+  gates.is_true("all_ok").is_true("makespan_equal");
+  if (obs::kCompiledIn)
+    gates.abs("events", ">=", 1);
+  else
+    gates.abs("events", "==", 0);
+  gates.abs("overhead_pct", "<=", 2.0);
+
   std::string json = "{\n  \"benchmark\": \"bench_observe\",\n";
+  json += gates.json();
   json += std::string("  \"compiled_in\": ") +
           (obs::kCompiledIn ? "true" : "false") + ",\n";
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "  \"genes\": %zu,\n  \"reps\": %zu,\n"
                 "  \"makespan_base\": %.17g,\n  \"makespan_traced\": %.17g,\n"
-                "  \"makespan_equal\": %s,\n"
+                "  \"all_ok\": %s,\n  \"makespan_equal\": %s,\n"
                 "  \"run_base_us\": %.1f,\n  \"run_traced_us\": %.1f,\n"
-                "  \"overhead_pct\": %.2f,\n  \"events\": %zu,\n",
+                "  \"overhead_pct\": %.17g,\n  \"events\": %zu,\n",
                 genes, reps, base.makespan, traced.makespan,
-                makespan_equal ? "true" : "false", 1e6 * base.best_seconds,
-                1e6 * traced.best_seconds, overhead_pct, events);
+                all_ok ? "true" : "false", makespan_equal ? "true" : "false",
+                1e6 * base.best_seconds, 1e6 * traced.best_seconds,
+                overhead_pct, events);
   json += buf;
   json += "  \"events_per_kind\": {";
   for (std::size_t i = 0; i < per_kind.size(); ++i) {
@@ -126,42 +139,5 @@ int main(int argc, char** argv) {
   }
   json += "}\n}\n";
 
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    if (std::FILE* out = std::fopen(out_path.c_str(), "w")) {
-      std::fputs(json.c_str(), out);
-      std::fclose(out);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
-
-  if (smoke) {
-    if (base.makespan < 0.0 || traced.makespan < 0.0) {
-      std::fputs("smoke FAIL: run did not finish\n", stderr);
-      return 1;
-    }
-    if (!makespan_equal) {
-      std::fprintf(stderr,
-                   "smoke FAIL: sink perturbed the run (%.17g != %.17g)\n",
-                   base.makespan, traced.makespan);
-      return 1;
-    }
-    if (obs::kCompiledIn && events == 0) {
-      std::fputs("smoke FAIL: sink recorded nothing\n", stderr);
-      return 1;
-    }
-    if (!obs::kCompiledIn && events != 0) {
-      std::fputs("smoke FAIL: OBS=OFF build recorded events\n", stderr);
-      return 1;
-    }
-    if (overhead_pct > 2.0) {
-      std::fprintf(stderr, "smoke FAIL: recording overhead %.2f%% > 2%%\n",
-                   overhead_pct);
-      return 1;
-    }
-    std::fputs("smoke OK\n", stderr);
-  }
-  return 0;
+  return plbhec::bench::write_json(json, {out_path});
 }

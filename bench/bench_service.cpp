@@ -5,12 +5,11 @@
 // (store file absent) and once warm (store populated by the cold run) --
 // and reports per-job stretch vs running alone, queue wait, utilization
 // and the probing blocks the warm start saved. Emits JSON (stdout, plus
-// an output path if given); the committed baseline lives in
-// bench/results/bench_service.json and tools/check_bench.py gates the
-// probing-saved ratio and the structural identity of the arrival trace.
-// `--smoke` runs a smaller trace and exits nonzero when the warm run does
-// not beat the cold run on probing blocks or when two warm replays from
-// identical store images diverge (completion order or makespan).
+// an output path if given) whose gates require every run to finish, the
+// warm run to probe less than the cold one, two warm replays from
+// identical store images to agree exactly, and the probing-saved ratio
+// and tails to hold against the committed bench/results/bench_service.json;
+// tools/check_bench.py evaluates them.
 //
 // A second section replays a 10k-job Poisson trace through the service's
 // event loop once, reporting p50/p95/p99 job stretch and queue wait
@@ -29,6 +28,7 @@
 
 #include <chrono>
 
+#include "bench_json.hpp"
 #include "plbhec/apps/blackscholes.hpp"
 #include "plbhec/apps/grn.hpp"
 #include "plbhec/apps/matmul.hpp"
@@ -212,19 +212,13 @@ svc::ServiceResult run_trace10k(const sim::SimCluster& cluster,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
+  // `--smoke` is accepted but changes nothing: CI runs `--smoke
+  // fresh.json` and gates fresh.json against the committed baseline, so
+  // the two must describe the same arrival trace.
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke")
-      smoke = true;
-    else
-      out_path = arg;
-  }
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) != "--smoke") out_path = argv[i];
 
-  // The trace is identical in smoke and full mode on purpose: CI runs
-  // `--smoke fresh.json` and gates fresh.json against the committed
-  // baseline, so the two must describe the same arrival trace.
   const std::size_t machines = 2;
   const std::size_t jobs = 12;
   const std::uint64_t seed = 42;
@@ -308,8 +302,30 @@ int main(int argc, char** argv) {
     waits.push_back(job.queue_wait());
   }
 
+  // Jobs the 10k pass completed; 0 when the run reported an error.
+  const std::size_t completed10k =
+      run10k.ok ? run10k.completion_order.size() : 0;
+  const long long probe_cold_minus_warm =
+      static_cast<long long>(cold.probe_blocks) -
+      static_cast<long long>(warm.probe_blocks);
+
+  plbhec::bench::Gates gates;
+  gates.is_true("all_ok")
+      .abs("trace10k_completed", "==", static_cast<double>(jobs10k))
+      .abs("probe_blocks_cold_minus_warm", ">=", 1)
+      .abs("warm_hits", ">=", 1)
+      .abs("probe_blocks_saved_warm", ">=", 1)
+      .is_true("replay_identical")
+      .rel("probing_saved_ratio", ">=", 0.25)
+      .abs("warm_vs_cold_makespan_ratio", "<=", 1.05);
+  for (const char* tail : {"stretch_p50", "stretch_p95", "stretch_p99",
+                           "queue_wait_p50", "queue_wait_p95",
+                           "queue_wait_p99"})
+    gates.rel_ceiling(tail, 1.5, 1.0);
+
   char buf[1024];
   std::string json = "{\n  \"benchmark\": \"bench_service\",\n";
+  json += gates.json();
   std::snprintf(buf, sizeof(buf),
                 "  \"jobs\": %zu,\n  \"units\": %zu,\n  \"seed\": %llu,\n"
                 "  \"mean_gap\": %.17g,\n",
@@ -341,15 +357,16 @@ int main(int argc, char** argv) {
       "  \"queue_wait_mean_warm\": %.17g,\n"
       "  \"probe_blocks_cold\": %zu,\n  \"probe_blocks_warm\": %zu,\n"
       "  \"probe_blocks_saved_warm\": %zu,\n"
+      "  \"probe_blocks_cold_minus_warm\": %lld,\n"
       "  \"warm_hits\": %zu,\n  \"warm_misses\": %zu,\n"
-      "  \"probing_saved_ratio\": %.4f,\n"
+      "  \"probing_saved_ratio\": %.17g,\n"
       "  \"leases_granted\": %zu,\n  \"leases_revoked\": %zu,\n"
       "  \"scheduler_restarts\": %zu,\n",
       cold.makespan, warm.makespan, cold.utilization, warm.utilization,
       mean_queue_wait(cold), mean_queue_wait(warm), cold.probe_blocks,
-      warm.probe_blocks, warm.probe_blocks_saved, warm.warm_hits,
-      warm.warm_misses, probing_saved_ratio, warm.leases_granted,
-      warm.leases_revoked, warm.scheduler_restarts);
+      warm.probe_blocks, warm.probe_blocks_saved, probe_cold_minus_warm,
+      warm.warm_hits, warm.warm_misses, probing_saved_ratio,
+      warm.leases_granted, warm.leases_revoked, warm.scheduler_restarts);
   json += buf;
 
   const double warm_vs_cold = cold.makespan > 0.0
@@ -357,18 +374,19 @@ int main(int argc, char** argv) {
                                   : -1.0;
   std::snprintf(
       buf, sizeof(buf),
-      "  \"warm_vs_cold_makespan_ratio\": %.4f,\n"
+      "  \"warm_vs_cold_makespan_ratio\": %.17g,\n"
       "  \"trace10k_jobs\": %zu,\n"
+      "  \"trace10k_completed\": %zu,\n"
       "  \"trace10k_mean_gap\": %.17g,\n"
       "  \"trace10k_makespan\": %.17g,\n"
       "  \"trace10k_utilization\": %.4f,\n"
-      "  \"stretch_p50\": %.4f,\n  \"stretch_p95\": %.4f,\n"
-      "  \"stretch_p99\": %.4f,\n"
-      "  \"queue_wait_p50\": %.6f,\n  \"queue_wait_p95\": %.6f,\n"
-      "  \"queue_wait_p99\": %.6f,\n"
+      "  \"stretch_p50\": %.17g,\n  \"stretch_p95\": %.17g,\n"
+      "  \"stretch_p99\": %.17g,\n"
+      "  \"queue_wait_p50\": %.17g,\n  \"queue_wait_p95\": %.17g,\n"
+      "  \"queue_wait_p99\": %.17g,\n"
       "  \"trace10k_order_digest\": \"%016llx\",\n"
       "  \"wall_single_loop_us\": %.0f,\n",
-      warm_vs_cold, jobs10k, mean_gap10k, run10k.makespan,
+      warm_vs_cold, jobs10k, completed10k, mean_gap10k, run10k.makespan,
       run10k.utilization, percentile(stretches, 50.0),
       percentile(stretches, 95.0), percentile(stretches, 99.0),
       percentile(waits, 50.0), percentile(waits, 95.0),
@@ -383,6 +401,8 @@ int main(int argc, char** argv) {
           order_string(warm.completion_order) + "\",\n";
   json += std::string("  \"replay_identical\": ") +
           (replay_identical ? "true" : "false") + ",\n";
+  json += std::string("  \"all_ok\": ") + (all_ok ? "true" : "false") +
+          ",\n";
 
   json += "  \"per_job\": [\n";
   for (std::size_t i = 0; i < warm.jobs.size(); ++i) {
@@ -404,56 +424,7 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    if (std::FILE* out = std::fopen(out_path.c_str(), "w")) {
-      std::fputs(json.c_str(), out);
-      std::fclose(out);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-  }
-
   for (const fs::path& p : {store_cold, store_w1, store_w2})
     fs::remove(p, ec);
-
-  if (smoke) {
-    if (!all_ok) {
-      std::fputs("smoke FAIL: a service run did not finish\n", stderr);
-      return 1;
-    }
-    if (!run10k.ok) {
-      std::fprintf(stderr, "smoke FAIL: 10k trace did not finish (\"%s\")\n",
-                   run10k.error.c_str());
-      return 1;
-    }
-    if (run10k.completion_order.size() != jobs10k) {
-      std::fputs("smoke FAIL: 10k trace lost jobs\n", stderr);
-      return 1;
-    }
-    if (warm.probe_blocks >= cold.probe_blocks) {
-      std::fprintf(stderr,
-                   "smoke FAIL: warm run probed %zu blocks, cold %zu -- "
-                   "warm start saved nothing\n",
-                   warm.probe_blocks, cold.probe_blocks);
-      return 1;
-    }
-    if (warm.warm_hits == 0 || warm.probe_blocks_saved == 0) {
-      std::fputs("smoke FAIL: warm run validated no stored profile\n",
-                 stderr);
-      return 1;
-    }
-    if (!replay_identical) {
-      std::fprintf(stderr,
-                   "smoke FAIL: replay diverged (order \"%s\" vs \"%s\", "
-                   "makespan %.17g vs %.17g)\n",
-                   order_string(warm.completion_order).c_str(),
-                   order_string(replay.completion_order).c_str(),
-                   warm.makespan, replay.makespan);
-      return 1;
-    }
-    std::fputs("smoke OK\n", stderr);
-  }
-  return all_ok ? 0 : 1;
+  return plbhec::bench::write_json(json, {out_path});
 }

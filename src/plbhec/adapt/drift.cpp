@@ -15,7 +15,6 @@ void DriftMonitor::configure(const DriftOptions& options, std::size_t units) {
 
   WindowConfig wc;
   wc.lambda = options.lambda;
-  wc.capacity = options.window;
   CusumOptions cc;
   cc.k = options.cusum_k;
   cc.h = options.cusum_h;

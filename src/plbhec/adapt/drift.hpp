@@ -26,12 +26,8 @@ struct DriftOptions {
   /// is unchanged unless a caller opts in.
   bool enabled = false;
 
-  /// Forgetting factor of the per-unit recent window (ignored when
-  /// `window` selects the exact mode). 1 = no forgetting.
+  /// Forgetting factor of the per-unit recent window. 1 = no forgetting.
   double lambda = 0.9;
-  /// When > 0, the recent window keeps exactly this many samples (ring
-  /// buffer + rank-1 downdates) instead of exponential forgetting.
-  std::size_t window = 0;
 
   /// CUSUM slack and threshold in sigma units, warmup length, and the
   /// floor on the standardization spread (relative-residual units).
@@ -106,7 +102,7 @@ class DriftMonitor {
 };
 
 /// Subset model selection over a window's moments alone: fit::select_model's
-/// moments overload on the discounted (or downdated) moments, the window's
+/// moments overload on the discounted moments, the window's
 /// effective sample mass and its smallest block fraction — no raw samples
 /// required. Candidates whose sub-Gram is too ill-conditioned are skipped
 /// (there is no QR fallback without rows). Returns an invalid-model

@@ -7,25 +7,6 @@ namespace plbhec::adapt {
 void WindowedSampleSet::add(double x, double time) {
   PLBHEC_EXPECTS(x > 0.0);
   PLBHEC_EXPECTS(time >= 0.0);
-  if (config_.exact()) {
-    if (ring_.size() == config_.capacity) {
-      const fit::Sample& oldest = ring_[head_];
-      moments_.remove(oldest.x, oldest.time);
-      ring_[head_] = {x, time};
-      head_ = (head_ + 1) % config_.capacity;
-      // The evicted sample may have carried the minimum; rescan the (small)
-      // ring rather than maintaining a monotone deque for a cold path.
-      x_lo_ = 1.0;
-      for (const auto& s : ring_) x_lo_ = std::min(x_lo_, s.x);
-    } else {
-      ring_.push_back({x, time});
-      x_lo_ = std::min(x_lo_, x);
-    }
-    moments_.add(x, time);
-    effective_n_ = static_cast<double>(ring_.size());
-    return;
-  }
-
   moments_.scale(config_.lambda);
   moments_.add(x, time);
   effective_n_ = effective_n_ * config_.lambda + 1.0;
@@ -35,22 +16,9 @@ void WindowedSampleSet::add(double x, double time) {
 
 void WindowedSampleSet::reset() {
   moments_.clear();
-  ring_.clear();
-  head_ = 0;
   raw_count_ = 0;
   effective_n_ = 0.0;
   x_lo_ = 1.0;
-}
-
-fit::SampleSet WindowedSampleSet::to_sample_set() const {
-  PLBHEC_EXPECTS(config_.exact());
-  std::vector<fit::Sample> ordered;
-  ordered.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i)
-    ordered.push_back(ring_[(head_ + i) % ring_.size()]);
-  fit::SampleSet out;
-  out.restore(std::move(ordered), moments_.snapshot());
-  return out;
 }
 
 }  // namespace plbhec::adapt

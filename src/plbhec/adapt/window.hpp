@@ -2,34 +2,25 @@
 /// \file window.hpp
 /// Recent-behavior sample windows for the drift-adaptation subsystem: a
 /// WindowedSampleSet maintains the same full-basis Gram moments as
-/// fit::SampleSet but over *recent* observations only, either by
-/// exponential forgetting (scale every accumulator by lambda before each
-/// rank-1 add — effective window ~1/(1-lambda) samples, O(1) memory) or by
-/// an exact ring buffer (evict the oldest sample with a rank-1 downdate).
-/// Either way FitEngine-style subset fits solve directly from the moments,
-/// so "fit what this unit has done lately" costs O(k^3) — no raw-sample
-/// refit, which is what makes continuous re-fitting affordable online.
+/// fit::SampleSet but over *recent* observations only, by exponential
+/// forgetting (scale every accumulator by lambda before each rank-1 add —
+/// effective window ~1/(1-lambda) samples, O(1) memory). FitEngine-style
+/// subset fits solve directly from the moments, so "fit what this unit has
+/// done lately" costs O(k^3) — no raw-sample refit, which is what makes
+/// continuous re-fitting affordable online.
 
 #include <cstddef>
-#include <vector>
 
 #include "plbhec/common/contracts.hpp"
 #include "plbhec/fit/moments.hpp"
-#include "plbhec/fit/samples.hpp"
 
 namespace plbhec::adapt {
 
 /// How a WindowedSampleSet forgets.
 struct WindowConfig {
   /// Forgetting factor in (0, 1]; 1 disables discounting (and is then
-  /// bit-identical to a plain MomentSet fed the same stream). Ignored when
-  /// `capacity` selects the exact-window mode.
+  /// bit-identical to a plain MomentSet fed the same stream).
   double lambda = 1.0;
-  /// When > 0, keep exactly the last `capacity` samples in a ring buffer
-  /// and downdate evicted ones instead of discounting.
-  std::size_t capacity = 0;
-
-  [[nodiscard]] bool exact() const { return capacity > 0; }
 
   friend bool operator==(const WindowConfig&, const WindowConfig&) = default;
 };
@@ -44,31 +35,22 @@ class WindowedSampleSet {
   void add(double x, double time);
   void reset();
 
-  /// Raw observations currently represented: ring occupancy in exact mode,
-  /// adds since reset() in forgetting mode.
-  [[nodiscard]] std::size_t count() const {
-    return config_.exact() ? ring_.size() : raw_count_;
-  }
-  /// Sample mass behind the moments: ring occupancy in exact mode, the
-  /// discounted sum lambda^0 + lambda^1 + ... (-> 1/(1-lambda)) otherwise.
-  /// This is the `effective_n` the moments-only fit_terms expects.
+  /// Raw observations added since reset().
+  [[nodiscard]] std::size_t count() const { return raw_count_; }
+  /// Sample mass behind the moments: the discounted sum lambda^0 +
+  /// lambda^1 + ... (-> 1/(1-lambda)). This is the `effective_n` the
+  /// moments-only fit_terms expects.
   [[nodiscard]] double effective_count() const { return effective_n_; }
 
   [[nodiscard]] const fit::MomentSet& moments() const { return moments_; }
-  /// Smallest block fraction represented (plausibility-grid lower edge).
-  /// Exact over the ring; in forgetting mode the min since reset().
+  /// Smallest block fraction added since reset() (plausibility-grid lower
+  /// edge).
   [[nodiscard]] double x_lo() const { return x_lo_; }
   [[nodiscard]] const WindowConfig& config() const { return config_; }
-
-  /// Exact-window mode only: materializes the retained samples plus the
-  /// downdated moments as a fit::SampleSet (for QR-path fits and tests).
-  [[nodiscard]] fit::SampleSet to_sample_set() const;
 
  private:
   WindowConfig config_;
   fit::MomentSet moments_;
-  std::vector<fit::Sample> ring_;  ///< exact mode; head_ indexes the oldest
-  std::size_t head_ = 0;
   std::size_t raw_count_ = 0;
   double effective_n_ = 0.0;
   double x_lo_ = 1.0;

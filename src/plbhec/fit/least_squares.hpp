@@ -115,8 +115,8 @@ struct FitResult {
     const SampleSet& samples, std::span<const BasisFn> candidate_terms,
     const SelectionOptions& options = {}, FitCounters* counters = nullptr);
 
-/// Selection from moments alone (a drift window's discounted or downdated
-/// moments): the same enumeration, with every candidate solved by the
+/// Selection from moments alone (a drift window's discounted moments):
+/// the same enumeration, with every candidate solved by the
 /// moments-only fit_terms at sample mass `effective_n`, whose floor stands
 /// in for the sample count in the DoF guard and the parsimony classes.
 /// `x_lo` is the smallest block fraction behind the moments (the

@@ -31,31 +31,6 @@ void MomentSet::add(double x, double time) {
   ++n_;
 }
 
-void MomentSet::remove(double x, double time) {
-  std::array<double, kBasisCount> phi;
-  eval_all(x, phi);
-
-  const double w = 1.0 / std::max(time, 1e-9);
-  const double w2 = w * w;
-
-  for (std::size_t i = 0; i < kBasisCount; ++i) {
-    for (std::size_t j = i; j < kBasisCount; ++j) {
-      const double p = phi[i] * phi[j];
-      gram_[i * kBasisCount + j] -= p;
-      wgram_[i * kBasisCount + j] -= w2 * p;
-      if (j != i) {
-        gram_[j * kBasisCount + i] = gram_[i * kBasisCount + j];
-        wgram_[j * kBasisCount + i] = wgram_[i * kBasisCount + j];
-      }
-    }
-    xty_[i] -= phi[i] * time;
-    wxty_[i] -= w2 * phi[i] * time;
-  }
-  yty_ -= time * time;
-  wyty_ -= w2 * time * time;
-  --n_;
-}
-
 void MomentSet::scale(double lambda) {
   if (lambda == 1.0) return;  // keep the undiscounted path bit-identical
   for (std::size_t i = 0; i < kBasisCount * kBasisCount; ++i) {

@@ -40,12 +40,6 @@ class MomentSet {
   /// design-matrix path would append: phi_i = eval(term_i, x).
   void add(double x, double time);
 
-  /// Rank-1 downdate: removes an observation previously passed to add().
-  /// Exact-window (ring buffer) moments evict their oldest sample through
-  /// this; the result matches rebuilding from the retained samples up to
-  /// floating-point cancellation. Requires count() > 0.
-  void remove(double x, double time);
-
   /// Exponential forgetting: multiplies every moment accumulator by
   /// `lambda` (0 < lambda <= 1). Applied before each add(), this turns the
   /// accumulators into a discounted twin of the rank-1 updates whose

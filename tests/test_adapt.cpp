@@ -1,5 +1,5 @@
-// Drift-adaptation subsystem tests: windowed moment sets (forgetting and
-// exact ring modes), the two-sided residual CUSUM, the robust ingest
+// Drift-adaptation subsystem tests: windowed moment sets (exponential
+// forgetting), the two-sided residual CUSUM, the robust ingest
 // filter, the DriftMonitor front end and its moments-only fit_recent;
 // then the scheduler-level behavior on a simulated mid-run throttle —
 // detection, targeted (confined) re-probe, censored overdue-block
@@ -31,7 +31,7 @@ namespace {
 // ---- WindowedSampleSet ----------------------------------------------------
 
 TEST(WindowedSampleSet, NoForgettingMatchesPlainMomentsBitForBit) {
-  adapt::WindowConfig config;  // lambda = 1, capacity = 0
+  adapt::WindowConfig config;  // lambda = 1
   adapt::WindowedSampleSet window(config);
   fit::MomentSet plain;
   for (int i = 1; i <= 40; ++i) {
@@ -43,23 +43,6 @@ TEST(WindowedSampleSet, NoForgettingMatchesPlainMomentsBitForBit) {
   EXPECT_TRUE(window.moments() == plain);
   EXPECT_EQ(window.count(), 40u);
   EXPECT_DOUBLE_EQ(window.effective_count(), 40.0);
-}
-
-TEST(WindowedSampleSet, ExactModeKeepsLastCapacitySamples) {
-  adapt::WindowConfig config;
-  config.capacity = 6;
-  adapt::WindowedSampleSet window(config);
-  for (int i = 1; i <= 25; ++i)
-    window.add(0.01 * i, 0.1 + 2.0 * (0.01 * i));
-
-  EXPECT_EQ(window.count(), 6u);
-  EXPECT_DOUBLE_EQ(window.effective_count(), 6.0);
-  const fit::SampleSet materialized = window.to_sample_set();
-  ASSERT_EQ(materialized.size(), 6u);
-  // Oldest retained sample is i = 20; x_lo tracks the ring content.
-  const auto xs = materialized.xs();
-  EXPECT_NEAR(*std::min_element(xs.begin(), xs.end()), 0.20, 1e-12);
-  EXPECT_NEAR(window.x_lo(), 0.20, 1e-12);
 }
 
 TEST(WindowedSampleSet, ForgettingModeWeightsRecentBehavior) {
@@ -78,22 +61,20 @@ TEST(WindowedSampleSet, ForgettingModeWeightsRecentBehavior) {
   EXPECT_NEAR(window.effective_count(), 5.0, 0.05);
 }
 
-TEST(FitRecent, ExactWindowAgreesWithFreshRefit) {
-  adapt::WindowConfig config;
-  config.capacity = 8;
-  adapt::WindowedSampleSet window(config);
-  fit::SampleSet last8;
+TEST(FitRecent, UndiscountedWindowAgreesWithFreshRefit) {
+  adapt::WindowedSampleSet window{adapt::WindowConfig{}};  // lambda = 1
+  fit::SampleSet all;
   for (int i = 1; i <= 30; ++i) {
     const double x = 0.01 * i;
     const double t = 0.05 + 3.0 * x;
     window.add(x, t);
-    if (i > 22) last8.add(x, t);
+    all.add(x, t);
   }
   const fit::FitResult from_window = adapt::fit_recent(window, {});
-  const fit::FitResult from_samples = fit::select_model(last8);
+  const fit::FitResult from_samples = fit::select_model(all);
   ASSERT_TRUE(from_window.model.valid());
   ASSERT_TRUE(from_samples.model.valid());
-  for (double x : {0.23, 0.26, 0.30, 0.5, 0.9})
+  for (double x : {0.01, 0.15, 0.30, 0.5, 0.9})
     EXPECT_NEAR(from_window.model(x), from_samples.model(x), 1e-9);
   EXPECT_NEAR(from_window.r2, from_samples.r2, 1e-9);
 }

@@ -540,10 +540,7 @@ TEST(SelectionIdentity, DriftWindowSelectionMatchesReference) {
   Rng rng(77);
   for (int mode = 0; mode < 2; ++mode) {
     adapt::WindowConfig config;
-    if (mode == 0)
-      config.lambda = 0.9;
-    else
-      config.capacity = 8;
+    config.lambda = mode == 0 ? 0.9 : 1.0;
     adapt::WindowedSampleSet window(config);
     for (int i = 0; i <= 40; ++i) {
       for (bool weighted : {false, true})
