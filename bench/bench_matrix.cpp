@@ -8,6 +8,8 @@
 /// baseline), `lost_grain_violations == 0` and `replay_identical` (the
 /// first cell re-run row-for-row, proving the per-(cell, seed)
 /// determinism any replay relies on). tools/check_bench.py evaluates them.
+/// The summary also reports the ungated `plb_vs_best_geomean`, the
+/// geometric mean of every row's PLB-HeC/best makespan ratio.
 ///
 /// Modes:
 ///   bench_matrix [--out out.json]           ~20-cell smoke (per-PR gate)
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -111,9 +114,11 @@ int main(int argc, char** argv) {
   rows.reserve(cells.size());
   std::size_t wins = 0;
   std::size_t violations = 0;
+  double log_ratio_sum = 0.0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult r = plbhec::chaos::run_cell(cells[i]);
     if (r.plb_win) ++wins;
+    log_ratio_sum += std::log(r.plb_vs_best);
     if (!r.grains_accounted) {
       ++violations;
       std::fprintf(stderr, "LOST-GRAIN VIOLATION: %s\n",
@@ -148,6 +153,9 @@ int main(int argc, char** argv) {
   json += "  \"wins\": " + std::to_string(wins) + ",\n";
   json += "  \"win_rate\": " +
           fmt(static_cast<double>(wins) / static_cast<double>(cells.size())) +
+          ",\n";
+  json += "  \"plb_vs_best_geomean\": " +
+          fmt(std::exp(log_ratio_sum / static_cast<double>(cells.size()))) +
           ",\n";
   json += "  \"lost_grain_violations\": " + std::to_string(violations) + ",\n";
   json += std::string("  \"replay_identical\": ") +

@@ -1,8 +1,12 @@
 /// Reproduces the schematic of Figs. 2-3: the phases of the algorithm and
 /// the rebalancing Gantt. Runs PLB-HeC on three processing units (machine
 /// A + half of machine B), prints the ASCII Gantt of the stable run, then
-/// injects a mid-run QoS drop so the threshold sync of Fig. 3 actually
-/// fires, and prints that Gantt too. `--trace-json <path>` additionally
+/// injects a mid-run QoS drop so the threshold rebalance of Fig. 3 actually
+/// fires, and prints that Gantt too. The paper syncs every unit before it
+/// re-solves; here the re-solve happens in place at the completion that
+/// trips the threshold, so the drift Gantt shows no drain gap and the run
+/// reaches no barrier (EXPERIMENTS.md, "Known deviations"). `--trace-json
+/// <path>` additionally
 /// writes the drift run as Chrome trace-event JSON (open in Perfetto or
 /// chrome://tracing): busy segments as slices, scheduler decisions as
 /// instant events.
@@ -38,7 +42,7 @@ int main(int argc, char** argv) {
       plb.stats().probe_rounds, plb.stats().solves,
       plb.stats().refinements, plb.stats().rebalances);
 
-  // Now with a QoS drop that forces the Fig. 3 sync.
+  // Now with a QoS drop that forces the Fig. 3 rebalance.
   sim::SimCluster drifting(sim::scenario(2));
   drifting.add_speed_event(1, stable.makespan * 0.45, 0.3);
   obs::EventSink sink;
@@ -56,9 +60,12 @@ int main(int argc, char** argv) {
   std::printf("\nA.gpu0 drops to 0.3x speed at t=%.4f s:\n%s",
               stable.makespan * 0.45,
               metrics::ascii_gantt(drift, 100).c_str());
-  std::printf("rebalances=%zu selections=%zu makespan %.4f -> %.4f s\n",
-              plb2.stats().rebalances, plb2.stats().solves, stable.makespan,
-              drift.makespan);
+  std::printf(
+      "rebalances=%zu selections=%zu barriers=%zu makespan %.4f -> %.4f s\n"
+      "Expected: each rebalance re-solves in place (barriers=0), so no unit\n"
+      "idles through a sync.\n",
+      plb2.stats().rebalances, plb2.stats().solves, drift.barriers,
+      stable.makespan, drift.makespan);
 
   if (!trace_path.empty()) {
     const std::vector<obs::Event> events = sink.drain();

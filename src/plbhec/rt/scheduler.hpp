@@ -4,11 +4,11 @@
 /// offers its pluggable schedulers: the engine asks the policy for the next
 /// block size of an idle unit and reports every completion.
 ///
-/// Barrier protocol (used by PLB-HeC's rebalancing and Acosta's iteration
-/// synchronization): a scheduler that wants to synchronize simply returns 0
-/// from next_block() for units it wants parked. When every unit has gone
-/// idle and work remains, the engine invokes on_barrier() and then resumes
-/// asking for blocks.
+/// Barrier protocol (used by Acosta's iteration synchronization; PLB-HeC
+/// never parks a unit on purpose): a scheduler that wants to synchronize
+/// simply returns 0 from next_block() for units it wants parked. When every
+/// unit has gone idle and work remains, the engine invokes on_barrier() and
+/// then resumes asking for blocks.
 
 #include <string>
 

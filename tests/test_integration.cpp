@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "plbhec/baselines/static_profile.hpp"
 #include "plbhec/core/plb_hec.hpp"
 #include "plbhec/metrics/metrics.hpp"
+#include "plbhec/obs/sink.hpp"
 #include "plbhec/rt/engine.hpp"
 #include "plbhec/rt/thread_engine.hpp"
 #include "plbhec/sim/machine.hpp"
@@ -133,8 +135,10 @@ TEST(PaperHeadline, ThresholdMechanismRespondsToDrift) {
   // ... threshold permits readjustments in data distributions." On a
   // stable cluster the threshold never fires (§V-c, reproduced in the
   // benches); under a mid-run QoS drop it must fire, re-solve and still
-  // complete the run correctly. (Whether the rebalance *pays* depends on
-  // the remaining horizon — see bench/abl_rebalance.)
+  // complete the run correctly. The re-solve happens in place, in the
+  // completion callback that declares the rebalance: no unit is parked at
+  // a barrier. (Whether the rebalance *pays* depends on the remaining
+  // horizon — see bench/abl_rebalance.)
   apps::GrnWorkload probe_w(apps::GrnWorkload::paper_instance(30'000));
   sim::SimCluster cluster(sim::scenario(4));
   rt::SimEngine probe_engine(cluster, {});
@@ -144,7 +148,10 @@ TEST(PaperHeadline, ThresholdMechanismRespondsToDrift) {
   EXPECT_EQ(probe.stats().rebalances, 0u);  // stable: never fires
 
   cluster.add_speed_event(7, pr.makespan * 0.5, 0.3);  // D.gpu0 drops 3.3x
-  rt::SimEngine engine(cluster, {});
+  obs::EventSink sink;
+  rt::EngineOptions eopts;
+  eopts.sink = &sink;
+  rt::SimEngine engine(cluster, eopts);
   apps::GrnWorkload w(apps::GrnWorkload::paper_instance(30'000));
   core::PlbHecOptions opts;
   opts.step_fraction = 0.0625;  // fine windows: work left to re-balance
@@ -152,10 +159,27 @@ TEST(PaperHeadline, ThresholdMechanismRespondsToDrift) {
   const rt::RunResult rp = engine.run(w, plb);
   ASSERT_TRUE(rp.ok) << rp.error;
   EXPECT_GE(plb.stats().rebalances, 1u);
+  EXPECT_EQ(rp.barriers, 0u);
   EXPECT_GT(rp.makespan, pr.makespan);  // the drop must cost time
   std::size_t done = 0;
   for (const auto& s : rp.unit_stats) done += s.grains;
   EXPECT_EQ(done, w.total_grains());
+
+  if (!obs::kCompiledIn) return;
+  // Every trigger is answered by a solve at the same virtual time.
+  const std::vector<obs::Event> events = sink.drain();
+  std::vector<double> solve_times;
+  for (const obs::Event& e : events)
+    if (e.kind == obs::EventKind::kSolve) solve_times.push_back(e.time);
+  std::size_t triggers = 0;
+  for (const obs::Event& e : events) {
+    if (e.kind != obs::EventKind::kRebalanceTriggered) continue;
+    ++triggers;
+    EXPECT_NE(std::find(solve_times.begin(), solve_times.end(), e.time),
+              solve_times.end())
+        << "rebalance at t=" << e.time << " has no solve";
+  }
+  EXPECT_EQ(triggers, plb.stats().rebalances);
 }
 
 TEST(PaperHeadline, LargerInputsLowerPlbIdleness) {
