@@ -1,7 +1,10 @@
 // Fitting-pipeline microbenchmark: select_model latency of the cached-moment
-// Gram/Cholesky engine against the legacy design-matrix QR engine across the
+// Gram/Cholesky engine against the design-matrix QR engine across the
 // sample-count range the scheduler sees, and fit_all scaling of the per-unit
-// parallel fan-out against a serial loop. Emits JSON (stdout, plus an output
+// parallel fan-out against a serial loop. Both engines score the subsets as
+// one prefix tree (shared Cholesky rows, shared Householder steps), so QR's
+// cost grows with the sample count only through the steps it cannot share;
+// at 8 samples QR is the faster engine. Emits JSON (stdout, plus an output
 // path if given) whose gates require the Gram engine to agree with QR and
 // to beat it 1.5x at 64 samples; tools/check_bench.py evaluates them
 // against the committed bench/results/bench_fit.json. `--smoke` runs a

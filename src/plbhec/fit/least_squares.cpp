@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "plbhec/common/stats.hpp"
 #include "plbhec/linalg/cholesky.hpp"
@@ -12,17 +16,19 @@
 namespace plbhec::fit {
 namespace {
 
-/// kAuto cutover: below this many samples the QR path is both cheap and
-/// the historical numerical reference (exact fits on 2-5 points are where
-/// normal-equation cancellation would perturb the BIC tie-breaking); at and
-/// above it the O(k^3) moment solve wins and agrees with QR to ~1e-9.
+/// kAuto cutover: below this many samples fits run on QR, the historical
+/// numerical reference (exact fits on 2-5 points are where normal-equation
+/// cancellation would perturb the BIC tie-breaking); at and above it on the
+/// moment solve, which agrees with QR to ~1e-9. The cutover stays for bit
+/// identity, not speed: with the prefix-shared QR, a QR selection at 8
+/// samples is as fast as a Gram one or faster.
 constexpr std::size_t kGramMinSamples = 8;
 
 /// Points of the physical-plausibility grid on [x_lo, 1].
 constexpr std::size_t kPlausibilityGrid = 48;
 
-/// Largest term subset the selection enumerates: fewer than 20 candidate
-/// functions plus the intercept.
+/// Largest term subset a selection or fit_terms() scores: fewer than 20
+/// candidate functions plus the intercept.
 constexpr std::size_t kMaxSubsetTerms = 20;
 
 /// BIC tie margin: a candidate must beat the incumbent by more than this.
@@ -45,174 +51,504 @@ double combine(std::span<const BasisFn> terms, std::span<const double> coef,
   return acc;
 }
 
-/// Quality of one fitted subset; its coefficients live in caller storage.
+/// Quality of one scored subset; its coefficients live in a ScoreTable.
 struct SubsetScore {
   double r2 = 0.0;
   double bic = 0.0;
 };
 
-/// Fixed-size storage for one sub-Gram solve of up to kBasisCount terms,
-/// reused by every subset of a call.
-struct GramScratch {
-  std::array<double, kBasisCount * kBasisCount> g{};
-  std::array<double, kBasisCount> rhs{};
-  std::array<double, linalg::spd_scratch(kBasisCount)> solve{};
-};
-
-/// Fast path: solve the k x k sub-Gram system assembled from incrementally
-/// maintained moments, recovering RSS/R^2/BIC from the cached unweighted
-/// moments. O(k^3) per fit, independent of sample count. Returns nullopt
-/// when the equilibrated sub-Gram is too ill-conditioned to certify ~1e-9
-/// agreement with QR (the e^x family near x -> 1); the SampleSet caller
-/// then falls back to the design-matrix path. `n` is the (possibly
-/// fractional, for discounted windows) sample mass behind the moments.
-std::optional<SubsetScore> fit_gram(const MomentSet& m, double n,
-                                    std::span<const BasisFn> terms,
-                                    bool relative_weighting,
-                                    std::span<double> c, GramScratch& s) {
-  const std::size_t k = terms.size();
-  // More terms than basis functions repeat one, so the sub-Gram is
-  // singular and the equilibrated solve's rcond gate would reject it.
-  if (k > kBasisCount) return std::nullopt;
-
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j)
-      s.g[i * k + j] = m.gram(terms[i], terms[j], relative_weighting);
-    s.rhs[i] = m.xty(terms[i], relative_weighting);
+/// kBinomial[p][j] = C(p, j), for the colex ranks of candidate masks.
+constexpr auto kBinomial = [] {
+  std::array<std::array<std::size_t, kMaxSubsetTerms + 1>, kMaxSubsetTerms + 1>
+      c{};
+  for (std::size_t p = 0; p <= kMaxSubsetTerms; ++p) {
+    c[p][0] = 1;
+    for (std::size_t j = 1; j <= p; ++j)
+      c[p][j] = c[p - 1][j - 1] + c[p - 1][j];
   }
-  if (!linalg::solve_equilibrated_spd_in_place(
-          {s.g.data(), k * k}, k, {s.rhs.data(), k}, c, s.solve))
-    return std::nullopt;
+  return c;
+}();
 
-  // RSS via the quadratic form ||y - Xc||^2 = y'y - 2 c'X'y + c'G c over
-  // the *unweighted* moments (acceptance R^2 is always unweighted).
-  double ctb = 0.0;
-  double ctgc = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    ctb += c[i] * m.xty(terms[i]);
-    double gc = 0.0;
-    for (std::size_t j = 0; j < k; ++j)
-      gc += m.gram(terms[i], terms[j]) * c[j];
-    ctgc += c[i] * gc;
-  }
-  const double yty = m.yty();
-  const double rss = std::max(yty - 2.0 * ctb + ctgc, 0.0);
-  const double tss = yty - m.sum_y() * m.sum_y() / n;
-
-  SubsetScore score;
-  // Mirror r_squared()'s constant-observation edge case, with a relative
-  // floor standing in for its exact ss_tot == 0 test (the moment-space TSS
-  // carries cancellation noise of order eps * y'y).
-  if (tss <= 1e-12 * std::max(yty, 1e-300))
-    score.r2 = rss <= 1e-12 * std::max(yty, 1e-300) ? 1.0 : 0.0;
-  else
-    score.r2 = 1.0 - rss / tss;
-  score.bic = compute_bic(rss, n, k);
-  return score;
-}
-
-/// Subset fitter over a SampleSet. The Gram path solves from the cached
-/// moments in fixed-size storage; the QR path builds the design matrix
-/// from a basis table evaluated once per sample and factors it in one
-/// buffer. Table and buffer are allocated together on the first QR solve,
-/// sized for subsets of up to `max_terms` terms, so no subset allocates.
-class SampleFitter {
+/// Scores of every subset in a range of size classes, slot-ordered as
+/// select_subsets() reads them: by class, then by candidate mask ascending.
+/// Within a class that order is the masks' colex rank, sum_j C(c_j, j) over
+/// the ascending set bits c_1 < c_2 < ...
+class ScoreTable {
  public:
-  SampleFitter(const SampleSet& samples, FitEngine engine,
-               FitCounters* counters, std::size_t max_terms)
-      : samples_(samples),
-        n_(samples.size()),
-        max_terms_(max_terms),
-        try_gram_(engine == FitEngine::kGram ||
-                  (engine == FitEngine::kAuto && n_ >= kGramMinSamples)),
-        counters_(counters) {}
-
-  std::optional<SubsetScore> operator()(std::span<const BasisFn> terms,
-                                        bool relative_weighting,
-                                        std::span<double> c) {
-    if (terms.empty() || n_ < terms.size()) return std::nullopt;
-    if (try_gram_) {
-      if (auto score = fit_gram(samples_.moments(), static_cast<double>(n_),
-                                terms, relative_weighting, c, gram_)) {
-        if (counters_) ++counters_->gram_solves;
-        return score;
-      }
-      if (counters_) ++counters_->qr_fallbacks;
+  /// Empty slots for the classes lo..hi of `m` candidates, each with room
+  /// for `width` coefficients.
+  void reset(std::size_t m, std::size_t lo, std::size_t hi, std::size_t width) {
+    PLBHEC_EXPECTS(m <= kMaxSubsetTerms && lo <= hi && hi <= m);
+    lo_ = lo;
+    width_ = width;
+    std::size_t slots = 0;
+    for (std::size_t s = lo; s <= hi; ++s) {
+      offset_[s - lo] = slots;
+      slots += kBinomial[m][s];
     }
-    if (counters_) ++counters_->qr_solves;
-    return fit_qr(terms, relative_weighting, c);
+    scores_.assign(slots, std::nullopt);
+    coefficients_.resize(slots * width);
+  }
+
+  [[nodiscard]] std::size_t slot(std::size_t size_class,
+                                 std::size_t rank) const {
+    return offset_[size_class - lo_] + rank;
+  }
+  [[nodiscard]] std::optional<SubsetScore>& score(std::size_t slot) {
+    return scores_[slot];
+  }
+  [[nodiscard]] std::span<double> coefficients(std::size_t slot,
+                                               std::size_t k) {
+    PLBHEC_EXPECTS(k <= width_);
+    return std::span<double>(coefficients_).subspan(slot * width_, k);
   }
 
  private:
-  /// Design-matrix path: Householder QR with column equilibration,
-  /// O(n k^2) per fit.
-  std::optional<SubsetScore> fit_qr(std::span<const BasisFn> terms,
-                                    bool relative_weighting,
-                                    std::span<double> c) {
-    const std::size_t n = n_;
-    const std::size_t k = terms.size();
-    PLBHEC_EXPECTS(k <= max_terms_);
-    if (buffer_.empty()) build_tables();
-    const std::span<double> all(buffer_);
-    const std::span<const double> phi = all.subspan(0, n * kBasisCount);
-    const std::span<const double> observed = all.subspan(n * kBasisCount, n);
-    const std::span<double> b = all.subspan(n * (kBasisCount + 1), n);
-    const std::span<double> predicted = all.subspan(n * (kBasisCount + 2), n);
-    const std::span<double> a =
-        all.subspan(n * (kBasisCount + 3), n * max_terms_);
-    const std::span<double> ls_scratch =
-        all.subspan(n * (kBasisCount + 3 + max_terms_));
+  std::size_t lo_ = 0;
+  std::size_t width_ = 0;
+  std::array<std::size_t, kMaxSubsetTerms + 1> offset_{};
+  std::vector<std::optional<SubsetScore>> scores_;
+  std::vector<double> coefficients_;
+};
 
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t col = 0; col < k; ++col)
-        a[r * k + col] =
-            phi[r * kBasisCount + static_cast<std::size_t>(terms[col])];
-      b[r] = observed[r];
-      if (relative_weighting) {
-        const double w = 1.0 / std::max(samples_.items()[r].time, 1e-9);
-        for (std::size_t col = 0; col < k; ++col) a[r * k + col] *= w;
-        b[r] *= w;
-      }
+/// What subsets are fitted from: a sample set (the Gram solve from its
+/// moments when `try_gram`, with the design-matrix QR path behind it) or a
+/// drift window's bare moments (the Gram solve only, samples == nullptr).
+/// `mass` is the sample count, or the effective mass of discounted moments.
+struct FitSource {
+  const MomentSet* moments = nullptr;
+  const SampleSet* samples = nullptr;
+  double mass = 0.0;
+  bool try_gram = true;
+  FitCounters* counters = nullptr;
+};
+
+FitSource sample_source(const SampleSet& samples, FitEngine engine,
+                        FitCounters* counters) {
+  FitSource source;
+  source.moments = &samples.moments();
+  source.samples = &samples;
+  source.mass = static_cast<double>(samples.size());
+  source.try_gram = engine == FitEngine::kGram ||
+                    (engine == FitEngine::kAuto &&
+                     samples.size() >= kGramMinSamples);
+  source.counters = counters;
+  return source;
+}
+
+/// Scores term subsets as a prefix tree. A subset is the `fixed` leading
+/// items (the intercept, or a fit_terms path) followed by candidate items
+/// in ascending order, and the walk appends one item per level, so every
+/// subset extending a prefix inherits the prefix's work bit for bit:
+///  - Gram: row i of the Cholesky factor and entry i of the forward
+///    substitution depend on the leading (i+1) x (i+1) block alone, so a
+///    prefix computes them once from a per-scorer equilibrated table
+///    gs[a][b] = (G[a][b] d_a) d_b, the products the per-subset solve
+///    formed. A failed pivot fails every extension, whose subtree goes to
+///    QR. Each subset finishes with its own rcond gate, back substitution,
+///    refinement step and RSS quadratic form.
+///  - QR: columns are equilibrated one by one, so a Householder step on a
+///    given ordered prefix of columns gives the same bits in every subset
+///    that starts with it. Level p holds the right-hand side and the
+///    candidate columns after the path's first p reflections; position p's
+///    column is reflected in place at level p (no sibling reads it again),
+///    where it stays as R's column and the reflector. Levels are built only
+///    under a subset that needs QR (below 8 samples, or a Gram fallback).
+/// The arithmetic is linalg's cholesky_row/finish_equilibrated_spd and
+/// householder_reflector/householder_apply, in the per-subset solves'
+/// operation order, so scores, coefficients and counters match a solve of
+/// each subset from scratch.
+class SubsetScorer {
+ public:
+  /// Scores subsets of `items` (at most kMaxSubsetTerms) whose first
+  /// `fixed` items are always present and which hold at most `max_depth`
+  /// terms; the bound also sizes the QR workspace.
+  SubsetScorer(const FitSource& source, std::span<const BasisFn> items,
+               std::size_t fixed, bool weighted, std::size_t max_depth)
+      : src_(source),
+        items_(items),
+        fixed_(fixed),
+        weighted_(weighted),
+        max_depth_(std::min(max_depth, items.size())) {
+    PLBHEC_EXPECTS(items.size() <= kMaxSubsetTerms && fixed <= items.size());
+    if (src_.try_gram) build_gram_table();
+  }
+
+  /// Scores the subsets with lo..hi candidates into `table` (reset for
+  /// those classes or more); a subset with more terms than samples is left
+  /// unscored, as is one no path can fit.
+  void score(std::size_t lo, std::size_t hi, ScoreTable& table) {
+    table_ = &table;
+    lo_ = lo;
+    hi_ = hi;
+    // A previous walk reflected columns in place; start from the samples.
+    for (Level& level : levels_) {
+      level.cols_ok = 0;
+      level.b_ok = level.h_ok = false;
     }
-    if (!linalg::least_squares_in_place(a, n, k, b, c, ls_scratch))
+    gram_rows_ = 0;
+    if (fixed_ > max_depth_ || src_.mass < static_cast<double>(fixed_))
+      return;
+    for (std::size_t p = 0; p < fixed_; ++p) push(p, p);
+    visit(fixed_, 0, 0, 0);
+  }
+
+ private:
+  /// QR state after `p` reflections of the current path, each part built
+  /// on first use.
+  struct Level {
+    std::span<double> cols;  ///< columns of items first.., stepped p times
+    std::span<double> b;     ///< right-hand side, stepped p times
+    std::size_t first = 0;   ///< first item `cols` has room for
+    std::uint32_t cols_ok = 0;  ///< bit a: item a's column is current
+    bool b_ok = false;
+    linalg::Reflector h;  ///< reflector of path position p, in its column
+    bool h_ok = false;
+  };
+
+  [[nodiscard]] std::size_t item_count() const { return items_.size(); }
+  [[nodiscard]] std::size_t basis(std::size_t item) const {
+    return static_cast<std::size_t>(items_[item]);
+  }
+  [[nodiscard]] double gs(std::size_t a, std::size_t b) const {
+    return gs_[a * kMaxSubsetTerms + b];
+  }
+
+  /// Depth-first walk: the node holds `k` items, `chosen` of them
+  /// candidates with colex rank `rank`, and may extend with candidates from
+  /// `next` on.
+  void visit(std::size_t k, std::size_t next, std::size_t chosen,
+             std::size_t rank) {
+    if (chosen >= lo_ && k > 0) {
+      const std::size_t slot = table_->slot(chosen, rank);
+      table_->score(slot) = score_node(k, table_->coefficients(slot, k));
+    }
+    if (chosen == hi_ || k + 1 > max_depth_ ||
+        src_.mass < static_cast<double>(k + 1))
+      return;
+    for (std::size_t c = next; fixed_ + c < item_count(); ++c) {
+      push(k, fixed_ + c);
+      visit(k + 1, c + 1, chosen + 1, rank + kBinomial[c][chosen + 1]);
+    }
+  }
+
+  /// Puts `item` at path position `pos`: its Cholesky row and forward
+  /// entry when the prefix's Gram solve still stands, and the QR levels
+  /// that depended on the previous item there become stale.
+  void push(std::size_t pos, std::size_t item) {
+    path_[pos] = item;
+    levels_[pos].h_ok = false;
+    levels_[pos + 1].cols_ok = 0;
+    levels_[pos + 1].b_ok = false;
+    levels_[pos + 1].first = item + 1;
+    if (!src_.try_gram) return;
+    gram_rows_ = std::min(gram_rows_, pos);
+    // More terms than basis functions repeat one: a singular sub-Gram.
+    if (gram_rows_ < pos || pos >= kBasisCount || !gram_ok_[item]) return;
+    std::array<double, kBasisCount> row{};
+    for (std::size_t j = 0; j <= pos; ++j) row[j] = gs(item, path_[j]);
+    if (!linalg::cholesky_row(std::span(row).first(pos + 1), l_, kBasisCount,
+                              pos))
+      return;
+    fwd_[pos] = linalg::forward_entry(l_, kBasisCount, pos, bs_[item], fwd_);
+    gram_rows_ = pos + 1;
+  }
+
+  /// The subset on the first `k` path positions, Gram first when allowed.
+  std::optional<SubsetScore> score_node(std::size_t k, std::span<double> c) {
+    if (src_.try_gram) {
+      if (gram_rows_ == k) {
+        if (auto score = score_gram(k, c)) {
+          if (src_.counters) ++src_.counters->gram_solves;
+          return score;
+        }
+      }
+      if (src_.samples == nullptr) return std::nullopt;
+      if (src_.counters) ++src_.counters->qr_fallbacks;
+    }
+    if (src_.counters) ++src_.counters->qr_solves;
+    return score_qr(k, c);
+  }
+
+  /// The d_a scaling, scaled right-hand side and equilibrated table of
+  /// every item pair, once per scorer.
+  void build_gram_table() {
+    const MomentSet& m = *src_.moments;
+    for (std::size_t a = 0; a < item_count(); ++a) {
+      const double gaa = m.gram(items_[a], items_[a], weighted_);
+      gram_ok_[a] = gaa > 0.0 && std::isfinite(gaa);
+      if (gram_ok_[a]) d_[a] = 1.0 / std::sqrt(gaa);
+    }
+    for (std::size_t a = 0; a < item_count(); ++a) {
+      if (!gram_ok_[a]) continue;
+      bs_[a] = m.xty(items_[a], weighted_) * d_[a];
+      for (std::size_t b = 0; b < item_count(); ++b)
+        if (gram_ok_[b])
+          gs_[a * kMaxSubsetTerms + b] =
+              m.gram(items_[a], items_[b], weighted_) * d_[a] * d_[b];
+    }
+    const double yty = m.yty();
+    gram_tss_ = yty - m.sum_y() * m.sum_y() / src_.mass;
+  }
+
+  /// Gram leaf: completes the solve from the path's rows, then recovers
+  /// RSS/R^2/BIC from the *unweighted* moments (acceptance R^2 is always
+  /// unweighted). Returns nullopt when the equilibrated sub-Gram is too
+  /// ill-conditioned to certify ~1e-9 agreement with QR.
+  std::optional<SubsetScore> score_gram(std::size_t k, std::span<double> c) {
+    std::array<double, kBasisCount * kBasisCount> gs_sub{};
+    std::array<double, kBasisCount> d{};
+    std::array<double, kBasisCount> bs{};
+    std::array<double, kBasisCount> r{};
+    for (std::size_t i = 0; i < k; ++i) {
+      d[i] = d_[path_[i]];
+      bs[i] = bs_[path_[i]];
+      c[i] = fwd_[i];
+      for (std::size_t j = 0; j < k; ++j)
+        gs_sub[i * kBasisCount + j] = gs(path_[i], path_[j]);
+    }
+    if (!linalg::finish_equilibrated_spd(gs_sub, l_, kBasisCount, k, d, bs, c,
+                                         r))
       return std::nullopt;
 
-    // Evaluate the *unweighted* R^2 on the raw samples so the acceptance
-    // rule matches the paper regardless of the weighting used to fit.
-    for (std::size_t r = 0; r < n; ++r)
-      predicted[r] = combine(terms, c, &phi[r * kBasisCount]);
-    SubsetScore score;
-    score.r2 = r_squared(observed, predicted);
-    double rss = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double d = observed[r] - predicted[r];
-      rss += d * d;
+    // RSS via the quadratic form ||y - Xc||^2 = y'y - 2 c'X'y + c'G c.
+    const MomentSet& m = *src_.moments;
+    double ctb = 0.0;
+    double ctgc = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const BasisFn ti = items_[path_[i]];
+      ctb += c[i] * m.xty(ti);
+      double gc = 0.0;
+      for (std::size_t j = 0; j < k; ++j)
+        gc += m.gram(ti, items_[path_[j]]) * c[j];
+      ctgc += c[i] * gc;
     }
-    score.bic = compute_bic(rss, static_cast<double>(n), k);
+    const double yty = m.yty();
+    const double rss = std::max(yty - 2.0 * ctb + ctgc, 0.0);
+
+    SubsetScore score;
+    // Mirror r_squared()'s constant-observation edge case, with a relative
+    // floor standing in for its exact ss_tot == 0 test (the moment-space
+    // TSS carries cancellation noise of order eps * y'y).
+    if (gram_tss_ <= 1e-12 * std::max(yty, 1e-300))
+      score.r2 = rss <= 1e-12 * std::max(yty, 1e-300) ? 1.0 : 0.0;
+    else
+      score.r2 = 1.0 - rss / gram_tss_;
+    score.bic = compute_bic(rss, src_.mass, k);
     return score;
   }
 
-  /// One allocation per call: the per-sample basis table and observed
-  /// times, then the rhs, prediction, design and factorization scratch.
-  void build_tables() {
-    const std::size_t n = n_;
-    buffer_.resize(n * (kBasisCount + 3 + max_terms_) +
-                   linalg::least_squares_scratch(n, max_terms_));
-    for (std::size_t r = 0; r < n; ++r) {
-      const Sample& s = samples_.items()[r];
-      eval_all(s.x, std::span<double, kBasisCount>(
-                        buffer_.data() + r * kBasisCount, kBasisCount));
-      buffer_[n * kBasisCount + r] = s.time;
+  /// QR leaf: back substitution on the path's R columns and right-hand
+  /// side, then the *unweighted* R^2 on the raw samples, so the acceptance
+  /// rule matches the paper regardless of the weighting used to fit.
+  std::optional<SubsetScore> score_qr(std::size_t k, std::span<double> c) {
+    if (work_.empty()) allocate();
+    bool any_nonzero = false;
+    std::array<std::span<const double>, kMaxSubsetTerms> r_cols;
+    std::array<std::span<const double>, kMaxSubsetTerms> raw_cols;
+    for (std::size_t j = 0; j < k; ++j) {
+      reflector(j);
+      r_cols[j] = column(j, path_[j]);
+      raw_cols[j] = raw_.subspan(path_[j] * n_, n_);
+      any_nonzero = any_nonzero || nonzero_[path_[j]];
+    }
+    if (!any_nonzero) return std::nullopt;  // every column zero
+
+    // Q^T b on the first k rows: the right-hand side after k - 1
+    // reflections already holds rows 0..k-2, and the last reflection
+    // changes row k - 1 by its coefficient alone.
+    const std::span<const double> b = rhs(k - 1);
+    std::array<double, kMaxSubsetTerms> y{};
+    std::copy(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(k), y.begin());
+    const Level& last = levels_[k - 1];
+    if (last.h.beta != 0.0)
+      y[k - 1] -= linalg::householder_coefficient(r_cols[k - 1], last.h.beta,
+                                                  k - 1, b);
+    const std::span<const std::span<const double>> r(r_cols.data(), k);
+    linalg::back_substitute(r, std::span(y).first(k), c,
+                            linalg::rank_threshold(r));
+    for (std::size_t j = 0; j < k; ++j) c[j] *= scale_[path_[j]];
+
+    // sum_j c[j] * phi_j(x), accumulated in term order: bitwise what
+    // CurveModel::operator() returns, and r_squared()'s ss_res.
+    double rss = 0.0;
+    for (std::size_t row = 0; row < n_; ++row) {
+      double predicted = 0.0;
+      for (std::size_t j = 0; j < k; ++j) predicted += c[j] * raw_cols[j][row];
+      const double d = observed_[row] - predicted;
+      rss += d * d;
+    }
+    SubsetScore score;
+    if (qr_tss_ == 0.0)
+      score.r2 = rss == 0.0 ? 1.0 : 0.0;
+    else
+      score.r2 = 1.0 - rss / qr_tss_;
+    score.bic = compute_bic(rss, src_.mass, k);
+    return score;
+  }
+
+  /// Storage of `item`'s column at level `p`.
+  [[nodiscard]] std::span<double> column(std::size_t p, std::size_t item) {
+    const Level& level = levels_[p];
+    PLBHEC_EXPECTS(item >= level.first);
+    return level.cols.subspan((item - level.first) * n_, n_);
+  }
+
+  /// `item`'s column after the path's first `p` reflections (level 0: the
+  /// weighted, equilibrated design column).
+  std::span<double> stepped(std::size_t p, std::size_t item) {
+    Level& level = levels_[p];
+    const std::span<double> dst = column(p, item);
+    const std::uint32_t bit = std::uint32_t{1} << item;
+    if (level.cols_ok & bit) return dst;
+    if (p == 0) {
+      build_base();
+      return dst;
+    }
+    const linalg::Reflector h = reflector(p - 1);
+    const std::span<const double> src = stepped(p - 1, item);
+    if (h.reflects)
+      linalg::householder_apply(column(p - 1, path_[p - 1]), h.beta, p - 1,
+                                src, dst);
+    else
+      std::copy(src.begin(), src.end(), dst.begin());
+    level.cols_ok |= bit;
+    return dst;
+  }
+
+  /// Reflector of path position `p`, computed in place in its column at
+  /// level p; no sibling at p reads that column again.
+  linalg::Reflector reflector(std::size_t p) {
+    Level& level = levels_[p];
+    if (!level.h_ok) {
+      level.h = linalg::householder_reflector(stepped(p, path_[p]), p);
+      level.h_ok = true;
+    }
+    return level.h;
+  }
+
+  /// The right-hand side after the path's first `p` reflections.
+  std::span<const double> rhs(std::size_t p) {
+    Level& level = levels_[p];
+    if (level.b_ok) return level.b;
+    if (p == 0) {
+      build_base();
+      return level.b;
+    }
+    const linalg::Reflector h = reflector(p - 1);
+    const std::span<const double> src = rhs(p - 1);
+    if (h.beta != 0.0)
+      linalg::householder_apply(column(p - 1, path_[p - 1]), h.beta, p - 1,
+                                src, level.b);
+    else
+      std::copy(src.begin(), src.end(), level.b.begin());
+    level.b_ok = true;
+    return level.b;
+  }
+
+  /// Level 0 from the samples: every item's weighted design column,
+  /// equilibrated, and the weighted right-hand side.
+  void build_base() {
+    Level& level = levels_[0];
+    const auto& items = src_.samples->items();
+    for (std::size_t row = 0; row < n_; ++row) {
+      const double w = weighted_ ? 1.0 / std::max(items[row].time, 1e-9) : 1.0;
+      level.b[row] = weighted_ ? observed_[row] * w : observed_[row];
+      for (std::size_t a = 0; a < item_count(); ++a) {
+        const double phi = raw_[a * n_ + row];
+        level.cols[a * n_ + row] = weighted_ ? phi * w : phi;
+      }
+    }
+    for (std::size_t a = 0; a < item_count(); ++a) {
+      const std::span<double> col = column(0, a);
+      scale_[a] = linalg::equilibrate_column(col);
+      double max_abs = 0.0;
+      for (const double v : col) max_abs = std::max(max_abs, std::fabs(v));
+      nonzero_[a] = max_abs != 0.0;
+    }
+    level.cols_ok = (std::uint32_t{1} << item_count()) - 1;
+    level.b_ok = true;
+  }
+
+  /// The one workspace of a scorer, sized to the walk on its first QR
+  /// leaf: the raw basis column of every item and the observed times, then
+  /// per level p the columns that can still follow (all items at level 0,
+  /// at most items - p deeper, none at the last level) and the right-hand
+  /// side.
+  void allocate() {
+    PLBHEC_EXPECTS(src_.samples != nullptr);
+    const auto& samples = src_.samples->items();
+    n_ = samples.size();
+    const std::size_t depth = std::min(max_depth_, n_);
+    const std::size_t items = item_count();
+    std::array<std::size_t, kMaxSubsetTerms + 1> cols{};
+    std::size_t total = (items + 1) * n_;
+    for (std::size_t p = 0; p <= depth; ++p) {
+      cols[p] = p == depth ? 0 : items - p;
+      total += (cols[p] + 1) * n_;
+    }
+    work_.resize(total);
+
+    std::span<double> rest(work_);
+    const auto take = [&](std::size_t count) {
+      const std::span<double> out = rest.first(count);
+      rest = rest.subspan(count);
+      return out;
+    };
+    raw_ = take(items * n_);
+    observed_ = take(n_);
+    for (std::size_t p = 0; p <= depth; ++p) {
+      levels_[p].cols = take(cols[p] * n_);
+      levels_[p].b = take(n_);
+    }
+
+    std::array<double, kBasisCount> phi{};
+    for (std::size_t row = 0; row < n_; ++row) {
+      eval_all(samples[row].x, phi);
+      for (std::size_t a = 0; a < items; ++a)
+        raw_[a * n_ + row] = phi[basis(a)];
+      observed_[row] = samples[row].time;
+    }
+    // r_squared()'s mean and total sum of squares, once per scorer.
+    const double ybar = mean(observed_);
+    qr_tss_ = 0.0;
+    for (const double y : observed_) {
+      const double t = y - ybar;
+      qr_tss_ += t * t;
     }
   }
 
-  const SampleSet& samples_;
-  std::size_t n_;
-  std::size_t max_terms_;
-  bool try_gram_;
-  FitCounters* counters_;
-  GramScratch gram_;
-  std::vector<double> buffer_;
+  FitSource src_;
+  std::span<const BasisFn> items_;
+  std::size_t fixed_;
+  bool weighted_;
+  std::size_t max_depth_;
+
+  // The walk in progress.
+  ScoreTable* table_ = nullptr;
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
+  std::array<std::size_t, kMaxSubsetTerms> path_{};  ///< item per position
+
+  // Gram: per-item tables, then the path's factor rows and forward entries.
+  std::array<bool, kMaxSubsetTerms> gram_ok_{};
+  std::array<double, kMaxSubsetTerms> d_{};
+  std::array<double, kMaxSubsetTerms> bs_{};
+  std::array<double, kMaxSubsetTerms * kMaxSubsetTerms> gs_{};
+  double gram_tss_ = 0.0;
+  std::array<double, kBasisCount * kBasisCount> l_{};
+  std::array<double, kBasisCount> fwd_{};
+  std::size_t gram_rows_ = 0;  ///< leading positions whose rows stand
+
+  // QR: the workspace and its views.
+  std::vector<double> work_;
+  std::size_t n_ = 0;
+  std::span<double> raw_;
+  std::span<double> observed_;
+  double qr_tss_ = 0.0;
+  std::array<double, kMaxSubsetTerms> scale_{};
+  std::array<bool, kMaxSubsetTerms> nonzero_{};
+  std::array<Level, kMaxSubsetTerms + 1> levels_{};
 };
 
 /// The physical-plausibility grid on [x_lo, 1] with every basis function
@@ -293,20 +629,22 @@ struct Candidate {
   }
 };
 
-/// The subset search shared by every selection path. `fit_subset(terms,
-/// relative_weighting, coefficients)` solves one subset and returns its
-/// score; `n` is the sample count behind the DoF guard and the parsimony
+/// The subset search shared by every selection path. `source` supplies
+/// the fits; `n` is the sample count behind the DoF guard and the parsimony
 /// classes, `nonempty` gates the intercept-only fallback and `x_lo` is the
 /// plausibility grid's lower edge.
+///
+/// Every subset is scored into a table first (one size class at a time
+/// under the parsimony early exit, so the counters see exactly the subsets
+/// it reaches); the rule below then reads the table in the enumeration
+/// order, because BIC ties at the margin depend on order.
 ///
 /// Plausibility is checked lazily: only a candidate whose BIC beats
 /// best_plausible or best_of_class by the tie margin can change either, so
 /// no other candidate needs the 48-point curve check.
-template <class SubsetFitter>
 FitResult select_subsets(std::span<const BasisFn> candidate_terms,
                          const SelectionOptions& options, std::size_t n,
-                         bool nonempty, double x_lo,
-                         SubsetFitter&& fit_subset) {
+                         bool nonempty, double x_lo, const FitSource& source) {
   Candidate best_plausible;
   Candidate best_any;
 
@@ -335,24 +673,38 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
   const bool hierarchical = n < 6;
   PLBHEC_EXPECTS(m < kMaxSubsetTerms);
   const std::size_t subsets = std::size_t{1} << m;
+  const std::size_t fixed = options.include_intercept ? 1 : 0;
+  std::array<BasisFn, kMaxSubsetTerms> items{};
+  items[0] = BasisFn::kOne;
+  std::copy(candidate_terms.begin(), candidate_terms.end(),
+            items.begin() + static_cast<std::ptrdiff_t>(fixed));
+  SubsetScorer scorer(source, std::span(items).first(fixed + m), fixed,
+                      options.relative_weighting,
+                      std::min(fixed + limit, max_params));
+  ScoreTable table;
+  if (limit > 0) {
+    table.reset(m, 1, limit, fixed + limit);
+    if (!hierarchical) scorer.score(1, limit, table);
+  }
   PlausibilityGrid grid(x_lo);
   Candidate current;
   for (std::size_t size_class = 1; size_class <= limit; ++size_class) {
+    if (hierarchical) scorer.score(size_class, size_class, table);
     Candidate best_of_class;
+    std::size_t rank = 0;
     for (std::size_t mask = 1; mask < subsets; ++mask) {
       const auto bits = static_cast<std::size_t>(__builtin_popcountll(mask));
       if (bits != size_class) continue;
+      const std::size_t slot = table.slot(size_class, rank++);
+      const std::optional<SubsetScore>& score = table.score(slot);
+      if (!score) continue;  // over the DoF guard, or not fittable
       current.k = 0;
       if (options.include_intercept) current.terms[current.k++] = BasisFn::kOne;
       for (std::size_t i = 0; i < m; ++i)
         if (mask & (std::size_t{1} << i))
           current.terms[current.k++] = candidate_terms[i];
-      if (current.k > max_params) continue;
-
-      const auto score =
-          fit_subset(current.term_span(), options.relative_weighting,
-                     current.coefficient_span());
-      if (!score) continue;
+      const std::span<const double> c = table.coefficients(slot, current.k);
+      std::copy(c.begin(), c.end(), current.coefficients.begin());
       current.r2 = score->r2;
       current.bic = score->bic;
 
@@ -380,11 +732,14 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
   // Intercept-only fallback when nothing else was fittable (e.g. a single
   // sample): model the unit as a constant.
   if (!best.valid() && options.include_intercept && nonempty) {
-    current.k = 1;
-    current.terms[0] = BasisFn::kOne;
-    if (const auto score =
-            fit_subset(current.term_span(), /*relative_weighting=*/false,
-                       current.coefficient_span())) {
+    const std::array<BasisFn, 1> one{BasisFn::kOne};
+    SubsetScorer constant(source, one, 1, /*weighted=*/false, 1);
+    table.reset(0, 0, 0, 1);
+    constant.score(0, 0, table);
+    if (const std::optional<SubsetScore>& score = table.score(0)) {
+      current.k = 1;
+      current.terms[0] = BasisFn::kOne;
+      current.coefficients[0] = table.coefficients(0, 1)[0];
       current.r2 = score->r2;
       current.bic = score->bic;
       best = current;
@@ -393,14 +748,25 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
   return best.result(options.r2_threshold);
 }
 
-FitResult make_result(std::span<const BasisFn> terms, std::vector<double> c,
-                      const SubsetScore& score) {
+/// The single subset `terms`, in its given order, as a one-path walk.
+std::optional<FitResult> fit_path(const FitSource& source,
+                                  std::span<const BasisFn> terms,
+                                  bool relative_weighting) {
+  if (terms.empty()) return std::nullopt;
+  const std::size_t k = terms.size();
+  SubsetScorer scorer(source, terms, k, relative_weighting, k);
+  ScoreTable table;
+  table.reset(0, 0, 0, k);
+  scorer.score(0, 0, table);
+  const std::optional<SubsetScore>& score = table.score(0);
+  if (!score) return std::nullopt;
   FitResult result;
+  const std::span<const double> c = table.coefficients(0, k);
   result.model.terms.assign(terms.begin(), terms.end());
-  result.model.coefficients = std::move(c);
-  result.model.r2 = score.r2;
-  result.r2 = score.r2;
-  result.bic = score.bic;
+  result.model.coefficients.assign(c.begin(), c.end());
+  result.model.r2 = score->r2;
+  result.r2 = score->r2;
+  result.bic = score->bic;
   return result;
 }
 
@@ -410,24 +776,19 @@ std::optional<FitResult> fit_terms(const SampleSet& samples,
                                    std::span<const BasisFn> terms,
                                    bool relative_weighting, FitEngine engine,
                                    FitCounters* counters) {
-  SampleFitter fitter(samples, engine, counters, terms.size());
-  std::vector<double> c(terms.size());
-  const auto score = fitter(terms, relative_weighting, c);
-  if (!score) return std::nullopt;
-  return make_result(terms, std::move(c), *score);
+  return fit_path(sample_source(samples, engine, counters), terms,
+                  relative_weighting);
 }
 
 std::optional<FitResult> fit_terms(const MomentSet& moments, double effective_n,
                                    std::span<const BasisFn> terms,
                                    bool relative_weighting) {
-  if (terms.empty() || effective_n < static_cast<double>(terms.size()))
-    return std::nullopt;
-  std::vector<double> c(terms.size());
-  GramScratch scratch;
-  const auto score =
-      fit_gram(moments, effective_n, terms, relative_weighting, c, scratch);
-  if (!score) return std::nullopt;
-  return make_result(terms, std::move(c), *score);
+  // More terms than basis functions repeat one: a singular sub-Gram.
+  if (terms.size() > kBasisCount) return std::nullopt;
+  FitSource source;
+  source.moments = &moments;
+  source.mass = effective_n;
+  return fit_path(source, terms, relative_weighting);
 }
 
 FitResult select_model_from(const SampleSet& samples,
@@ -436,11 +797,9 @@ FitResult select_model_from(const SampleSet& samples,
                             FitCounters* counters) {
   double x_lo = 1.0;
   for (const auto& s : samples.items()) x_lo = std::min(x_lo, s.x);
-  const std::size_t max_terms =
-      std::min(options.max_terms, candidate_terms.size()) + 1;
-  SampleFitter fitter(samples, options.engine, counters, max_terms);
   return select_subsets(candidate_terms, options, samples.size(),
-                        !samples.empty(), x_lo, fitter);
+                        !samples.empty(), x_lo,
+                        sample_source(samples, options.engine, counters));
 }
 
 FitResult select_model(const SampleSet& samples,
@@ -451,18 +810,12 @@ FitResult select_model(const SampleSet& samples,
 
 FitResult select_model(const MomentSet& moments, double effective_n,
                        double x_lo, const SelectionOptions& options) {
-  GramScratch scratch;
-  const auto fit_subset =
-      [&](std::span<const BasisFn> terms, bool relative_weighting,
-          std::span<double> c) -> std::optional<SubsetScore> {
-    if (terms.empty() || effective_n < static_cast<double>(terms.size()))
-      return std::nullopt;
-    return fit_gram(moments, effective_n, terms, relative_weighting, c,
-                    scratch);
-  };
+  FitSource source;
+  source.moments = &moments;
+  source.mass = effective_n;
   return select_subsets(paper_terms(), options,
                         static_cast<std::size_t>(effective_n),
-                        effective_n > 0.0, x_lo, fit_subset);
+                        effective_n > 0.0, x_lo, source);
 }
 
 TransferModel fit_transfer(const SampleSet& samples) {

@@ -17,7 +17,8 @@ namespace plbhec::fit {
 
 /// Which linear-algebra path solves a term-subset fit.
 enum class FitEngine {
-  kAuto,  ///< Gram/Cholesky once enough samples amortize it, else QR
+  kAuto,  ///< Gram/Cholesky from 8 samples on, QR below (the reference
+          ///< numerics for exact fits on a handful of points)
   kQr,    ///< always rebuild the design matrix and solve by Householder QR
   kGram,  ///< always solve the cached-moment normal equations (QR only as
           ///< a conditioning fallback)
@@ -66,8 +67,8 @@ struct SelectionOptions {
   /// candidate violates it.
   bool physical_filter = true;
   /// Numerical path for subset solves. kAuto switches from QR to the
-  /// cached-moment Gram/Cholesky path once the sample count makes the
-  /// O(k^3) solve a win (and the small-n numerics QR-identical).
+  /// cached-moment Gram/Cholesky path at 8 samples, below which QR keeps
+  /// the small-n numerics (and so the BIC tie-breaking) the reference.
   FitEngine engine = FitEngine::kAuto;
 
   /// Field-wise equality; the profile database keys its fit cache on this.
@@ -83,10 +84,10 @@ struct FitResult {
   bool acceptable = false;  ///< r2 >= threshold
 };
 
-/// Fits the given term subset to the samples. Returns nullopt when the
-/// system is underdetermined (fewer samples than terms) or degenerate.
-/// `engine` picks the solver path (see FitEngine); `counters`, when given,
-/// records which path ran.
+/// Fits the given term subset (at most 20 terms) to the samples. Returns
+/// nullopt when the system is underdetermined (fewer samples than terms)
+/// or degenerate. `engine` picks the solver path (see FitEngine);
+/// `counters`, when given, records which path ran.
 [[nodiscard]] std::optional<FitResult> fit_terms(
     const SampleSet& samples, std::span<const BasisFn> terms,
     bool relative_weighting = false, FitEngine engine = FitEngine::kAuto,
@@ -105,7 +106,10 @@ struct FitResult {
 
 /// Enumerates subsets of `candidate_terms` (size 1..max_terms, plus the
 /// intercept when enabled), fits each, and returns the best by BIC.
-/// `acceptable` reflects the paper's R^2 >= threshold rule.
+/// `acceptable` reflects the paper's R^2 >= threshold rule. The subsets
+/// are scored as a prefix tree that shares each leading block's Cholesky
+/// rows and Householder steps; the result is bit for bit the one solving
+/// every subset from scratch gives.
 [[nodiscard]] FitResult select_model(const SampleSet& samples,
                                      const SelectionOptions& options = {},
                                      FitCounters* counters = nullptr);

@@ -13,42 +13,58 @@ namespace {
 bool cholesky_factor(std::span<const double> a, std::span<double> l,
                      std::size_t n, double tol = 0.0) {
   PLBHEC_EXPECTS(a.size() >= n * n && l.size() >= n * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double d = a[j * n + j];
-    for (std::size_t k = 0; k < j; ++k) d -= l[j * n + k] * l[j * n + k];
-    if (d <= tol) return false;
-    const double ljj = std::sqrt(d);
-    l[j * n + j] = ljj;
-    const double inv = 1.0 / ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a[i * n + j];
-      for (std::size_t k = 0; k < j; ++k) s -= l[i * n + k] * l[j * n + k];
-      l[i * n + j] = s * inv;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (!cholesky_row(a.subspan(i * n, i + 1), l, n, i, tol)) return false;
   return true;
 }
 
-/// Solves L L^T x = b in place (`x` holds b on entry) from a
-/// cholesky_factor() factor `l`.
-void cholesky_solve(std::span<const double> l, std::size_t n,
-                    std::span<double> x) {
-  PLBHEC_EXPECTS(l.size() >= n * n && x.size() >= n);
-  // Forward substitution L y = b, then back substitution L^T x = y, both
-  // overwriting x entry by entry after its last read.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l[i * n + j] * x[j];
-    x[i] = acc / l[i * n + i];
-  }
+/// Solves L^T x = y in place (`x` holds y on entry).
+void back_substitute(std::span<const double> l, std::size_t ld, std::size_t n,
+                     std::span<double> x) {
   for (std::size_t ii = n; ii-- > 0;) {
     double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l[j * n + ii] * x[j];
-    x[ii] = acc / l[ii * n + ii];
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= l[j * ld + ii] * x[j];
+    x[ii] = acc / l[ii * ld + ii];
   }
 }
 
+/// Solves L L^T x = b in place (`x` holds b on entry) from a factor `l`
+/// at leading dimension `ld`.
+void cholesky_solve(std::span<const double> l, std::size_t ld, std::size_t n,
+                    std::span<double> x) {
+  PLBHEC_EXPECTS(l.size() >= (n - 1) * ld + n && x.size() >= n);
+  // Forward substitution L y = b, then back substitution L^T x = y, both
+  // overwriting x entry by entry after its last read.
+  for (std::size_t i = 0; i < n; ++i) x[i] = forward_entry(l, ld, i, x[i], x);
+  back_substitute(l, ld, n, x);
+}
+
 }  // namespace
+
+bool cholesky_row(std::span<const double> a_row, std::span<double> l,
+                  std::size_t ld, std::size_t i, double tol) {
+  PLBHEC_EXPECTS(a_row.size() > i && l.size() >= i * ld + i + 1);
+  const std::span<double> row = l.subspan(i * ld, i + 1);
+  for (std::size_t j = 0; j < i; ++j) {
+    const std::span<const double> lj = l.subspan(j * ld, j + 1);
+    double s = a_row[j];
+    for (std::size_t k = 0; k < j; ++k) s -= row[k] * lj[k];
+    row[j] = s * (1.0 / lj[j]);
+  }
+  double d = a_row[i];
+  for (std::size_t k = 0; k < i; ++k) d -= row[k] * row[k];
+  if (d <= tol) return false;
+  row[i] = std::sqrt(d);
+  return true;
+}
+
+double forward_entry(std::span<const double> l, std::size_t ld, std::size_t i,
+                     double b_i, std::span<const double> y) {
+  const std::span<const double> row = l.subspan(i * ld, i + 1);
+  double acc = b_i;
+  for (std::size_t j = 0; j < i; ++j) acc -= row[j] * y[j];
+  return acc / row[i];
+}
 
 std::optional<Cholesky> Cholesky::factor(const Matrix& a, double tol) {
   PLBHEC_EXPECTS(a.rows() == a.cols());
@@ -63,7 +79,7 @@ Vector Cholesky::solve(std::span<const double> b) const {
   const std::size_t n = l_.rows();
   PLBHEC_EXPECTS(b.size() == n);
   Vector x(b.begin(), b.end());
-  cholesky_solve({l_.data(), n * n}, n, x);
+  if (n > 0) cholesky_solve({l_.data(), n * n}, n, n, x);
   return x;
 }
 
@@ -71,30 +87,15 @@ bool is_positive_definite(const Matrix& a) {
   return Cholesky::factor(a).has_value();
 }
 
-std::optional<double> solve_equilibrated_spd_in_place(
-    std::span<const double> g, std::size_t n, std::span<const double> b,
-    std::span<double> x, std::span<double> scratch, double rcond_floor,
+std::optional<double> finish_equilibrated_spd(
+    std::span<const double> gs, std::span<const double> l, std::size_t ld,
+    std::size_t n, std::span<const double> d, std::span<const double> bs,
+    std::span<double> x, std::span<double> r, double rcond_floor,
     double refine_tol) {
-  PLBHEC_EXPECTS(g.size() >= n * n && b.size() == n && x.size() >= n);
-  PLBHEC_EXPECTS(scratch.size() >= spd_scratch(n));
-  if (n == 0) return std::nullopt;
-  const std::span<double> d = scratch.subspan(0, n);
-  const std::span<double> bs = scratch.subspan(n, n);
-  const std::span<double> r = scratch.subspan(2 * n, n);
-  const std::span<double> gs = scratch.subspan(3 * n, n * n);
-  const std::span<double> l = scratch.subspan(3 * n + n * n, n * n);
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const double gjj = g[j * n + j];
-    if (!(gjj > 0.0) || !std::isfinite(gjj)) return std::nullopt;
-    d[j] = 1.0 / std::sqrt(gjj);
-  }
-
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      gs[i * n + j] = g[i * n + j] * d[i] * d[j];
-
-  if (!cholesky_factor(gs, l, n)) return std::nullopt;
+  PLBHEC_EXPECTS(n > 0 && ld >= n);
+  PLBHEC_EXPECTS(gs.size() >= (n - 1) * ld + n && l.size() >= (n - 1) * ld + n);
+  PLBHEC_EXPECTS(d.size() >= n && bs.size() >= n && x.size() >= n &&
+                 r.size() >= n);
 
   // Cholesky pivots of an SPD matrix lie in [lambda_min, lambda_max]; on
   // the unit-diagonal system lambda_max <= n, so the smallest pivot over n
@@ -102,7 +103,7 @@ std::optional<double> solve_equilibrated_spd_in_place(
   double min_pivot = std::numeric_limits<double>::infinity();
   double max_pivot = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    const double p = l[j * n + j] * l[j * n + j];
+    const double p = l[j * ld + j] * l[j * ld + j];
     min_pivot = std::min(min_pivot, p);
     max_pivot = std::max(max_pivot, p);
   }
@@ -110,20 +111,16 @@ std::optional<double> solve_equilibrated_spd_in_place(
       min_pivot / (std::max(max_pivot, 1.0) * static_cast<double>(n));
   if (rcond < rcond_floor) return std::nullopt;
 
-  for (std::size_t i = 0; i < n; ++i) {
-    bs[i] = b[i] * d[i];
-    x[i] = bs[i];
-  }
-  cholesky_solve(l, n, x);
+  back_substitute(l, ld, n, x);
 
   // One refinement step in the scaled system; the correction magnitude
   // doubles as a direct accuracy certificate.
   for (std::size_t i = 0; i < n; ++i) {
     double acc = bs[i];
-    for (std::size_t j = 0; j < n; ++j) acc -= gs[i * n + j] * x[j];
+    for (std::size_t j = 0; j < n; ++j) acc -= gs[i * ld + j] * x[j];
     r[i] = acc;
   }
-  cholesky_solve(l, n, r);
+  cholesky_solve(l, ld, n, r);
   double nx = 0.0;
   double ndx = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -145,11 +142,34 @@ std::optional<SpdSolve> solve_equilibrated_spd(const Matrix& g,
   PLBHEC_EXPECTS(g.rows() == g.cols());
   PLBHEC_EXPECTS(b.size() == g.rows());
   const std::size_t n = g.rows();
-  Vector scratch(spd_scratch(n));
+  if (n == 0) return std::nullopt;
+  // d, bs and the refinement residual, then the scaled matrix and its
+  // factor.
+  Vector scratch(2 * n * n + 3 * n);
+  const std::span<double> all(scratch);
+  const std::span<double> d = all.subspan(0, n);
+  const std::span<double> bs = all.subspan(n, n);
+  const std::span<double> r = all.subspan(2 * n, n);
+  const std::span<double> gs = all.subspan(3 * n, n * n);
+  const std::span<double> l = all.subspan(3 * n + n * n, n * n);
+
+  for (std::size_t j = 0; j < n; ++j) {
+    const double gjj = g(j, j);
+    if (!(gjj > 0.0) || !std::isfinite(gjj)) return std::nullopt;
+    d[j] = 1.0 / std::sqrt(gjj);
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) gs[i * n + j] = g(i, j) * d[i] * d[j];
+
   SpdSolve out;
   out.x.resize(n);
-  const auto rcond = solve_equilibrated_spd_in_place(
-      {g.data(), n * n}, n, b, out.x, scratch, rcond_floor, refine_tol);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!cholesky_row(gs.subspan(i * n, i + 1), l, n, i)) return std::nullopt;
+    bs[i] = b[i] * d[i];
+    out.x[i] = forward_entry(l, n, i, bs[i], out.x);
+  }
+  const auto rcond = finish_equilibrated_spd(gs, l, n, n, d, bs, out.x, r,
+                                             rcond_floor, refine_tol);
   if (!rcond) return std::nullopt;
   out.rcond_estimate = *rcond;
   return out;

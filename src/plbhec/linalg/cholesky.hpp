@@ -53,22 +53,37 @@ struct SpdSolve {
     const Matrix& g, std::span<const double> b, double rcond_floor = 1e-7,
     double refine_tol = 1e-9);
 
-/// Scratch doubles solve_equilibrated_spd_in_place() needs for an n x n
-/// system.
-[[nodiscard]] constexpr std::size_t spd_scratch(std::size_t n) {
-  return 2 * n * n + 3 * n;
-}
+/// Row `i` of an in-place Cholesky factorization L L^T = A, with L row-major
+/// at leading dimension `ld`: computes L[i][0..i] from `a_row` (A[i][0..i])
+/// and the final rows 0..i-1, in the order the column-wise factorization
+/// uses. Returns false when the pivot A[i][i] - sum_k L[i][k]^2 is <= `tol`.
+/// Row i depends on A's leading (i+1) x (i+1) block alone, so a caller
+/// factoring many matrices that share a leading block (the curve fitter's
+/// term subsets) computes each shared row once; Cholesky::factor and
+/// solve_equilibrated_spd() factor through it too.
+[[nodiscard]] bool cholesky_row(std::span<const double> a_row,
+                                std::span<double> l, std::size_t ld,
+                                std::size_t i, double tol = 0.0);
 
-/// solve_equilibrated_spd() on caller storage, for callers that solve many
-/// small systems (the curve fitter's subset search) in fixed-size arrays:
-/// `g` is n x n row-major, the solution goes to `x` (n entries) and
-/// `scratch` holds at least spd_scratch(n) doubles. Returns the rcond
-/// estimate, or nullopt in the cases solve_equilibrated_spd() does.
-/// Cholesky and solve_equilibrated_spd() run on the same in-place
-/// factorization.
-[[nodiscard]] std::optional<double> solve_equilibrated_spd_in_place(
-    std::span<const double> g, std::size_t n, std::span<const double> b,
-    std::span<double> x, std::span<double> scratch, double rcond_floor = 1e-7,
+/// Entry i of the forward substitution L y = b, from b[i] (`b_i`) and the
+/// entries y[0..i-1]; like a factor row it depends on the leading block
+/// alone.
+[[nodiscard]] double forward_entry(std::span<const double> l, std::size_t ld,
+                                   std::size_t i, double b_i,
+                                   std::span<const double> y);
+
+/// Finishes an equilibrated SPD solve whose n factor rows and forward
+/// substitution are done: `gs` is the unit-diagonal scaled matrix and `l`
+/// its factor (both row-major at leading dimension `ld`), `d` the diagonal
+/// scaling, `bs` the scaled right-hand side, and `x` holds the forward
+/// solution on entry. Applies the rcond gate, back substitution, one
+/// refinement step (`r`: n doubles of scratch) and the unscaling, leaving
+/// the solution in `x`. Returns the rcond estimate, or nullopt in the cases
+/// solve_equilibrated_spd() does.
+[[nodiscard]] std::optional<double> finish_equilibrated_spd(
+    std::span<const double> gs, std::span<const double> l, std::size_t ld,
+    std::size_t n, std::span<const double> d, std::span<const double> bs,
+    std::span<double> x, std::span<double> r, double rcond_floor = 1e-7,
     double refine_tol = 1e-9);
 
 }  // namespace plbhec::linalg

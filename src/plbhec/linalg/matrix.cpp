@@ -39,29 +39,6 @@ double Matrix::max_abs() const {
   return m;
 }
 
-Vector equilibrate_columns(Matrix& a) {
-  Vector factor(a.cols());
-  equilibrate_columns({a.data(), a.rows() * a.cols()}, a.rows(), a.cols(),
-                      factor);
-  return factor;
-}
-
-void equilibrate_columns(std::span<double> a, std::size_t rows,
-                         std::size_t cols, std::span<double> factor) {
-  PLBHEC_EXPECTS(a.size() >= rows * cols && factor.size() >= cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    factor[c] = 1.0;
-    double norm = 0.0;
-    for (std::size_t r = 0; r < rows; ++r)
-      norm += a[r * cols + c] * a[r * cols + c];
-    norm = std::sqrt(norm);
-    if (norm > 0.0) {
-      factor[c] = 1.0 / norm;
-      for (std::size_t r = 0; r < rows; ++r) a[r * cols + c] *= factor[c];
-    }
-  }
-}
-
 Vector matvec(const Matrix& a, std::span<const double> x) {
   PLBHEC_EXPECTS(a.cols() == x.size());
   Vector y(a.rows(), 0.0);

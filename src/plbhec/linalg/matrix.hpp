@@ -69,20 +69,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Scales each nonzero column of `a` to unit 2-norm in place and returns
-/// the per-column factors applied (1 for all-zero columns). Solutions of
-/// the scaled system map back via x[c] *= factor[c]. Shared by the QR
-/// least-squares path and the Gram-matrix fast path so both see the same
-/// conditioning treatment of wildly different basis magnitudes (x^3 vs
-/// e^x vs ln x).
-Vector equilibrate_columns(Matrix& a);
-
-/// Allocation-free core of equilibrate_columns(Matrix&): `a` is a rows x
-/// cols row-major buffer, and the per-column factors go to `factor`
-/// (cols entries).
-void equilibrate_columns(std::span<double> a, std::size_t rows,
-                         std::size_t cols, std::span<double> factor);
-
 /// y = A x. Sizes must agree.
 [[nodiscard]] Vector matvec(const Matrix& a, std::span<const double> x);
 /// y = A^T x.

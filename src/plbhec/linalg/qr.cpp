@@ -1,174 +1,94 @@
 #include "plbhec/linalg/qr.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <vector>
 
 namespace plbhec::linalg {
-namespace {
 
-/// Householder QR of the m x n row-major matrix `a` (m >= n), in place: R in
-/// the upper triangle, the Householder vectors below it, the Householder
-/// scalars in `beta` (n entries).
-void householder_qr(std::span<double> a, std::size_t m, std::size_t n,
-                    std::span<double> beta) {
-  PLBHEC_EXPECTS(m >= n);
-  PLBHEC_EXPECTS(a.size() >= m * n && beta.size() >= n);
-  const auto at = [&](std::size_t i, std::size_t j) -> double& {
-    return a[i * n + j];
-  };
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Householder vector for column k, rows k..m-1.
-    double norm = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm += at(i, k) * at(i, k);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) {
-      beta[k] = 0.0;
-      continue;
-    }
-    const double alpha = at(k, k) >= 0.0 ? -norm : norm;
-    const double v0 = at(k, k) - alpha;
-    // v = [v0, a(k+1..m-1, k)]; normalize so v[0] = 1 (stored implicitly).
-    double vtv = v0 * v0;
-    for (std::size_t i = k + 1; i < m; ++i) vtv += at(i, k) * at(i, k);
-    if (vtv == 0.0) {
-      beta[k] = 0.0;
-      at(k, k) = alpha;
-      continue;
-    }
-    beta[k] = 2.0 * v0 * v0 / vtv;  // beta for the v/v0-scaled vector
-    const double inv_v0 = 1.0 / v0;
-    for (std::size_t i = k + 1; i < m; ++i) at(i, k) *= inv_v0;
-    at(k, k) = alpha;
-
-    // Apply H = I - beta v v^T to the trailing columns.
-    for (std::size_t j = k + 1; j < n; ++j) {
-      double s = at(k, j);
-      for (std::size_t i = k + 1; i < m; ++i) s += at(i, k) * at(i, j);
-      s *= beta[k];
-      at(k, j) -= s;
-      for (std::size_t i = k + 1; i < m; ++i) at(i, j) -= s * at(i, k);
-    }
-  }
+double equilibrate_column(std::span<double> col) {
+  double norm = 0.0;
+  for (const double v : col) norm += v * v;
+  norm = std::sqrt(norm);
+  if (!(norm > 0.0)) return 1.0;
+  const double factor = 1.0 / norm;
+  for (double& v : col) v *= factor;
+  return factor;
 }
 
-/// Minimizes ||A x - b||_2 from a householder_qr() factorization `qr`,
-/// writing the n coefficients to `x` and using `y` (m entries) as scratch.
-/// Rank handling as in Qr::solve.
-LsResidual householder_solve(std::span<const double> qr,
-                             std::span<const double> beta, std::size_t m,
-                             std::size_t n, std::span<const double> b,
-                             std::span<double> x, std::span<double> y,
-                             double rank_tol = 1e-10) {
-  PLBHEC_EXPECTS(qr.size() >= m * n && beta.size() >= n);
-  PLBHEC_EXPECTS(b.size() == m && y.size() >= m && x.size() >= n);
-  const auto at = [&](std::size_t i, std::size_t j) { return qr[i * n + j]; };
-
-  // y = Q^T b by applying the stored Householder reflections in order.
-  for (std::size_t i = 0; i < m; ++i) y[i] = b[i];
-  for (std::size_t k = 0; k < n; ++k) {
-    if (beta[k] == 0.0) continue;
-    double s = y[k];
-    for (std::size_t i = k + 1; i < m; ++i) s += at(i, k) * y[i];
-    s *= beta[k];
-    y[k] -= s;
-    for (std::size_t i = k + 1; i < m; ++i) y[i] -= s * at(i, k);
+Reflector householder_reflector(std::span<double> col, std::size_t k) {
+  PLBHEC_EXPECTS(k < col.size());
+  const std::size_t m = col.size();
+  // Householder vector for rows k..m-1.
+  double norm = 0.0;
+  for (std::size_t i = k; i < m; ++i) norm += col[i] * col[i];
+  norm = std::sqrt(norm);
+  if (norm == 0.0) return {};
+  const double alpha = col[k] >= 0.0 ? -norm : norm;
+  const double v0 = col[k] - alpha;
+  // v = [v0, col(k+1..m-1)]; normalize so v[0] = 1 (stored implicitly).
+  double vtv = v0 * v0;
+  for (std::size_t i = k + 1; i < m; ++i) vtv += col[i] * col[i];
+  if (vtv == 0.0) {
+    col[k] = alpha;
+    return {};
   }
+  Reflector out;
+  out.beta = 2.0 * v0 * v0 / vtv;  // beta for the v/v0-scaled vector
+  out.reflects = true;
+  const double inv_v0 = 1.0 / v0;
+  for (std::size_t i = k + 1; i < m; ++i) col[i] *= inv_v0;
+  col[k] = alpha;
+  return out;
+}
 
+double householder_coefficient(std::span<const double> v, double beta,
+                               std::size_t k, std::span<const double> target) {
+  PLBHEC_EXPECTS(v.size() == target.size() && k < v.size());
+  // H = I - beta v v^T with v[k] = 1.
+  double s = target[k];
+  for (std::size_t i = k + 1; i < v.size(); ++i) s += v[i] * target[i];
+  return s * beta;
+}
+
+void householder_apply(std::span<const double> v, double beta, std::size_t k,
+                       std::span<const double> src, std::span<double> dst) {
+  PLBHEC_EXPECTS(dst.size() == src.size());
+  const double s = householder_coefficient(v, beta, k, src);
+  if (dst.data() != src.data())
+    for (std::size_t i = 0; i < k; ++i) dst[i] = src[i];
+  dst[k] = src[k] - s;
+  for (std::size_t i = k + 1; i < v.size(); ++i) dst[i] = src[i] - s * v[i];
+}
+
+double rank_threshold(std::span<const std::span<const double>> r_cols,
+                      double rank_tol) {
   double max_diag = 0.0;
-  for (std::size_t k = 0; k < n; ++k)
-    max_diag = std::max(max_diag, std::fabs(at(k, k)));
-  const double tol = rank_tol * (max_diag > 0.0 ? max_diag : 1.0);
+  for (std::size_t k = 0; k < r_cols.size(); ++k)
+    max_diag = std::max(max_diag, std::fabs(r_cols[k][k]));
+  return rank_tol * (max_diag > 0.0 ? max_diag : 1.0);
+}
 
-  LsResidual out;
+std::size_t back_substitute(std::span<const std::span<const double>> r_cols,
+                            std::span<const double> y, std::span<double> x,
+                            double threshold) {
+  const std::size_t n = r_cols.size();
+  PLBHEC_EXPECTS(y.size() >= n && x.size() >= n);
+  std::size_t rank = 0;
   for (std::size_t k = 0; k < n; ++k) x[k] = 0.0;
   // Back substitution on R, zeroing rank-deficient coordinates.
   for (std::size_t kk = n; kk-- > 0;) {
-    if (std::fabs(at(kk, kk)) <= tol) {
+    const double diag = r_cols[kk][kk];
+    if (std::fabs(diag) <= threshold) {
       x[kk] = 0.0;
       continue;
     }
     double acc = y[kk];
-    for (std::size_t j = kk + 1; j < n; ++j) acc -= at(kk, j) * x[j];
-    x[kk] = acc / at(kk, kk);
-    ++out.rank;
+    for (std::size_t j = kk + 1; j < n; ++j) acc -= r_cols[j][kk] * x[j];
+    x[kk] = acc / diag;
+    ++rank;
   }
-
-  double res = 0.0;
-  for (std::size_t i = n; i < m; ++i) res += y[i] * y[i];
-  // Add contributions from zeroed (rank-deficient) rows.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (std::fabs(at(k, k)) <= tol) {
-      double acc = y[k];
-      for (std::size_t j = k + 1; j < n; ++j) acc -= at(k, j) * x[j];
-      res += acc * acc;
-    }
-  }
-  out.residual_norm = std::sqrt(res);
-  return out;
-}
-
-}  // namespace
-
-Qr Qr::factor(Matrix a) {
-  Vector beta(a.cols(), 0.0);
-  householder_qr({a.data(), a.rows() * a.cols()}, a.rows(), a.cols(), beta);
-  return Qr(std::move(a), std::move(beta));
-}
-
-LsSolution Qr::solve(std::span<const double> b, double rank_tol) const {
-  const std::size_t m = qr_.rows();
-  const std::size_t n = qr_.cols();
-  PLBHEC_EXPECTS(b.size() == m);
-  LsSolution sol;
-  sol.coefficients.assign(n, 0.0);
-  Vector y(m);
-  const LsResidual r = householder_solve({qr_.data(), m * n}, beta_, m, n, b,
-                                         sol.coefficients, y, rank_tol);
-  sol.residual_norm = r.residual_norm;
-  sol.rank = r.rank;
-  return sol;
-}
-
-double Qr::r_diag_ratio() const {
-  const std::size_t n = qr_.cols();
-  if (n == 0) return 0.0;
-  double mx = 0.0;
-  double mn = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double d = std::fabs(qr_(k, k));
-    mx = std::max(mx, d);
-    mn = std::min(mn, d);
-  }
-  return mn == 0.0 ? std::numeric_limits<double>::infinity() : mx / mn;
-}
-
-std::optional<LsResidual> least_squares_in_place(std::span<double> a,
-                                                 std::size_t m, std::size_t n,
-                                                 std::span<const double> b,
-                                                 std::span<double> x,
-                                                 std::span<double> scratch) {
-  PLBHEC_EXPECTS(m == b.size());
-  if (n == 0 || m < n) return std::nullopt;
-  PLBHEC_EXPECTS(a.size() >= m * n && x.size() >= n);
-  PLBHEC_EXPECTS(scratch.size() >= least_squares_scratch(m, n));
-  const std::span<double> col_scale = scratch.subspan(0, n);
-  const std::span<double> beta = scratch.subspan(n, n);
-  const std::span<double> y = scratch.subspan(2 * n, m);
-
-  // Column equilibration: scale each column to unit 2-norm so the wildly
-  // different magnitudes of the basis functions (x^3 vs ln x) do not destroy
-  // the factorization.
-  equilibrate_columns(a, m, n, col_scale);
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < m * n; ++i)
-    max_abs = std::max(max_abs, std::fabs(a[i]));
-  if (max_abs == 0.0) return std::nullopt;  // every column zero
-
-  householder_qr(a, m, n, beta);
-  const LsResidual r = householder_solve(a, beta, m, n, b, x, y);
-  for (std::size_t c = 0; c < n; ++c) x[c] *= col_scale[c];
-  return r;
+  return rank;
 }
 
 std::optional<LsSolution> least_squares(const Matrix& a,
@@ -176,15 +96,62 @@ std::optional<LsSolution> least_squares(const Matrix& a,
   PLBHEC_EXPECTS(a.rows() == b.size());
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  Matrix scaled = a;
-  Vector scratch(least_squares_scratch(m, n));
+  if (n == 0 || m < n) return std::nullopt;
+
+  // Column-major copy, then the column scales, the reflector scalars and
+  // Q^T b.
+  Vector buffer(m * n + 2 * n + m);
+  const std::span<double> all(buffer);
+  std::vector<std::span<double>> cols(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    cols[c] = all.subspan(c * m, m);
+    for (std::size_t r = 0; r < m; ++r) cols[c][r] = a(r, c);
+  }
+  const std::span<double> col_scale = all.subspan(m * n, n);
+  const std::span<double> beta = all.subspan(m * n + n, n);
+  const std::span<double> y = all.subspan(m * n + 2 * n, m);
+
+  // Column equilibration: scale each column to unit 2-norm so the wildly
+  // different magnitudes of the basis functions (x^3 vs ln x) do not
+  // destroy the factorization.
+  double max_abs = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    col_scale[c] = equilibrate_column(cols[c]);
+    for (const double v : cols[c]) max_abs = std::max(max_abs, std::fabs(v));
+  }
+  if (max_abs == 0.0) return std::nullopt;  // every column zero
+
+  for (std::size_t k = 0; k < n; ++k) {
+    const Reflector h = householder_reflector(cols[k], k);
+    beta[k] = h.beta;
+    if (!h.reflects) continue;
+    for (std::size_t j = k + 1; j < n; ++j)
+      householder_apply(cols[k], h.beta, k, cols[j], cols[j]);
+  }
+  // y = Q^T b by applying the reflections in order.
+  for (std::size_t i = 0; i < m; ++i) y[i] = b[i];
+  for (std::size_t k = 0; k < n; ++k)
+    if (beta[k] != 0.0) householder_apply(cols[k], beta[k], k, y, y);
+
+  const std::vector<std::span<const double>> r_cols(cols.begin(), cols.end());
+  const double threshold = rank_threshold(r_cols);
   LsSolution sol;
   sol.coefficients.assign(n, 0.0);
-  const auto r = least_squares_in_place({scaled.data(), m * n}, m, n, b,
-                                        sol.coefficients, scratch);
-  if (!r) return std::nullopt;
-  sol.residual_norm = r->residual_norm;
-  sol.rank = r->rank;
+  sol.rank = back_substitute(r_cols, y, sol.coefficients, threshold);
+
+  double res = 0.0;
+  for (std::size_t i = n; i < m; ++i) res += y[i] * y[i];
+  // Add contributions from zeroed (rank-deficient) rows.
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::fabs(r_cols[k][k]) <= threshold) {
+      double acc = y[k];
+      for (std::size_t j = k + 1; j < n; ++j)
+        acc -= r_cols[j][k] * sol.coefficients[j];
+      res += acc * acc;
+    }
+  }
+  sol.residual_norm = std::sqrt(res);
+  for (std::size_t c = 0; c < n; ++c) sol.coefficients[c] *= col_scale[c];
   return sol;
 }
 

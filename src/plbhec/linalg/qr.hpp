@@ -1,10 +1,15 @@
 #pragma once
 /// \file qr.hpp
-/// Householder QR factorization and least-squares solve. This is the
-/// numerical core of the performance-curve fitting phase: design matrices
-/// built from the paper's basis set {ln x, x, x^2, x^3, e^x, x e^x, x ln x}
-/// are ill-conditioned, so we solve the LS problem with QR with column
-/// norm equilibration rather than normal equations.
+/// Householder QR least squares. This is the numerical core of the
+/// performance-curve fitting phase: design matrices built from the paper's
+/// basis set {ln x, x, x^2, x^3, e^x, x e^x, x ln x} are ill-conditioned,
+/// so we solve the LS problem with QR with column norm equilibration rather
+/// than normal equations.
+///
+/// The factorization works on columns: each is a span of m entries, so a
+/// caller that factors many column subsets sharing leading columns (the
+/// curve fitter's term subsets) can keep a reflected column and reuse it.
+/// least_squares() and that caller run the same steps below.
 
 #include <optional>
 
@@ -19,59 +24,53 @@ struct LsSolution {
   std::size_t rank;      ///< numerical rank detected during factorization
 };
 
-/// Householder QR of an m x n matrix (m >= n stored compactly).
-class Qr {
- public:
-  /// Factorizes `a` (m >= n required).
-  [[nodiscard]] static Qr factor(Matrix a);
+/// Minimizes ||A x - b||_2 with column scaling for conditioning.
+/// Rank-deficient columns (|R_kk| below 1e-10 * max |R_ii|) receive a zero
+/// coefficient. Returns nullopt when A has no columns, fewer rows than
+/// columns, or zero columns only.
+[[nodiscard]] std::optional<LsSolution> least_squares(
+    const Matrix& a, std::span<const double> b);
 
-  /// Minimizes ||A x - b||_2. Rank-deficient columns (|R_kk| below
-  /// `rank_tol` * max |R_ii|) receive a zero coefficient, mimicking a
-  /// truncated / pivot-free rank-revealing behaviour good enough for basis
-  /// subsets of <= 8 columns.
-  [[nodiscard]] LsSolution solve(std::span<const double> b,
-                                 double rank_tol = 1e-10) const;
+/// Scales `col` to unit 2-norm in place and returns the factor applied (1
+/// for a zero norm); a solution of the scaled system maps back via
+/// x *= factor.
+double equilibrate_column(std::span<double> col);
 
-  [[nodiscard]] std::size_t rows() const { return qr_.rows(); }
-  [[nodiscard]] std::size_t cols() const { return qr_.cols(); }
-
-  /// |R_00 / R_{n-1,n-1}|-style conditioning diagnostic.
-  [[nodiscard]] double r_diag_ratio() const;
-
- private:
-  explicit Qr(Matrix qr, Vector beta) : qr_(std::move(qr)), beta_(std::move(beta)) {}
-
-  Matrix qr_;    // R in the upper triangle, Householder vectors below
-  Vector beta_;  // Householder scalars
+/// Householder step k on column `col` (rows 0..k-1 already hold R
+/// entries): leaves R_kk in row k and the reflector v (v_k = 1 implicit)
+/// in rows k+1.., and returns its scalar beta. `reflects` is false when
+/// the column below row k is zero; the factorization then leaves the
+/// trailing columns as they are.
+struct Reflector {
+  double beta = 0.0;
+  bool reflects = false;
 };
+[[nodiscard]] Reflector householder_reflector(std::span<double> col,
+                                              std::size_t k);
 
-/// One-shot least squares: minimizes ||A x - b||_2 with column scaling for
-/// conditioning. Returns nullopt when A has zero columns only.
-[[nodiscard]] std::optional<LsSolution> least_squares(const Matrix& a,
-                                                      std::span<const double> b);
+/// The multiple s = beta (v^T target) of reflector k's vector (held in `v`
+/// as householder_reflector() left it, with scalar `beta`) that reflecting
+/// `target` subtracts: target[k] becomes target[k] - s.
+[[nodiscard]] double householder_coefficient(std::span<const double> v,
+                                             double beta, std::size_t k,
+                                             std::span<const double> target);
 
-/// Residual and rank of a least-squares solve whose coefficients were
-/// written to caller storage.
-struct LsResidual {
-  double residual_norm = 0.0;
-  std::size_t rank = 0;
-};
+/// Writes `src` reflected by reflector k to `dst` (which may be `src`):
+/// a trailing column during the factorization, or the right-hand side.
+void householder_apply(std::span<const double> v, double beta, std::size_t k,
+                       std::span<const double> src, std::span<double> dst);
 
-/// Scratch doubles least_squares_in_place() needs for an m x n system.
-[[nodiscard]] constexpr std::size_t least_squares_scratch(std::size_t m,
-                                                          std::size_t n) {
-  return m + 2 * n;
-}
+/// |R_kk| threshold below which a coordinate counts as rank-deficient:
+/// `rank_tol` * max |R_kk|, or `rank_tol` itself when R is zero. Column j
+/// of R is rows 0..j of `r_cols[j]`.
+[[nodiscard]] double rank_threshold(
+    std::span<const std::span<const double>> r_cols, double rank_tol = 1e-10);
 
-/// least_squares() on caller storage, for callers that solve many small
-/// systems (the curve fitter's subset search) in buffers sized once:
-/// equilibrates and factors the m x n row-major `a` in place and writes the
-/// n coefficients to `x`. `scratch` holds at least least_squares_scratch(m,
-/// n) doubles. Returns nullopt in the cases least_squares() does. Qr and
-/// least_squares() run on the same in-place factorization.
-[[nodiscard]] std::optional<LsResidual> least_squares_in_place(
-    std::span<double> a, std::size_t m, std::size_t n,
-    std::span<const double> b, std::span<double> x,
-    std::span<double> scratch);
+/// Back substitution R x = y over the first r_cols.size() entries of `y`,
+/// giving coordinates with |R_kk| <= `threshold` a zero coefficient.
+/// Returns the rank.
+std::size_t back_substitute(std::span<const std::span<const double>> r_cols,
+                            std::span<const double> y, std::span<double> x,
+                            double threshold);
 
 }  // namespace plbhec::linalg

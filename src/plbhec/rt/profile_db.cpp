@@ -63,9 +63,12 @@ void ProfileDb::seed(UnitId u, const WarmProfile& warm) {
   PLBHEC_EXPECTS(exec_[u].empty() && transfer_[u].empty());
   if (!warm.usable()) return;
   const double scale = warm.total_grains / static_cast<double>(total_grains_);
+  ++cache_[u].version;
   if (warm.has_moments && scale == 1.0) {
     exec_[u].restore(warm.exec, warm.exec_moments);
     transfer_[u].restore(warm.transfer, warm.transfer_moments);
+    if (warm.exec_fit)
+      install(u, warm.exec_fit->options, warm.exec_fit->exec);
   } else {
     for (const fit::Sample& s : warm.exec) {
       const double x = s.x * scale;
@@ -76,7 +79,6 @@ void ProfileDb::seed(UnitId u, const WarmProfile& warm) {
       if (x > 0.0 && x <= 1.0) transfer_[u].add(x, s.time);
     }
   }
-  ++cache_[u].version;
 }
 
 void ProfileDb::clear_unit(UnitId u) {
@@ -117,7 +119,13 @@ ProfileDb::CacheEntry& ProfileDb::exec_entry(
   bump(counters_.gram_solves, counters.gram_solves);
   bump(counters_.qr_solves, counters.qr_solves);
   bump(counters_.qr_fallbacks, counters.qr_fallbacks);
+  return install(u, options, std::move(fitted));
+}
 
+ProfileDb::CacheEntry& ProfileDb::install(UnitId u,
+                                          const fit::SelectionOptions& options,
+                                          fit::FitResult exec) const {
+  UnitCache& cache = cache_[u];
   // Reuse a slot holding a stale fit for the same options, else append,
   // evicting the oldest slot once the per-unit cap is reached.
   CacheEntry* slot = nullptr;
@@ -130,7 +138,7 @@ ProfileDb::CacheEntry& ProfileDb::exec_entry(
   }
   slot->options = options;
   slot->version = cache.version;
-  slot->exec = std::move(fitted);
+  slot->exec = std::move(exec);
   slot->has_transfer = false;
   return *slot;
 }

@@ -13,6 +13,7 @@
 /// out across the process-wide work-stealing pool.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "plbhec/fit/least_squares.hpp"
@@ -20,6 +21,13 @@
 #include "plbhec/rt/types.hpp"
 
 namespace plbhec::rt {
+
+/// An exec-curve selection together with the options it ran with: what
+/// the fit cache keys on.
+struct StoredFit {
+  fit::SelectionOptions options;
+  fit::FitResult exec;
+};
 
 /// Cross-run warm-start profile for one processing unit, loaded from the
 /// service layer's ProfileStore: persisted (fraction, time) samples whose
@@ -41,6 +49,10 @@ struct WarmProfile {
   fit::MomentSnapshot exec_moments;
   fit::MomentSnapshot transfer_moments;
   bool has_moments = false;
+  /// The selection its producer already ran over exactly `exec` and
+  /// `exec_moments`, if any. A bit-exact restore installs it as the unit's
+  /// cached fit, so the first fit of the seeded unit is not recomputed.
+  std::optional<StoredFit> exec_fit;
 
   [[nodiscard]] bool usable() const {
     return !exec.empty() && total_grains > 0.0;
@@ -69,9 +81,11 @@ class ProfileDb {
   void record(const TaskObservation& obs);
 
   /// Seeds a freshly reset unit with a persisted warm-start profile. With
-  /// matching grain totals the stored moments are restored bit-exactly;
-  /// otherwise samples are replayed with x rescaled to this run's total
-  /// (fractions outside (0, 1] are dropped). Bumps the unit's version.
+  /// matching grain totals the stored moments are restored bit-exactly,
+  /// and the profile's stored selection, if any, becomes the unit's cached
+  /// fit for its options; otherwise samples are replayed with x rescaled
+  /// to this run's total (fractions outside (0, 1] are dropped). Bumps the
+  /// unit's version.
   void seed(UnitId u, const WarmProfile& warm);
 
   /// Drops every sample of one unit (warm-start validation failure path);
@@ -132,6 +146,10 @@ class ProfileDb {
   /// the transfer model. Touches only cache_[u] — safe for the per-unit
   /// parallel fan-out in fit_all.
   CacheEntry& exec_entry(UnitId u, const fit::SelectionOptions& options) const;
+
+  /// Stores `exec` as unit u's fit for `options` at the current version.
+  CacheEntry& install(UnitId u, const fit::SelectionOptions& options,
+                      fit::FitResult exec) const;
 
   std::vector<fit::SampleSet> exec_;
   std::vector<fit::SampleSet> transfer_;

@@ -175,9 +175,10 @@ ProfileEntry make_entry(std::string app_kind, std::string device_kind,
   entry.exec_moments = exec_set.moments().snapshot();
   entry.transfer_moments = transfer_set.moments().snapshot();
 
-  const fit::FitResult fitted = fit::select_model(exec_set, fit_options);
+  fit::FitResult fitted = fit::select_model(exec_set, fit_options);
   entry.exec_model = fitted.model;
   entry.stored_r2 = fitted.r2;
+  entry.exec_fit = rt::StoredFit{fit_options, std::move(fitted)};
   entry.transfer_model = fit::fit_transfer(transfer_set);
   return entry;
 }
@@ -229,6 +230,7 @@ rt::WarmProfile ProfileStore::warm_profile(
   warm.exec_moments = entry->exec_moments;
   warm.transfer_moments = entry->transfer_moments;
   warm.has_moments = true;
+  warm.exec_fit = entry->exec_fit;
   PLBHEC_ASSERT(entry->stamp <= seq_);
   warm.age = seq_ - entry->stamp;
   return warm;

@@ -24,6 +24,7 @@
 /// profiles but may encode different stamps.)
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -69,6 +70,10 @@ struct ProfileEntry {
   fit::MomentSnapshot transfer_moments;
   fit::CurveModel exec_model;
   fit::TransferModel transfer_model;
+  /// The complete selection make_entry() ran over `exec`, with its
+  /// options. In memory only: the image does not carry it, so a decoded
+  /// entry is refitted by the warm start that reads it.
+  std::optional<rt::StoredFit> exec_fit;
 };
 
 /// Builds a store entry from one job's per-unit observation sets: trims to

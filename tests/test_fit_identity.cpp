@@ -520,6 +520,103 @@ TEST(SelectionIdentity, WideCandidateListsWithRepeatedTerms) {
     }
 }
 
+/// True when the unit-diagonal sub-Gram of `terms`, formed as the
+/// equilibrated solve forms it, has a Cholesky pivot <= 0.
+bool pivot_fails(const MomentSet& m, std::span<const BasisFn> terms,
+                 bool weighted) {
+  const std::size_t k = terms.size();
+  std::vector<double> d(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double gii = m.gram(terms[i], terms[i], weighted);
+    if (!(gii > 0.0)) return false;  // rejected before factoring
+    d[i] = 1.0 / std::sqrt(gii);
+  }
+  linalg::Matrix gs(k, k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j)
+      gs(i, j) = m.gram(terms[i], terms[j], weighted) * d[i] * d[j];
+  return !linalg::Cholesky::factor(gs).has_value();
+}
+
+TEST(SelectionIdentity, PrefixTreeMatchesReferenceWhereverPrefixesAreShared) {
+  // The selection scores its subsets as a prefix tree over the intercept
+  // and the candidates in their given order, sharing each prefix's
+  // Cholesky rows and Householder steps. Sweep what decides the sharing:
+  // permutations and subsets of all_terms(), both intercept settings and
+  // weightings, max_terms 1-4, samples_per_param 1-3, every engine, and n
+  // on both sides of the 8-sample cutover and at ~300. Small-x data makes
+  // a prefix pass the Gram gate while its e^x extension fails; lists that
+  // repeat a term (x^2 twice, or the intercept again) make a Cholesky
+  // pivot fail mid-path, which sends the prefix's whole subtree to QR.
+  using B = BasisFn;
+  const std::vector<std::vector<BasisFn>> lists = {
+      {B::kXLnX, B::kX3, B::kLnX, B::kX, B::kXExpX, B::kX2, B::kExpX},
+      {B::kX2, B::kX3, B::kExpX, B::kXExpX, B::kOne, B::kLnX, B::kX,
+       B::kXLnX},
+      {B::kExpX, B::kX, B::kXExpX},
+      {B::kX, B::kX2, B::kLnX, B::kX2},
+      {B::kX3, B::kOne, B::kXExpX, B::kX},
+      {B::kLnX},
+  };
+  FitCounters totals;
+  std::size_t mid_path_pivot_failures = 0;
+  std::size_t cases = 0;
+  for (Shape shape : {Shape::kNoisyQuadratic, Shape::kSmallX})
+    for (std::size_t n : {3u, 5u, 7u, 8u, 9u, 24u, 300u}) {
+      const SampleSet s =
+          make_samples(shape, n, 500 + n + static_cast<std::size_t>(shape));
+      for (std::size_t l = 0; l < lists.size(); ++l) {
+        // The n ~ 300 sets run on the two longest lists only.
+        if (n == 300 && l > 1) continue;
+        const std::vector<BasisFn>& list = lists[l];
+        for (bool intercept : {true, false})
+          for (bool weighted : {false, true}) {
+            // The full path of a repeated-term list: does its Gram
+            // factorization stop at a pivot?
+            std::vector<BasisFn> path;
+            if (intercept) path.push_back(BasisFn::kOne);
+            path.insert(path.end(), list.begin(), list.end());
+            if (path.size() <= kBasisCount + 1 &&
+                pivot_fails(s.moments(), path, weighted))
+              ++mid_path_pivot_failures;
+            for (std::size_t max_terms = 1; max_terms <= 4; ++max_terms)
+              for (std::size_t spp = 1; spp <= 3; ++spp)
+                for (FitEngine engine :
+                     {FitEngine::kAuto, FitEngine::kQr, FitEngine::kGram}) {
+                  SelectionOptions options;
+                  options.include_intercept = intercept;
+                  options.relative_weighting = weighted;
+                  options.max_terms = max_terms;
+                  options.samples_per_param = spp;
+                  options.engine = engine;
+                  FitCounters got_counters;
+                  FitCounters want_counters;
+                  const FitResult got =
+                      select_model_from(s, list, options, &got_counters);
+                  const FitResult want = reference::select_model_from(
+                      s, list, options, &want_counters);
+                  ++cases;
+                  ASSERT_TRUE(identical(got, want))
+                      << shape_name(shape) << " n=" << n << " list=" << l
+                      << " intercept=" << intercept
+                      << " weighted=" << weighted
+                      << " max_terms=" << max_terms << " spp=" << spp
+                      << " engine=" << engine_name(engine);
+                  ASSERT_EQ(got_counters.gram_solves,
+                            want_counters.gram_solves);
+                  ASSERT_EQ(got_counters.qr_solves, want_counters.qr_solves);
+                  ASSERT_EQ(got_counters.qr_fallbacks,
+                            want_counters.qr_fallbacks);
+                  totals.merge(got_counters);
+                }
+          }
+      }
+    }
+  EXPECT_GT(cases, 0u);
+  EXPECT_GT(totals.qr_fallbacks, 0u);
+  EXPECT_GT(mid_path_pivot_failures, 0u);
+}
+
 TEST(SelectionIdentity, FitTermsMatchesReference) {
   const SampleSet s = make_samples(Shape::kSmallX, 24, 3);
   for (FitEngine engine : {FitEngine::kAuto, FitEngine::kQr, FitEngine::kGram})

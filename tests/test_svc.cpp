@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -123,6 +125,109 @@ TEST(ProfileStore, SeedRescalesAcrossGrainTotals) {
   db.clear_unit(0);
   EXPECT_TRUE(db.exec_samples(0).empty());
   EXPECT_TRUE(db.transfer_samples(0).empty());
+}
+
+/// A one-unit PLB-HeC run of `total_grains` seeded with `warm`, started
+/// but not yet issued a block.
+std::unique_ptr<core::PlbHecScheduler> seeded_scheduler(
+    const rt::WarmProfile& warm, std::size_t total_grains) {
+  core::PlbHecOptions options;
+  options.warm.push_back(warm);
+  auto plb = std::make_unique<core::PlbHecScheduler>(options);
+  rt::UnitInfo unit;
+  unit.name = "dev-cpu";
+  rt::WorkInfo work;
+  work.name = "app-a";
+  work.total_grains = total_grains;
+  work.initial_block = 10;
+  plb->start({unit}, work);
+  return plb;
+}
+
+/// Issues the seeded unit's validation block and completes it.
+void complete_validation_block(core::PlbHecScheduler& plb) {
+  rt::TaskObservation obs;
+  obs.grains = plb.next_block(0, 0.0);
+  obs.exec_seconds = 0.1 + 2.0 * plb.profiles().grains_to_fraction(obs.grains);
+  obs.transfer_seconds = 0.001;
+  obs.finish_time = obs.exec_seconds + obs.transfer_seconds;
+  plb.on_complete(obs);
+}
+
+TEST(ProfileStore, BitExactWarmSeedServesItsFirstFitFromTheCache) {
+  const ProfileStore store = one_entry_store();  // totals 1000
+  const rt::WarmProfile warm = store.warm_profile("app-a", "dev-cpu");
+  ASSERT_TRUE(warm.exec_fit.has_value());
+
+  // Matching grain totals restore the samples bit-exactly, so the fit
+  // make_entry stored is the fit of exactly these samples: the scheduler's
+  // pre-validation fit_unit is a cache hit, equal bit for bit to a fresh
+  // selection over the restored samples.
+  const auto plb = seeded_scheduler(warm, 1000);
+  const rt::ProfileDb& db = plb->profiles();
+  ASSERT_EQ(db.exec_samples(0).size(), 8u);
+  const fit::PerfModel seeded = db.fit_unit(0, core::PlbHecOptions{}.fit);
+  EXPECT_EQ(db.fit_stats().fits_cached, 1u);
+  EXPECT_EQ(db.fit_stats().fits_computed, 0u);
+  const fit::FitResult fresh = fit::select_model(db.exec_samples(0));
+  EXPECT_EQ(seeded.exec.terms, fresh.model.terms);
+  ASSERT_EQ(seeded.exec.coefficients.size(), fresh.model.coefficients.size());
+  for (std::size_t i = 0; i < fresh.model.coefficients.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seeded.exec.coefficients[i]),
+              std::bit_cast<std::uint64_t>(fresh.model.coefficients[i]));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(seeded.exec.r2),
+            std::bit_cast<std::uint64_t>(fresh.model.r2));
+  const fit::FitResult cached = db.exec_fit(0, core::PlbHecOptions{}.fit);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.bic),
+            std::bit_cast<std::uint64_t>(fresh.bic));
+  EXPECT_EQ(cached.acceptable, fresh.acceptable);
+
+  // In the scheduler's own flow the saving is exactly that one fit: the
+  // same validation block against the same profile decoded from its image
+  // (which carries no fit) computes one more selection and hits the cache
+  // once less, and the runs otherwise agree.
+  ProfileStore loaded;
+  ASSERT_EQ(ProfileStore::decode(store.encode(), loaded), StoreLoadStatus::kOk);
+  const auto cached_run = seeded_scheduler(warm, 1000);
+  const auto decoded_run =
+      seeded_scheduler(loaded.warm_profile("app-a", "dev-cpu"), 1000);
+  complete_validation_block(*cached_run);
+  complete_validation_block(*decoded_run);
+  const rt::FitStats a = cached_run->profiles().fit_stats();
+  const rt::FitStats b = decoded_run->profiles().fit_stats();
+  EXPECT_EQ(a.fits_computed + 1, b.fits_computed);
+  EXPECT_EQ(a.fits_cached, b.fits_cached + 1);
+  EXPECT_EQ(cached_run->stats().warm_hits, decoded_run->stats().warm_hits);
+  EXPECT_EQ(cached_run->fractions(), decoded_run->fractions());
+}
+
+TEST(ProfileStore, RescaledOrDecodedWarmSeedRefits) {
+  const ProfileStore store = one_entry_store();  // totals 1000
+  const fit::SelectionOptions options = core::PlbHecOptions{}.fit;
+
+  // A different grain total replays rescaled samples: the stored fit does
+  // not describe them, so the first fit is computed.
+  const auto rescaled =
+      seeded_scheduler(store.warm_profile("app-a", "dev-cpu"), 2000);
+  ASSERT_EQ(rescaled->profiles().exec_samples(0).size(), 8u);
+  (void)rescaled->profiles().fit_unit(0, options);
+  EXPECT_EQ(rescaled->profiles().fit_stats().fits_computed, 1u);
+  EXPECT_EQ(rescaled->profiles().fit_stats().fits_cached, 0u);
+
+  // The image does not carry the fit: a decoded entry refits (to the same
+  // bits), and round-tripping leaves the encoded bytes unchanged.
+  const std::vector<std::uint8_t> bytes = store.encode();
+  ProfileStore loaded;
+  ASSERT_EQ(ProfileStore::decode(bytes, loaded), StoreLoadStatus::kOk);
+  EXPECT_FALSE(loaded.entries()[0].exec_fit.has_value());
+  const auto decoded =
+      seeded_scheduler(loaded.warm_profile("app-a", "dev-cpu"), 1000);
+  const fit::PerfModel refit = decoded->profiles().fit_unit(0, options);
+  EXPECT_EQ(decoded->profiles().fit_stats().fits_computed, 1u);
+  EXPECT_EQ(decoded->profiles().fit_stats().fits_cached, 0u);
+  EXPECT_EQ(refit.exec.coefficients,
+            store.entries()[0].exec_model.coefficients);
+  EXPECT_EQ(loaded.encode(), bytes);
 }
 
 TEST(ProfileStore, RejectsTruncationAtEveryPrefixLength) {
