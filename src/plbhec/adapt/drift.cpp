@@ -77,10 +77,9 @@ std::size_t DriftMonitor::total_trips() const {
   return total;
 }
 
-fit::FitResult fit_recent(const WindowedSampleSet& window,
-                          const fit::SelectionOptions& options) {
+fit::FitResult fit_recent(const WindowedSampleSet& window) {
   return fit::select_model(window.moments(), window.effective_count(),
-                           window.x_lo(), options);
+                           window.x_lo());
 }
 
 }  // namespace plbhec::adapt

@@ -108,7 +108,6 @@ class DriftMonitor {
 /// (there is no QR fallback without rows). Returns an invalid-model
 /// FitResult when nothing is fittable; callers fall back to their
 /// full-history fit.
-[[nodiscard]] fit::FitResult fit_recent(const WindowedSampleSet& window,
-                                        const fit::SelectionOptions& options);
+[[nodiscard]] fit::FitResult fit_recent(const WindowedSampleSet& window);
 
 }  // namespace plbhec::adapt

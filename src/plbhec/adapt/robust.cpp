@@ -1,8 +1,5 @@
 #include "plbhec/adapt/robust.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "plbhec/common/contracts.hpp"
 
 namespace plbhec::adapt {
@@ -28,17 +25,5 @@ std::optional<fit::Sample> BlockMinFilter::flush() {
 }
 
 void BlockMinFilter::reset() { pending_ = 0; }
-
-double trimmed_mean(std::vector<double> xs, double trim) {
-  PLBHEC_EXPECTS(trim >= 0.0 && trim < 0.5);
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const auto cut = static_cast<std::size_t>(
-      std::ceil(trim * static_cast<double>(xs.size())));
-  if (2 * cut >= xs.size()) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = cut; i < xs.size() - cut; ++i) sum += xs[i];
-  return sum / static_cast<double>(xs.size() - 2 * cut);
-}
 
 }  // namespace plbhec::adapt

@@ -5,12 +5,10 @@
 /// essentially never deflate them, so the minimum over a small block of
 /// consecutive observations tracks the unit's true capability — the same
 /// per-payload-minima treatment bench_net applies offline to wire-time
-/// samples, moved onto the online path. A trimmed mean is provided for
-/// symmetric-noise summaries (detector baselines, reports).
+/// samples, moved onto the online path.
 
 #include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "plbhec/fit/samples.hpp"
 
@@ -41,10 +39,5 @@ class BlockMinFilter {
   fit::Sample best_{};
   double best_cost_ = 0.0;
 };
-
-/// Mean of `xs` after dropping the ceil(trim * n) largest and smallest
-/// values (trim in [0, 0.5)). Empty input (or trimming everything away)
-/// yields 0.
-[[nodiscard]] double trimmed_mean(std::vector<double> xs, double trim);
 
 }  // namespace plbhec::adapt

@@ -5,7 +5,6 @@
 
 #include "plbhec/common/contracts.hpp"
 #include "plbhec/fit/least_squares.hpp"
-#include "plbhec/obs/counters.hpp"
 #include "plbhec/obs/sink.hpp"
 
 namespace plbhec::baselines {
@@ -29,7 +28,6 @@ void HdssScheduler::start(const std::vector<rt::UnitInfo>& units,
   failed_.assign(units_n_, false);
   adaptive_grains_.assign(units_n_, 0);
   allocation_.assign(units_n_, 0.0);
-  fit_counters_ = {};
   completion_ = units_n_ == 1;  // nothing to weigh with one unit
   if (completion_) allocation_[0] = static_cast<double>(work.total_grains);
   issued_ = 0;
@@ -83,9 +81,7 @@ void HdssScheduler::update_weight(rt::UnitId u) {
   if (samples.size() >= 3 && x_hi > 1.5 * x_lo) {
     std::vector<fit::BasisFn> log_terms{fit::BasisFn::kOne,
                                         fit::BasisFn::kLnX};
-    if (const auto fitted =
-            fit::fit_terms(samples, log_terms, /*relative_weighting=*/false,
-                           fit::FitEngine::kAuto, &fit_counters_)) {
+    if (const auto fitted = fit::fit_terms(samples, log_terms)) {
       const double x_ref = 0.10;
       const double predicted = fitted->model(x_ref);
       // Saturating-throughput prior: the asymptotic speed cannot be far
@@ -181,12 +177,6 @@ void HdssScheduler::on_complete(const rt::TaskObservation& obs) {
     for (std::size_t u = 0; u < units_n_; ++u)
       allocation_[u] = shares[u] * static_cast<double>(remaining);
   }
-}
-
-void HdssScheduler::publish_counters(obs::CounterRegistry& registry) const {
-  registry.set("hdss.fit.gram_solves", fit_counters_.gram_solves);
-  registry.set("hdss.fit.qr_solves", fit_counters_.qr_solves);
-  registry.set("hdss.fit.qr_fallbacks", fit_counters_.qr_fallbacks);
 }
 
 void HdssScheduler::on_unit_failed(rt::UnitId unit, std::size_t lost_grains,

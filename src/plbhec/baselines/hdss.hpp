@@ -25,13 +25,8 @@
 
 #include <vector>
 
-#include "plbhec/fit/least_squares.hpp"
 #include "plbhec/fit/samples.hpp"
 #include "plbhec/rt/scheduler.hpp"
-
-namespace plbhec::obs {
-class CounterRegistry;
-}
 
 namespace plbhec::baselines {
 
@@ -66,16 +61,6 @@ class HdssScheduler final : public rt::Scheduler {
   [[nodiscard]] const fit::SampleSet& speed_samples(rt::UnitId u) const {
     return speed_samples_.at(u);
   }
-  /// Which numerical path the weight-update log fits took (the log fit
-  /// rides the same SampleSet moments as PLB-HeC's curve selection).
-  [[nodiscard]] const fit::FitCounters& fit_counters() const {
-    return fit_counters_;
-  }
-
-  /// Publishes the weight-fit counters under the "hdss." prefix (one
-  /// snapshot per call; values overwrite).
-  void publish_counters(obs::CounterRegistry& registry) const;
-
  private:
   void update_weight(rt::UnitId u);
   [[nodiscard]] bool all_converged() const;
@@ -92,7 +77,6 @@ class HdssScheduler final : public rt::Scheduler {
   std::vector<bool> failed_;
   std::vector<std::size_t> adaptive_grains_;
   std::vector<double> allocation_;  ///< fixed completion-phase quota
-  fit::FitCounters fit_counters_;
   bool completion_ = false;
   std::size_t issued_ = 0;  ///< grains handed out so far (upper bound)
 };

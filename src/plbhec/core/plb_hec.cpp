@@ -9,34 +9,8 @@
 
 namespace plbhec::core {
 
-void publish_counters(obs::CounterRegistry& registry,
-                      const PlbHecStats& stats) {
-  registry.set("plbhec.probe_rounds", stats.probe_rounds);
-  registry.set("plbhec.solves", stats.solves);
-  registry.set("plbhec.refinements", stats.refinements);
-  registry.set("plbhec.rebalances", stats.rebalances);
-  registry.set("plbhec.modeling_grains",
-               static_cast<std::uint64_t>(stats.modeling_grains));
-  registry.set("plbhec.probe_blocks", stats.probe_blocks);
-  registry.set("plbhec.warmstart.hits", stats.warm_hits);
-  registry.set("plbhec.warmstart.misses", stats.warm_misses);
-  registry.set("plbhec.warmstart.probe_blocks_saved",
-               stats.probe_blocks_saved);
-  registry.set("plbhec.fit.computed", stats.fits_computed);
-  registry.set("plbhec.fit.cached", stats.fits_cached);
-  registry.set("plbhec.fit.gram_solves", stats.gram_solves);
-  registry.set("plbhec.fit.qr_solves", stats.qr_solves);
-  registry.set("plbhec.fit.qr_fallbacks", stats.qr_fallbacks);
-  registry.set("plbhec.overlap.active_units", stats.overlap_units);
-  registry.set("plbhec.adapt.drift_detections", stats.drift_detections);
-  registry.set("plbhec.adapt.reprobe_blocks", stats.reprobe_blocks);
-  registry.set("plbhec.adapt.reprobe_swaps", stats.reprobe_swaps);
-  registry.set("plbhec.warmstart.stale_skips", stats.warm_stale_skips);
-}
-
 void publish_transfer_models(obs::CounterRegistry& registry,
-                             const std::vector<fit::PerfModel>& models,
-                             double overlap_smoothing) {
+                             const std::vector<fit::PerfModel>& models) {
   const auto micros = [](double seconds) {
     return static_cast<std::uint64_t>(std::max(0.0, seconds) * 1e6 + 0.5);
   };
@@ -44,7 +18,7 @@ void publish_transfer_models(obs::CounterRegistry& registry,
     return static_cast<std::uint64_t>(std::clamp(ratio, 0.0, 1.0) * 1000.0 +
                                       0.5);
   };
-  registry.set("plbhec.overlap.smoothing_milli", milli(overlap_smoothing));
+  registry.set("plbhec.overlap.smoothing_milli", milli(kOverlapSmoothing));
   for (std::size_t u = 0; u < models.size(); ++u) {
     const std::string prefix = "plbhec.unit" + std::to_string(u) + ".";
     registry.set(prefix + "transfer_slope_us", micros(models[u].transfer.slope));
@@ -56,17 +30,14 @@ void publish_transfer_models(obs::CounterRegistry& registry,
 }
 
 PlbHecScheduler::PlbHecScheduler(PlbHecOptions options)
-    : options_(std::move(options)) {
-  options_.fit.r2_threshold =
-      options_.fit.r2_threshold > 0.0 ? options_.fit.r2_threshold : 0.7;
-}
+    : options_(std::move(options)) {}
 
 void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
                             const rt::WorkInfo& work) {
   PLBHEC_EXPECTS(!units.empty());
   units_ = units;
   work_ = work;
-  profiles_.reset(units.size(), work.total_grains);
+  profiles_.reset(units.size(), work.total_grains, options_.fit);
 
   initial_block_ = options_.initial_block ? options_.initial_block
                                           : std::max<std::size_t>(
@@ -93,12 +64,11 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   stats_.reprobe_blocks_per_unit.assign(units.size(), 0);
   for (rt::UnitId u = 0; u < units.size() && u < options_.warm.size(); ++u) {
     const rt::WarmProfile& warm = options_.warm[u];
-    if (!warm.usable() || warm.stored_r2 < options_.fit.r2_threshold)
-      continue;
+    if (!warm.usable() || warm.stored_r2 < fit::kR2Threshold) continue;
     // A profile that predates too many store writes describes a cluster
     // state nobody has observed lately; probing costs less than betting a
     // validation block on it.
-    if (options_.warm_max_age > 0 && warm.age > options_.warm_max_age) {
+    if (warm.age > kWarmMaxAge) {
       ++stats_.warm_stale_skips;
       continue;
     }
@@ -149,7 +119,7 @@ std::size_t PlbHecScheduler::plan_probe_block(rt::UnitId unit) const {
       warm_state_[unit] == WarmState::kPending
           ? 1.0
           : std::min(std::pow(2.0, static_cast<double>(k)),
-                     static_cast<double>(options_.max_probe_multiplier));
+                     static_cast<double>(kMaxProbeMultiplier));
 
   auto marginal_tau = [&](rt::UnitId u) -> double {
     if (last_probe_grains_[u] <= 0.0 || last_probe_time_[u] <= 0.0)
@@ -218,7 +188,7 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
   if (reprobing_[unit] != 0) {
     const double multiplier =
         std::min(std::pow(2.0, static_cast<double>(reprobe_round_[unit])),
-                 static_cast<double>(options_.max_probe_multiplier));
+                 static_cast<double>(kMaxProbeMultiplier));
     double size = multiplier * static_cast<double>(initial_block_);
     if (options_.max_block_seconds > 0.0 && per_grain_[unit] > 0.0)
       size = std::min(size, options_.max_block_seconds / per_grain_[unit]);
@@ -275,7 +245,7 @@ void PlbHecScheduler::maybe_finish_modeling() {
   bool enough_samples = true;
   for (rt::UnitId u = 0; u < units_.size(); ++u) {
     if (failed_[u]) continue;
-    if (probe_count_[u] < options_.min_probe_rounds) enough_samples = false;
+    if (probe_count_[u] < kMinProbeRounds) enough_samples = false;
     // A unit with fewer than three samples has no reliable slope: exact
     // 2-point fits tie across curve families and extrapolate arbitrarily.
     // Keep probing (the budget clamp shrinks everyone else's probes to a
@@ -290,7 +260,7 @@ void PlbHecScheduler::maybe_finish_modeling() {
     fits_acceptable = true;
     for (rt::UnitId u = 0; u < units_.size(); ++u) {
       if (failed_[u]) continue;
-      if (!profiles_.exec_fit(u, options_.fit).acceptable) {
+      if (!profiles_.exec_fit(u).acceptable) {
         fits_acceptable = false;
         break;
       }
@@ -317,7 +287,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   double warm_predicted = -1.0;
   if (phase_ == Phase::kModeling &&
       warm_state_[obs.unit] == WarmState::kPending && obs.grains > 0) {
-    const fit::PerfModel seeded = profiles_.fit_unit(obs.unit, options_.fit);
+    const fit::PerfModel seeded = profiles_.fit_unit(obs.unit);
     if (seeded.valid())
       warm_predicted =
           seeded.total_time(profiles_.grains_to_fraction(obs.grains));
@@ -330,7 +300,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   // transfer + exec (fraction 0); a pipelined remote unit reports a
   // shorter span, and the hidden share of the smaller phase is the
   // overlap. The per-unit EWMA drives the cost-regime selection (see
-  // PlbHecOptions::overlap_activation).
+  // kOverlapActivation).
   const double serial = obs.transfer_seconds + obs.exec_seconds;
   const double span = obs.finish_time - obs.start_time;
   const double overlap_floor =
@@ -338,13 +308,12 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   if (obs.grains > 0 && overlap_floor > 0.0 && span > 0.0) {
     const double rho = std::clamp((serial - span) / overlap_floor, 0.0, 1.0);
     overlap_ewma_[obs.unit] +=
-        options_.overlap_smoothing * (rho - overlap_ewma_[obs.unit]);
+        kOverlapSmoothing * (rho - overlap_ewma_[obs.unit]);
   }
   // The duration every consumer below sees: the true span when this unit
   // runs the overlap regime (its blocks really finish in max-like time),
   // the additive sum otherwise — identical to the pre-pipeline scheduler.
-  const bool overlapped =
-      overlap_ewma_[obs.unit] >= options_.overlap_activation;
+  const bool overlapped = overlap_ewma_[obs.unit] >= kOverlapActivation;
   const double duration =
       overlapped && span > 0.0 ? std::min(serial, span) : serial;
   if (obs.grains > 0)
@@ -486,7 +455,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
 bool PlbHecScheduler::resolve_warm_validation(const rt::TaskObservation& obs,
                                               double predicted) {
   const double duration = obs.transfer_seconds + obs.exec_seconds;
-  const fit::FitResult refit = profiles_.exec_fit(obs.unit, options_.fit);
+  const fit::FitResult refit = profiles_.exec_fit(obs.unit);
   const double rel_error =
       predicted > 0.0 ? std::fabs(duration - predicted) / predicted : 1e300;
   const std::uint64_t seeded_samples =
@@ -496,18 +465,15 @@ bool PlbHecScheduler::resolve_warm_validation(const rt::TaskObservation& obs,
   // since it was refreshed), the more precisely it must predict the
   // validation block. A freshly written profile keeps the full bound.
   const double bound =
-      options_.warm_rel_error /
-      (1.0 + options_.warm_age_tightening *
-                 static_cast<double>(warm_age_[obs.unit]));
+      kWarmRelError /
+      (1.0 + kWarmAgeTightening * static_cast<double>(warm_age_[obs.unit]));
   if (refit.acceptable && rel_error <= bound) {
     warm_state_[obs.unit] = WarmState::kValidated;
     // The stored curve stands in for the probe schedule: mark the unit
     // fully probed so modeling can finish after this single block. The
     // real block count lives in stats_.probe_blocks.
-    const std::size_t full =
-        std::max<std::size_t>(options_.min_probe_rounds, 1);
-    stats_.probe_blocks_saved += full - 1;
-    probe_count_[obs.unit] = full;
+    stats_.probe_blocks_saved += kMinProbeRounds - 1;
+    probe_count_[obs.unit] = kMinProbeRounds;
     ++stats_.warm_hits;
     PLBHEC_OBS_RECORD(sink_, {obs.finish_time, obs::EventKind::kWarmStartHit,
                               static_cast<std::uint32_t>(obs.unit), rel_error,
@@ -601,8 +567,7 @@ void PlbHecScheduler::finish_reprobe(rt::UnitId unit, double now) {
   // moments alone (no raw-sample refit); a window too degenerate to yield
   // an acceptable model falls back to the post-change profile samples in
   // the selection below.
-  const fit::FitResult recent =
-      adapt::fit_recent(monitor_.window(unit), options_.fit);
+  const fit::FitResult recent = adapt::fit_recent(monitor_.window(unit));
   if (recent.model.valid() && recent.acceptable)
     exec_override_[unit] = recent.model;
   PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kReprobeSwap,
@@ -626,7 +591,7 @@ void PlbHecScheduler::sync_fit_stats() {
 void PlbHecScheduler::fit_and_select() {
   ++generation_;
   const std::vector<fit::PerfModel> prev_models = models_;
-  models_ = profiles_.fit_all(options_.fit);
+  models_ = profiles_.fit_all();
   sync_fit_stats();
 
   // Drift hooks. A unit mid-ladder owns only a handful of post-change
@@ -652,8 +617,7 @@ void PlbHecScheduler::fit_and_select() {
   stats_.overlap_units = 0;
   for (rt::UnitId u = 0; u < units_.size(); ++u) {
     models_[u].overlap =
-        overlap_ewma_[u] >= options_.overlap_activation ? overlap_ewma_[u]
-                                                        : 0.0;
+        overlap_ewma_[u] >= kOverlapActivation ? overlap_ewma_[u] : 0.0;
     if (!failed_[u] && models_[u].overlap > 0.0) ++stats_.overlap_units;
   }
 
@@ -667,7 +631,7 @@ void PlbHecScheduler::fit_and_select() {
         sink_, {last_now_, obs::EventKind::kModelFitted,
                 static_cast<std::uint32_t>(u), models_[u].exec.r2, 0.0,
                 profiles_.exec_samples(u).size(),
-                models_[u].exec.r2 >= options_.fit.r2_threshold ? 1u : 0u});
+                models_[u].exec.r2 >= fit::kR2Threshold ? 1u : 0u});
     alive_models.push_back(models_[u]);
     alive_ids.push_back(u);
   }

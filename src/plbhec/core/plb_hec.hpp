@@ -23,6 +23,8 @@
 /// The scheduler also honors unit failures (paper §VI future work): the
 /// failed unit's share is re-solved across the survivors.
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "plbhec/adapt/drift.hpp"
@@ -36,20 +38,49 @@ class CounterRegistry;
 
 namespace plbhec::core {
 
+/// Minimum number of probe blocks per unit before the first fit attempt
+/// (the paper's schedule: 4).
+inline constexpr std::size_t kMinProbeRounds = 4;
+/// Largest probe multiplier; the paper's schedule is 1, 2, 4, 8 and
+/// additional points (when R^2 is still low) are taken at the final
+/// multiplier rather than growing further.
+inline constexpr std::size_t kMaxProbeMultiplier = 8;
+/// Relative error bound of the warm validation rule: |observed -
+/// predicted| / predicted on the validation block must stay under this.
+inline constexpr double kWarmRelError = 0.35;
+/// Staleness tightening of the warm validation bound: the effective bound
+/// is kWarmRelError / (1 + kWarmAgeTightening * age), where age is
+/// WarmProfile::age (store writes since the entry was refreshed). A fresh
+/// profile keeps the full bound; one that predates hundreds of store
+/// writes must predict the validation block much more precisely to be
+/// trusted.
+inline constexpr double kWarmAgeTightening = 0.01;
+/// Profiles older than this many store writes are not seeded at all (cold
+/// probing instead of spending a validation block on a curve that long
+/// predates the cluster's current behavior).
+inline constexpr std::uint64_t kWarmMaxAge = 1024;
+/// Cost-regime selection for pipelined transports. Each completed block
+/// yields an observed overlap fraction — (transfer + exec - span) /
+/// min(transfer, exec), clamped to [0, 1], where span is the block's wall
+/// time from the engine's observation. Under a synchronous unit span =
+/// transfer + exec and the fraction is 0; a pipelined net::RemoteUnit
+/// hides part of the smaller phase and reports span < transfer + exec. The
+/// per-unit EWMA of this fraction (weight kOverlapSmoothing) is attached to
+/// the unit's fitted model once it reaches kOverlapActivation, switching
+/// that unit's cost from the paper's additive E = F + G to the
+/// steady-state blend toward max(F, G) (fit::PerfModel::overlap). Units
+/// below the activation keep the additive model bit for bit, so sync-mode
+/// schedules are unchanged.
+inline constexpr double kOverlapSmoothing = 0.4;
+inline constexpr double kOverlapActivation = 0.2;
+
 struct PlbHecOptions {
   /// Probe block of the first round, in grains. 0 = use the engine hint
   /// (WorkInfo::initial_block).
   std::size_t initial_block = 0;
-  /// Minimum number of probe blocks per unit before the first fit attempt
-  /// (the paper's schedule: 4).
-  std::size_t min_probe_rounds = 4;
   /// Stop the modeling phase once this fraction of the input is consumed,
   /// even if some fit is still below the R^2 threshold (paper: 20%).
   double modeling_data_cap = 0.20;
-  /// Largest probe multiplier; the paper's schedule is 1, 2, 4, 8 and
-  /// additional points (when R^2 is still low) are taken at the final
-  /// multiplier rather than growing further.
-  std::size_t max_probe_multiplier = 8;
   /// Rebalance when task durations diverge by more than this fraction of
   /// the mean block duration. The paper: "the threshold must be determined
   /// empirically; in practice, values of about 10% ... a good trade-off".
@@ -67,50 +98,23 @@ struct PlbHecOptions {
   /// updated for *future* blocks — the same in-place re-solve a threshold
   /// rebalance runs. Each refinement costs one solver call.
   std::size_t refinements = 2;
-  /// Curve-fit configuration (r2_threshold is the paper's 0.7).
+  /// Curve-fit engine (the acceptance bar is fit::kR2Threshold, the
+  /// paper's 0.7).
   fit::SelectionOptions fit;
   /// Block-selection configuration (total_fraction is set per solve from
   /// step_fraction).
   solver::BlockSelectionOptions selection;
   /// Per-unit warm-start profiles (the service layer loads these from its
   /// ProfileStore at job admission), indexed by the unit ids passed to
-  /// start(). A unit whose stored profile has stored_r2 >= fit.r2_threshold
-  /// is seeded with the persisted samples and issues ONE cheap validation
-  /// block instead of the exponential probe schedule; if the seeded fit
-  /// still predicts that block within warm_rel_error, the unit's modeling
-  /// is complete (warm hit). Otherwise the stored samples are dropped and
-  /// the unit falls back to cold probing (warm miss). Units beyond the
-  /// vector, or with unusable entries, always cold-start.
+  /// start(). A unit whose stored profile has stored_r2 >=
+  /// fit::kR2Threshold is seeded with the persisted samples and issues ONE
+  /// cheap validation block instead of the exponential probe schedule; if
+  /// the seeded fit still predicts that block within the kWarmRelError
+  /// bound, the unit's modeling is complete (warm hit). Otherwise the
+  /// stored samples are dropped and the unit falls back to cold probing
+  /// (warm miss). Units beyond the vector, or with unusable entries,
+  /// always cold-start.
   std::vector<rt::WarmProfile> warm;
-  /// Relative error bound of the warm validation rule: |observed -
-  /// predicted| / predicted on the validation block must stay under this.
-  double warm_rel_error = 0.35;
-  /// Staleness tightening of the warm validation bound: the effective
-  /// bound is warm_rel_error / (1 + warm_age_tightening * age), where age
-  /// is WarmProfile::age (store writes since the entry was refreshed). A
-  /// fresh profile keeps the full bound; one that predates hundreds of
-  /// store writes must predict the validation block much more precisely
-  /// to be trusted. 0 disables the tightening.
-  double warm_age_tightening = 0.01;
-  /// Profiles older than this many store writes are not seeded at all
-  /// (cold probing instead of spending a validation block on a curve that
-  /// long predates the cluster's current behavior). 0 disables the cap.
-  std::uint64_t warm_max_age = 1024;
-  /// Cost-regime selection for pipelined transports. Each completed block
-  /// yields an observed overlap fraction — (transfer + exec - span) /
-  /// min(transfer, exec), clamped to [0, 1], where span is the block's
-  /// wall time from the engine's observation. Under a synchronous unit
-  /// span = transfer + exec and the fraction is 0; a pipelined
-  /// net::RemoteUnit hides part of the smaller phase and reports span <
-  /// transfer + exec. The per-unit EWMA of this fraction (weight
-  /// `overlap_smoothing`) is attached to the unit's fitted model once it
-  /// exceeds `overlap_activation`, switching that unit's cost from the
-  /// paper's additive E = F + G to the steady-state blend toward
-  /// max(F, G) (fit::PerfModel::overlap). Units below the activation keep
-  /// the additive model bit for bit, so sync-mode schedules are
-  /// unchanged.
-  double overlap_smoothing = 0.4;
-  double overlap_activation = 0.2;
   /// Online drift adaptation (src/plbhec/adapt/): per-unit residual CUSUM
   /// change-point detection over the execution phase, targeted re-probe of
   /// a tripped unit via a short geometric block ladder while the rest of
@@ -148,7 +152,7 @@ struct PlbHecStats {
   std::size_t warm_hits = 0;       ///< units whose stored profile validated
   std::size_t warm_misses = 0;     ///< stored profiles rejected at validation
   std::size_t probe_blocks_saved = 0;  ///< schedule blocks skipped by warm
-                                       ///< hits (min_probe_rounds - 1 each)
+                                       ///< hits (kMinProbeRounds - 1 each)
   std::size_t overlap_units = 0;   ///< units on the max(F, G) regime at the
                                    ///< most recent selection
   std::size_t drift_detections = 0;  ///< residual CUSUM trips
@@ -160,24 +164,16 @@ struct PlbHecStats {
   std::vector<std::size_t> reprobe_blocks_per_unit;
 };
 
-/// Publishes the scheduler statistics into a counter registry under the
-/// "plbhec." prefix — the CounterRegistry unification of the ad-hoc stats
-/// (one snapshot per call; values overwrite).
-void publish_counters(obs::CounterRegistry& registry,
-                      const PlbHecStats& stats);
-
 /// Publishes each unit's fitted transfer-model coefficients (Eq. 2 slope
 /// a1, latency a2, R²) and its cost-regime overlap under
 /// "plbhec.unit<N>.*", so run summaries and trace exports show wire
 /// health per remote unit without rerunning bench_net, plus the overlap
-/// EWMA decay constant under "plbhec.overlap.smoothing_milli" (the time
-/// constant the estimates were smoothed with — without it the per-unit
-/// overlap numbers are not interpretable across configurations). Times
-/// are scaled to integer microseconds, ratios to milli-units (the
-/// registry holds u64 counters).
+/// EWMA decay constant kOverlapSmoothing under
+/// "plbhec.overlap.smoothing_milli" (the time constant the estimates were
+/// smoothed with). Times are scaled to integer microseconds, ratios to
+/// milli-units (the registry holds u64 counters).
 void publish_transfer_models(obs::CounterRegistry& registry,
-                             const std::vector<fit::PerfModel>& models,
-                             double overlap_smoothing);
+                             const std::vector<fit::PerfModel>& models);
 
 class PlbHecScheduler final : public rt::Scheduler {
  public:
@@ -205,16 +201,9 @@ class PlbHecScheduler final : public rt::Scheduler {
   /// Raw profiling samples (Fig. 1 reproduction data).
   [[nodiscard]] const rt::ProfileDb& profiles() const { return profiles_; }
   /// Smoothed per-unit observed-overlap fractions driving the cost-regime
-  /// selection (see PlbHecOptions::overlap_activation).
+  /// selection (see kOverlapActivation).
   [[nodiscard]] const std::vector<double>& overlap_estimates() const {
     return overlap_ewma_;
-  }
-  /// The drift monitor (windows, detectors, trip counts) — bench/test
-  /// introspection.
-  [[nodiscard]] const adapt::DriftMonitor& drift() const { return monitor_; }
-  /// True while `unit` runs its targeted re-probe ladder.
-  [[nodiscard]] bool reprobing(rt::UnitId unit) const {
-    return unit < reprobing_.size() && reprobing_[unit] != 0;
   }
 
  private:

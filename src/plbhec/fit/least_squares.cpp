@@ -16,6 +16,16 @@
 namespace plbhec::fit {
 namespace {
 
+/// The selection configuration (§III-B). The intercept (launch and
+/// queueing overhead) is always fitted, together with at most kMaxTerms
+/// candidate terms: the paper's Eq. (1) allows any combination, and three
+/// keeps a selection to O(60) fits and off the overfitting the few early
+/// probe points invite. A subset needs kSamplesPerParam samples per fitted
+/// parameter, so 4 probe points support 2 parameters instead of an
+/// interpolating fit (R^2 = 1) whose extrapolation is meaningless.
+constexpr std::size_t kMaxTerms = 3;
+constexpr std::size_t kSamplesPerParam = 2;
+
 /// kAuto cutover: below this many samples fits run on QR, the historical
 /// numerical reference (exact fits on 2-5 points are where normal-equation
 /// cancellation would perturb the BIC tie-breaking); at and above it on the
@@ -164,11 +174,10 @@ class SubsetScorer {
   /// `fixed` items are always present and which hold at most `max_depth`
   /// terms; the bound also sizes the QR workspace.
   SubsetScorer(const FitSource& source, std::span<const BasisFn> items,
-               std::size_t fixed, bool weighted, std::size_t max_depth)
+               std::size_t fixed, std::size_t max_depth)
       : src_(source),
         items_(items),
         fixed_(fixed),
-        weighted_(weighted),
         max_depth_(std::min(max_depth, items.size())) {
     PLBHEC_EXPECTS(items.size() <= kMaxSubsetTerms && fixed <= items.size());
     if (src_.try_gram) build_gram_table();
@@ -176,17 +185,13 @@ class SubsetScorer {
 
   /// Scores the subsets with lo..hi candidates into `table` (reset for
   /// those classes or more); a subset with more terms than samples is left
-  /// unscored, as is one no path can fit.
+  /// unscored, as is one no path can fit. A scorer walks once: the walk
+  /// reflects columns in place.
   void score(std::size_t lo, std::size_t hi, ScoreTable& table) {
+    PLBHEC_EXPECTS(table_ == nullptr);
     table_ = &table;
     lo_ = lo;
     hi_ = hi;
-    // A previous walk reflected columns in place; start from the samples.
-    for (Level& level : levels_) {
-      level.cols_ok = 0;
-      level.b_ok = level.h_ok = false;
-    }
-    gram_rows_ = 0;
     if (fixed_ > max_depth_ || src_.mass < static_cast<double>(fixed_))
       return;
     for (std::size_t p = 0; p < fixed_; ++p) push(p, p);
@@ -275,26 +280,25 @@ class SubsetScorer {
   void build_gram_table() {
     const MomentSet& m = *src_.moments;
     for (std::size_t a = 0; a < item_count(); ++a) {
-      const double gaa = m.gram(items_[a], items_[a], weighted_);
+      const double gaa = m.gram(items_[a], items_[a]);
       gram_ok_[a] = gaa > 0.0 && std::isfinite(gaa);
       if (gram_ok_[a]) d_[a] = 1.0 / std::sqrt(gaa);
     }
     for (std::size_t a = 0; a < item_count(); ++a) {
       if (!gram_ok_[a]) continue;
-      bs_[a] = m.xty(items_[a], weighted_) * d_[a];
+      bs_[a] = m.xty(items_[a]) * d_[a];
       for (std::size_t b = 0; b < item_count(); ++b)
         if (gram_ok_[b])
           gs_[a * kMaxSubsetTerms + b] =
-              m.gram(items_[a], items_[b], weighted_) * d_[a] * d_[b];
+              m.gram(items_[a], items_[b]) * d_[a] * d_[b];
     }
     const double yty = m.yty();
     gram_tss_ = yty - m.sum_y() * m.sum_y() / src_.mass;
   }
 
   /// Gram leaf: completes the solve from the path's rows, then recovers
-  /// RSS/R^2/BIC from the *unweighted* moments (acceptance R^2 is always
-  /// unweighted). Returns nullopt when the equilibrated sub-Gram is too
-  /// ill-conditioned to certify ~1e-9 agreement with QR.
+  /// RSS/R^2/BIC from the moments. Returns nullopt when the equilibrated
+  /// sub-Gram is too ill-conditioned to certify ~1e-9 agreement with QR.
   std::optional<SubsetScore> score_gram(std::size_t k, std::span<double> c) {
     std::array<double, kBasisCount * kBasisCount> gs_sub{};
     std::array<double, kBasisCount> d{};
@@ -339,8 +343,7 @@ class SubsetScorer {
   }
 
   /// QR leaf: back substitution on the path's R columns and right-hand
-  /// side, then the *unweighted* R^2 on the raw samples, so the acceptance
-  /// rule matches the paper regardless of the weighting used to fit.
+  /// side, then R^2 and BIC on the raw samples.
   std::optional<SubsetScore> score_qr(std::size_t k, std::span<double> c) {
     if (work_.empty()) allocate();
     bool any_nonzero = false;
@@ -395,7 +398,7 @@ class SubsetScorer {
   }
 
   /// `item`'s column after the path's first `p` reflections (level 0: the
-  /// weighted, equilibrated design column).
+  /// equilibrated design column).
   std::span<double> stepped(std::size_t p, std::size_t item) {
     Level& level = levels_[p];
     const std::span<double> dst = column(p, item);
@@ -446,19 +449,12 @@ class SubsetScorer {
     return level.b;
   }
 
-  /// Level 0 from the samples: every item's weighted design column,
-  /// equilibrated, and the weighted right-hand side.
+  /// Level 0 from the samples: every item's design column, equilibrated,
+  /// and the observed times as the right-hand side.
   void build_base() {
     Level& level = levels_[0];
-    const auto& items = src_.samples->items();
-    for (std::size_t row = 0; row < n_; ++row) {
-      const double w = weighted_ ? 1.0 / std::max(items[row].time, 1e-9) : 1.0;
-      level.b[row] = weighted_ ? observed_[row] * w : observed_[row];
-      for (std::size_t a = 0; a < item_count(); ++a) {
-        const double phi = raw_[a * n_ + row];
-        level.cols[a * n_ + row] = weighted_ ? phi * w : phi;
-      }
-    }
+    std::copy(observed_.begin(), observed_.end(), level.b.begin());
+    std::copy(raw_.begin(), raw_.end(), level.cols.begin());
     for (std::size_t a = 0; a < item_count(); ++a) {
       const std::span<double> col = column(0, a);
       scale_[a] = linalg::equilibrate_column(col);
@@ -521,7 +517,6 @@ class SubsetScorer {
   FitSource src_;
   std::span<const BasisFn> items_;
   std::size_t fixed_;
-  bool weighted_;
   std::size_t max_depth_;
 
   // The walk in progress.
@@ -616,7 +611,7 @@ struct Candidate {
   [[nodiscard]] std::span<double> coefficient_span() {
     return {coefficients.data(), k};
   }
-  [[nodiscard]] FitResult result(double r2_threshold) const {
+  [[nodiscard]] FitResult result() const {
     FitResult out;
     out.model.terms.assign(terms.begin(), terms.begin() + k);
     out.model.coefficients.assign(coefficients.begin(),
@@ -624,73 +619,58 @@ struct Candidate {
     out.model.r2 = r2;
     out.r2 = r2;
     out.bic = bic;
-    out.acceptable = valid() && r2 >= r2_threshold;
+    out.acceptable = valid() && r2 >= kR2Threshold;
     return out;
   }
 };
 
 /// The subset search shared by every selection path. `source` supplies
-/// the fits; `n` is the sample count behind the DoF guard and the parsimony
-/// classes, `nonempty` gates the intercept-only fallback and `x_lo` is the
-/// plausibility grid's lower edge.
+/// the fits; `n` is the sample count behind the DoF guard, `nonempty`
+/// gates the intercept-only fallback and `x_lo` is the plausibility grid's
+/// lower edge.
 ///
-/// Every subset is scored into a table first (one size class at a time
-/// under the parsimony early exit, so the counters see exactly the subsets
-/// it reaches); the rule below then reads the table in the enumeration
-/// order, because BIC ties at the margin depend on order.
+/// Every subset is scored into a table first; the rule below then reads
+/// the table in the enumeration order (by size class, then by candidate
+/// mask), because BIC ties at the margin depend on order.
 ///
 /// Plausibility is checked lazily: only a candidate whose BIC beats
-/// best_plausible or best_of_class by the tie margin can change either, so
-/// no other candidate needs the 48-point curve check.
+/// best_plausible by the tie margin can change it, so no other candidate
+/// needs the 48-point curve check.
 FitResult select_subsets(std::span<const BasisFn> candidate_terms,
-                         const SelectionOptions& options, std::size_t n,
-                         bool nonempty, double x_lo, const FitSource& source) {
+                         std::size_t n, bool nonempty, double x_lo,
+                         const FitSource& source) {
   Candidate best_plausible;
   Candidate best_any;
 
   const std::size_t m = candidate_terms.size();
-  const std::size_t limit = std::min(options.max_terms, m);
+  const std::size_t limit = std::min(kMaxTerms, m);
 
   // Degrees-of-freedom guard: an interpolating fit (params == samples) has
   // R^2 = 1 by construction and garbage extrapolation. Exception: with two
   // samples an exact line is still allowed — slope information is vital
   // for the block selection (a flat model hands the unit an arbitrary
   // share) and a 2-point line through a monotone curve extrapolates sanely.
+  // Under 6 samples the guard admits the intercept and one term: extra
+  // terms cut residuals on a handful of probe points almost for free but
+  // wreck the extrapolation the block selection relies on.
   const std::size_t max_params =
-      n < 2 ? 1
-            : std::max<std::size_t>(
-                  2, n / std::max<std::size_t>(1, options.samples_per_param));
+      n < 2 ? 1 : std::max<std::size_t>(2, n / kSamplesPerParam);
 
-  // Scarce samples (< 6): parsimony-first enumeration — try all subsets
-  // with exactly `s` non-intercept terms, smallest s first, and stop at
-  // the first size class that yields a physically plausible fit over the
-  // escalation bar. Extra terms cut residuals on a handful of probe
-  // points almost for free but wreck the extrapolation the block
-  // selection relies on; this ordering operationalizes the paper's
-  // "0.7 ... prevents overfitting" rule. With >= 6 samples the BIC has
-  // real degrees of freedom to price complexity, so the plain
-  // BIC-among-plausible winner (computed below either way) is used.
-  const bool hierarchical = n < 6;
   PLBHEC_EXPECTS(m < kMaxSubsetTerms);
   const std::size_t subsets = std::size_t{1} << m;
-  const std::size_t fixed = options.include_intercept ? 1 : 0;
   std::array<BasisFn, kMaxSubsetTerms> items{};
   items[0] = BasisFn::kOne;
-  std::copy(candidate_terms.begin(), candidate_terms.end(),
-            items.begin() + static_cast<std::ptrdiff_t>(fixed));
-  SubsetScorer scorer(source, std::span(items).first(fixed + m), fixed,
-                      options.relative_weighting,
-                      std::min(fixed + limit, max_params));
+  std::copy(candidate_terms.begin(), candidate_terms.end(), items.begin() + 1);
+  SubsetScorer scorer(source, std::span(items).first(1 + m), 1,
+                      std::min(1 + limit, max_params));
   ScoreTable table;
   if (limit > 0) {
-    table.reset(m, 1, limit, fixed + limit);
-    if (!hierarchical) scorer.score(1, limit, table);
+    table.reset(m, 1, limit, 1 + limit);
+    scorer.score(1, limit, table);
   }
   PlausibilityGrid grid(x_lo);
   Candidate current;
   for (std::size_t size_class = 1; size_class <= limit; ++size_class) {
-    if (hierarchical) scorer.score(size_class, size_class, table);
-    Candidate best_of_class;
     std::size_t rank = 0;
     for (std::size_t mask = 1; mask < subsets; ++mask) {
       const auto bits = static_cast<std::size_t>(__builtin_popcountll(mask));
@@ -699,7 +679,7 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
       const std::optional<SubsetScore>& score = table.score(slot);
       if (!score) continue;  // over the DoF guard, or not fittable
       current.k = 0;
-      if (options.include_intercept) current.terms[current.k++] = BasisFn::kOne;
+      current.terms[current.k++] = BasisFn::kOne;
       for (std::size_t i = 0; i < m; ++i)
         if (mask & (std::size_t{1} << i))
           current.terms[current.k++] = candidate_terms[i];
@@ -709,19 +689,10 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
       current.bic = score->bic;
 
       if (current.bic < best_any.bic - kBicMargin) best_any = current;
-      const bool beats_plausible =
-          current.bic < best_plausible.bic - kBicMargin;
-      const bool beats_class = current.bic < best_of_class.bic - kBicMargin;
-      if (!beats_plausible && !beats_class) continue;
-      if (options.physical_filter &&
-          !grid.plausible(current.term_span(), current.coefficient_span()))
-        continue;
-      if (beats_plausible) best_plausible = current;
-      if (beats_class) best_of_class = current;
+      if (current.bic < best_plausible.bic - kBicMargin &&
+          grid.plausible(current.term_span(), current.coefficient_span()))
+        best_plausible = current;
     }
-    const double bar = std::max(options.class_r2, options.r2_threshold);
-    if (hierarchical && best_of_class.valid() && best_of_class.r2 >= bar)
-      return best_of_class.result(options.r2_threshold);
   }
 
   Candidate best =
@@ -731,9 +702,9 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
 
   // Intercept-only fallback when nothing else was fittable (e.g. a single
   // sample): model the unit as a constant.
-  if (!best.valid() && options.include_intercept && nonempty) {
+  if (!best.valid() && nonempty) {
     const std::array<BasisFn, 1> one{BasisFn::kOne};
-    SubsetScorer constant(source, one, 1, /*weighted=*/false, 1);
+    SubsetScorer constant(source, one, 1, 1);
     table.reset(0, 0, 0, 1);
     constant.score(0, 0, table);
     if (const std::optional<SubsetScore>& score = table.score(0)) {
@@ -745,16 +716,15 @@ FitResult select_subsets(std::span<const BasisFn> candidate_terms,
       best = current;
     }
   }
-  return best.result(options.r2_threshold);
+  return best.result();
 }
 
 /// The single subset `terms`, in its given order, as a one-path walk.
 std::optional<FitResult> fit_path(const FitSource& source,
-                                  std::span<const BasisFn> terms,
-                                  bool relative_weighting) {
+                                  std::span<const BasisFn> terms) {
   if (terms.empty()) return std::nullopt;
   const std::size_t k = terms.size();
-  SubsetScorer scorer(source, terms, k, relative_weighting, k);
+  SubsetScorer scorer(source, terms, k, k);
   ScoreTable table;
   table.reset(0, 0, 0, k);
   scorer.score(0, 0, table);
@@ -774,21 +744,8 @@ std::optional<FitResult> fit_path(const FitSource& source,
 
 std::optional<FitResult> fit_terms(const SampleSet& samples,
                                    std::span<const BasisFn> terms,
-                                   bool relative_weighting, FitEngine engine,
-                                   FitCounters* counters) {
-  return fit_path(sample_source(samples, engine, counters), terms,
-                  relative_weighting);
-}
-
-std::optional<FitResult> fit_terms(const MomentSet& moments, double effective_n,
-                                   std::span<const BasisFn> terms,
-                                   bool relative_weighting) {
-  // More terms than basis functions repeat one: a singular sub-Gram.
-  if (terms.size() > kBasisCount) return std::nullopt;
-  FitSource source;
-  source.moments = &moments;
-  source.mass = effective_n;
-  return fit_path(source, terms, relative_weighting);
+                                   FitEngine engine, FitCounters* counters) {
+  return fit_path(sample_source(samples, engine, counters), terms);
 }
 
 FitResult select_model_from(const SampleSet& samples,
@@ -797,9 +754,8 @@ FitResult select_model_from(const SampleSet& samples,
                             FitCounters* counters) {
   double x_lo = 1.0;
   for (const auto& s : samples.items()) x_lo = std::min(x_lo, s.x);
-  return select_subsets(candidate_terms, options, samples.size(),
-                        !samples.empty(), x_lo,
-                        sample_source(samples, options.engine, counters));
+  return select_subsets(candidate_terms, samples.size(), !samples.empty(),
+                        x_lo, sample_source(samples, options.engine, counters));
 }
 
 FitResult select_model(const SampleSet& samples,
@@ -809,12 +765,11 @@ FitResult select_model(const SampleSet& samples,
 }
 
 FitResult select_model(const MomentSet& moments, double effective_n,
-                       double x_lo, const SelectionOptions& options) {
+                       double x_lo) {
   FitSource source;
   source.moments = &moments;
   source.mass = effective_n;
-  return select_subsets(paper_terms(), options,
-                        static_cast<std::size_t>(effective_n),
+  return select_subsets(paper_terms(), static_cast<std::size_t>(effective_n),
                         effective_n > 0.0, x_lo, source);
 }
 

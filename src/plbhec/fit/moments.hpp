@@ -2,8 +2,7 @@
 /// \file moments.hpp
 /// Incrementally maintained second moments of a profiling sample set over
 /// the *full* basis-function set: the Gram matrix G = X^T X, the moment
-/// vector X^T y and y^T y, plus the 1/time-weighted variants used by
-/// relative-weighting fits. One rank-1 update per recorded observation
+/// vector X^T y and y^T y. One rank-1 update per recorded observation
 /// makes any term-subset least-squares fit solvable in O(k^3) from the
 /// cached moments — independent of the number of samples — which keeps the
 /// modeling-phase overhead flat as probe counts grow (the cost the paper's
@@ -26,9 +25,6 @@ struct MomentSnapshot {
   std::array<double, kBasisCount * kBasisCount> gram{};
   std::array<double, kBasisCount> xty{};
   double yty = 0.0;
-  std::array<double, kBasisCount * kBasisCount> wgram{};
-  std::array<double, kBasisCount> wxty{};
-  double wyty = 0.0;
 
   friend bool operator==(const MomentSnapshot&,
                          const MomentSnapshot&) = default;
@@ -53,20 +49,17 @@ class MomentSet {
 
   [[nodiscard]] std::size_t count() const { return n_; }
 
-  /// (X^T X)[a][b], optionally with the 1/time weighting applied (the
-  /// weighted fit solves X^T W^2 X c = X^T W^2 y with w = 1/max(t, 1e-9)).
-  [[nodiscard]] double gram(BasisFn a, BasisFn b, bool weighted = false) const {
+  /// (X^T X)[a][b].
+  [[nodiscard]] double gram(BasisFn a, BasisFn b) const {
     const std::size_t i = static_cast<std::size_t>(a);
     const std::size_t j = static_cast<std::size_t>(b);
-    return (weighted ? wgram_ : gram_)[i * kBasisCount + j];
+    return gram_[i * kBasisCount + j];
   }
   /// (X^T y)[a].
-  [[nodiscard]] double xty(BasisFn a, bool weighted = false) const {
-    return (weighted ? wxty_ : xty_)[static_cast<std::size_t>(a)];
+  [[nodiscard]] double xty(BasisFn a) const {
+    return xty_[static_cast<std::size_t>(a)];
   }
-  [[nodiscard]] double yty(bool weighted = false) const {
-    return weighted ? wyty_ : yty_;
-  }
+  [[nodiscard]] double yty() const { return yty_; }
   /// Sum of observed times (the intercept row of X^T y).
   [[nodiscard]] double sum_y() const { return xty(BasisFn::kOne); }
 
@@ -82,9 +75,6 @@ class MomentSet {
   std::array<double, kBasisCount * kBasisCount> gram_{};
   std::array<double, kBasisCount> xty_{};
   double yty_ = 0.0;
-  std::array<double, kBasisCount * kBasisCount> wgram_{};
-  std::array<double, kBasisCount> wxty_{};
-  double wyty_ = 0.0;
 };
 
 }  // namespace plbhec::fit

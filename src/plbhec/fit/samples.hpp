@@ -33,12 +33,6 @@ class SampleSet {
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] const std::vector<Sample>& items() const { return samples_; }
 
-  [[nodiscard]] std::vector<double> xs() const {
-    std::vector<double> v;
-    v.reserve(samples_.size());
-    for (const auto& s : samples_) v.push_back(s.x);
-    return v;
-  }
   [[nodiscard]] std::vector<double> times() const {
     std::vector<double> v;
     v.reserve(samples_.size());

@@ -83,10 +83,6 @@ Vector Cholesky::solve(std::span<const double> b) const {
   return x;
 }
 
-bool is_positive_definite(const Matrix& a) {
-  return Cholesky::factor(a).has_value();
-}
-
 std::optional<double> finish_equilibrated_spd(
     std::span<const double> gs, std::span<const double> l, std::size_t ld,
     std::size_t n, std::span<const double> d, std::span<const double> bs,

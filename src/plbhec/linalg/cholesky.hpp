@@ -27,9 +27,6 @@ class Cholesky {
   Matrix l_;  // lower-triangular factor
 };
 
-/// True iff `a` (assumed symmetric) is positive definite.
-[[nodiscard]] bool is_positive_definite(const Matrix& a);
-
 /// Result of an equilibrated SPD solve.
 struct SpdSolve {
   Vector x;                     ///< solution of G x = b

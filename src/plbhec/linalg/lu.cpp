@@ -1,7 +1,6 @@
 #include "plbhec/linalg/lu.hpp"
 
 #include <cmath>
-#include <limits>
 
 namespace plbhec::linalg {
 
@@ -88,28 +87,6 @@ std::optional<Vector> solve(const Matrix& a, std::span<const double> b) {
   auto lu = Lu::factor(a);
   if (!lu) return std::nullopt;
   return lu->solve(b);
-}
-
-double condition_estimate(const Matrix& a) {
-  PLBHEC_EXPECTS(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  if (n == 0) return 0.0;
-  auto lu = Lu::factor(a);
-  if (!lu) return std::numeric_limits<double>::infinity();
-
-  double norm_a = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    double row_sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) row_sum += std::fabs(a(r, c));
-    norm_a = std::max(norm_a, row_sum);
-  }
-
-  // One step of Hager's estimator for ||A^{-1}||_inf using A^{-1} e / n.
-  Vector e(n, 1.0 / static_cast<double>(n));
-  Vector x = lu->solve(e);
-  double norm_inv = 0.0;
-  for (double v : x) norm_inv += std::fabs(v);
-  return norm_a * norm_inv;
 }
 
 }  // namespace plbhec::linalg

@@ -47,8 +47,4 @@ class Lu {
 [[nodiscard]] std::optional<Vector> solve(const Matrix& a,
                                           std::span<const double> b);
 
-/// Infinity-norm condition-number estimate via one LU solve with the
-/// classic Hager/Higham power step. Returns +inf when singular.
-[[nodiscard]] double condition_estimate(const Matrix& a);
-
 }  // namespace plbhec::linalg

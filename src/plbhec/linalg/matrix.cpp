@@ -92,11 +92,6 @@ double norm_inf(std::span<const double> a) {
   return m;
 }
 
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  PLBHEC_EXPECTS(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 void scale(std::span<double> x, double alpha) {
   for (double& v : x) v *= alpha;
 }

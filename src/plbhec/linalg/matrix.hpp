@@ -80,8 +80,6 @@ class Matrix {
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 [[nodiscard]] double norm2(std::span<const double> a);
 [[nodiscard]] double norm_inf(std::span<const double> a);
-/// y += alpha * x
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// x *= alpha
 void scale(std::span<double> x, double alpha);
 

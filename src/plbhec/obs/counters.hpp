@@ -1,9 +1,11 @@
 #pragma once
 /// \file counters.hpp
-/// Named monotonic counter registry: one home for the run-level integers
-/// that used to live in ad-hoc structs (PlbHecStats solver counts, the
-/// HDSS fit counters, ThreadPool steal counts, the ProfileDb fit cache).
-/// Registration is mutex-guarded and returns a stable Counter reference;
+/// Named monotonic counter registry: one home for run-level integers. Its
+/// writers are the service's end-of-run totals and store failures
+/// (`svc.*`), ThreadPool steal counts, the kernel-dispatch registry
+/// (`kdisp.*`), RemoteUnit wire statistics and the worker daemons'
+/// reactor counters (`net.<name>.*`), and PLB-HeC's per-unit transfer
+/// models (core::publish_transfer_models, `plbhec.*`). Registration is mutex-guarded and returns a stable Counter reference;
 /// increments are relaxed atomic adds, so hot paths cache the reference
 /// and pay one fetch_add. snapshot() returns a name-sorted copy for the
 /// exporters and run summaries.

@@ -8,10 +8,6 @@
 namespace plbhec::rt {
 namespace {
 
-/// Cached fits per (unit, SelectionOptions); selection sweeps use one
-/// options value, so a handful of slots covers ablation-style callers too.
-constexpr std::size_t kCacheEntriesPerUnit = 4;
-
 void bump(std::size_t& counter, std::size_t delta = 1) {
   std::atomic_ref<std::size_t>(counter).fetch_add(delta,
                                                   std::memory_order_relaxed);
@@ -24,24 +20,24 @@ std::size_t load(const std::size_t& counter) {
 
 }  // namespace
 
-ProfileDb::ProfileDb(std::size_t units, std::size_t total_grains) {
-  reset(units, total_grains);
+ProfileDb::ProfileDb(std::size_t units, std::size_t total_grains,
+                     fit::SelectionOptions options) {
+  reset(units, total_grains, options);
 }
 
-void ProfileDb::reset(std::size_t units, std::size_t total_grains) {
+void ProfileDb::reset(std::size_t units, std::size_t total_grains,
+                      fit::SelectionOptions options) {
   PLBHEC_EXPECTS(total_grains > 0);
   exec_.assign(units, {});
   transfer_.assign(units, {});
   cache_.assign(units, {});
   total_grains_ = total_grains;
+  options_ = options;
   clear_fit_cache();
 }
 
 void ProfileDb::clear_fit_cache() {
-  for (auto& c : cache_) {
-    c.entries.clear();
-    ++c.version;  // stale CacheEntry copies elsewhere can never match again
-  }
+  for (auto& c : cache_) ++c.version;  // neither fit matches any more
   counters_ = {};
 }
 
@@ -67,8 +63,10 @@ void ProfileDb::seed(UnitId u, const WarmProfile& warm) {
   if (warm.has_moments && scale == 1.0) {
     exec_[u].restore(warm.exec, warm.exec_moments);
     transfer_[u].restore(warm.transfer, warm.transfer_moments);
-    if (warm.exec_fit)
-      install(u, warm.exec_fit->options, warm.exec_fit->exec);
+    if (warm.exec_fit && options_ == fit::SelectionOptions{}) {
+      cache_[u].exec = *warm.exec_fit;
+      cache_[u].exec_version = cache_[u].version;
+    }
   } else {
     for (const fit::Sample& s : warm.exec) {
       const double x = s.x * scale;
@@ -103,84 +101,51 @@ std::uint64_t ProfileDb::version(UnitId u) const {
   return cache_[u].version;
 }
 
-ProfileDb::CacheEntry& ProfileDb::exec_entry(
-    UnitId u, const fit::SelectionOptions& options) const {
+ProfileDb::UnitCache& ProfileDb::exec_entry(UnitId u) const {
   UnitCache& cache = cache_[u];
-  for (auto& entry : cache.entries) {
-    if (entry.version == cache.version && entry.options == options) {
-      bump(counters_.fits_cached);
-      return entry;
-    }
+  if (cache.exec_version == cache.version) {
+    bump(counters_.fits_cached);
+    return cache;
   }
 
   fit::FitCounters counters;
-  fit::FitResult fitted = fit::select_model(exec_[u], options, &counters);
+  cache.exec = fit::select_model(exec_[u], options_, &counters);
+  cache.exec_version = cache.version;
   bump(counters_.fits_computed);
   bump(counters_.gram_solves, counters.gram_solves);
   bump(counters_.qr_solves, counters.qr_solves);
   bump(counters_.qr_fallbacks, counters.qr_fallbacks);
-  return install(u, options, std::move(fitted));
+  return cache;
 }
 
-ProfileDb::CacheEntry& ProfileDb::install(UnitId u,
-                                          const fit::SelectionOptions& options,
-                                          fit::FitResult exec) const {
-  UnitCache& cache = cache_[u];
-  // Reuse a slot holding a stale fit for the same options, else append,
-  // evicting the oldest slot once the per-unit cap is reached.
-  CacheEntry* slot = nullptr;
-  for (auto& entry : cache.entries)
-    if (entry.options == options) slot = &entry;
-  if (!slot) {
-    if (cache.entries.size() >= kCacheEntriesPerUnit)
-      cache.entries.erase(cache.entries.begin());
-    slot = &cache.entries.emplace_back();
-  }
-  slot->options = options;
-  slot->version = cache.version;
-  slot->exec = std::move(exec);
-  slot->has_transfer = false;
-  return *slot;
-}
-
-fit::FitResult ProfileDb::exec_fit(UnitId u,
-                                   const fit::SelectionOptions& options) const {
+fit::FitResult ProfileDb::exec_fit(UnitId u) const {
   PLBHEC_EXPECTS(u < exec_.size());
-  return exec_entry(u, options).exec;
+  return exec_entry(u).exec;
 }
 
-fit::PerfModel ProfileDb::fit_unit(UnitId u,
-                                   const fit::SelectionOptions& options) const {
+fit::PerfModel ProfileDb::fit_unit(UnitId u) const {
   PLBHEC_EXPECTS(u < exec_.size());
-  CacheEntry& entry = exec_entry(u, options);
-  if (!entry.has_transfer || entry.transfer_version != cache_[u].version) {
-    entry.transfer = fit::fit_transfer(transfer_[u]);
-    entry.transfer_version = cache_[u].version;
-    entry.has_transfer = true;
+  UnitCache& cache = exec_entry(u);
+  if (cache.transfer_version != cache.version) {
+    cache.transfer = fit::fit_transfer(transfer_[u]);
+    cache.transfer_version = cache.version;
   }
   fit::PerfModel model;
-  model.exec = entry.exec.model;
-  model.transfer = entry.transfer;
+  model.exec = cache.exec.model;
+  model.transfer = cache.transfer;
   return model;
 }
 
-std::vector<fit::PerfModel> ProfileDb::fit_all(
-    const fit::SelectionOptions& options) const {
+std::vector<fit::PerfModel> ProfileDb::fit_all() const {
   std::vector<fit::PerfModel> models(exec_.size());
   if (models.empty()) return models;
   // One chunk per unit; distinct units touch distinct cache slots, so the
   // fan-out needs no locking beyond the atomic counters.
   exec::ThreadPool::global().parallel_for(
       0, exec_.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t u = lo; u < hi; ++u) models[u] = fit_unit(u, options);
+        for (std::size_t u = lo; u < hi; ++u) models[u] = fit_unit(u);
       });
   return models;
-}
-
-bool ProfileDb::all_acceptable(const fit::SelectionOptions& options) const {
-  for (UnitId u = 0; u < exec_.size(); ++u)
-    if (!exec_fit(u, options).acceptable) return false;
-  return true;
 }
 
 FitStats ProfileDb::fit_stats() const {

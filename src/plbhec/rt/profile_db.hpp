@@ -4,13 +4,13 @@
 /// for execution and transfer, and fits the paper's performance models on
 /// demand. Shared by PLB-HeC and HDSS.
 ///
-/// Fitting pipeline (PR 2): every recorded sample bumps a per-unit version
-/// counter, and fit results are cached keyed on (version, SelectionOptions)
-/// — so the acceptance sweep in `maybe_finish_modeling` and the
-/// immediately following `fit_and_select` share one fit per unit instead of
-/// computing three, and units that received no new samples between two
-/// selections are never refit. `fit_all` fans the per-unit model selection
-/// out across the process-wide work-stealing pool.
+/// Fitting pipeline: every recorded sample bumps a per-unit version
+/// counter, and each unit caches its latest fit keyed on that version — so
+/// the acceptance sweep in `maybe_finish_modeling` and the immediately
+/// following `fit_and_select` share one fit per unit, and units that
+/// received no new samples between two selections are never refit.
+/// `fit_all` fans the per-unit model selection out across the
+/// process-wide work-stealing pool.
 
 #include <cstdint>
 #include <optional>
@@ -21,13 +21,6 @@
 #include "plbhec/rt/types.hpp"
 
 namespace plbhec::rt {
-
-/// An exec-curve selection together with the options it ran with: what
-/// the fit cache keys on.
-struct StoredFit {
-  fit::SelectionOptions options;
-  fit::FitResult exec;
-};
 
 /// Cross-run warm-start profile for one processing unit, loaded from the
 /// service layer's ProfileStore: persisted (fraction, time) samples whose
@@ -49,10 +42,11 @@ struct WarmProfile {
   fit::MomentSnapshot exec_moments;
   fit::MomentSnapshot transfer_moments;
   bool has_moments = false;
-  /// The selection its producer already ran over exactly `exec` and
-  /// `exec_moments`, if any. A bit-exact restore installs it as the unit's
-  /// cached fit, so the first fit of the seeded unit is not recomputed.
-  std::optional<StoredFit> exec_fit;
+  /// The selection (default SelectionOptions) its producer already ran
+  /// over exactly `exec` and `exec_moments`, if any. A bit-exact restore
+  /// installs it as the unit's cached fit, so the first fit of the seeded
+  /// unit is not recomputed.
+  std::optional<fit::FitResult> exec_fit;
 
   [[nodiscard]] bool usable() const {
     return !exec.empty() && total_grains > 0.0;
@@ -72,24 +66,27 @@ struct FitStats {
 class ProfileDb {
  public:
   ProfileDb() = default;
-  ProfileDb(std::size_t units, std::size_t total_grains);
+  ProfileDb(std::size_t units, std::size_t total_grains,
+            fit::SelectionOptions options = {});
 
-  void reset(std::size_t units, std::size_t total_grains);
+  /// Empties every unit and sets the selection options its fits run with.
+  void reset(std::size_t units, std::size_t total_grains,
+             fit::SelectionOptions options = {});
 
   /// Records a completed task's profile (bumps the unit's sample version,
-  /// invalidating its cached fits).
+  /// invalidating its cached fit).
   void record(const TaskObservation& obs);
 
   /// Seeds a freshly reset unit with a persisted warm-start profile. With
   /// matching grain totals the stored moments are restored bit-exactly,
   /// and the profile's stored selection, if any, becomes the unit's cached
-  /// fit for its options; otherwise samples are replayed with x rescaled
-  /// to this run's total (fractions outside (0, 1] are dropped). Bumps the
-  /// unit's version.
+  /// fit when this database selects with the default options; otherwise
+  /// samples are replayed with x rescaled to this run's total (fractions
+  /// outside (0, 1] are dropped). Bumps the unit's version.
   void seed(UnitId u, const WarmProfile& warm);
 
   /// Drops every sample of one unit (warm-start validation failure path);
-  /// bumps the unit's version so cached fits cannot be served.
+  /// bumps the unit's version so its cached fit cannot be served.
   void clear_unit(UnitId u);
 
   [[nodiscard]] std::size_t units() const { return exec_.size(); }
@@ -101,23 +98,15 @@ class ProfileDb {
   [[nodiscard]] std::uint64_t version(UnitId u) const;
 
   /// Execution-curve model selection for unit `u`, served from the fit
-  /// cache when the unit's samples have not changed since the last call
-  /// with equal options.
-  [[nodiscard]] fit::FitResult exec_fit(
-      UnitId u, const fit::SelectionOptions& options = {}) const;
+  /// cache when the unit's samples have not changed since the last call.
+  [[nodiscard]] fit::FitResult exec_fit(UnitId u) const;
 
-  /// Fits F_p and G_p for unit `u` with the given selection options.
-  [[nodiscard]] fit::PerfModel fit_unit(
-      UnitId u, const fit::SelectionOptions& options = {}) const;
+  /// Fits F_p and G_p for unit `u`.
+  [[nodiscard]] fit::PerfModel fit_unit(UnitId u) const;
 
   /// Fits every unit in parallel on the global thread pool; returns one
   /// PerfModel per unit (invalid models for units with no samples).
-  [[nodiscard]] std::vector<fit::PerfModel> fit_all(
-      const fit::SelectionOptions& options = {}) const;
-
-  /// True when every unit's latest execution fit reaches the R^2 threshold.
-  [[nodiscard]] bool all_acceptable(
-      const fit::SelectionOptions& options = {}) const;
+  [[nodiscard]] std::vector<fit::PerfModel> fit_all() const;
 
   [[nodiscard]] double grains_to_fraction(std::size_t grains) const;
 
@@ -129,31 +118,25 @@ class ProfileDb {
   void clear_fit_cache();
 
  private:
-  struct CacheEntry {
-    fit::SelectionOptions options;
-    std::uint64_t version = 0;
-    fit::FitResult exec;
-    fit::TransferModel transfer;
-    std::uint64_t transfer_version = 0;
-    bool has_transfer = false;
-  };
+  /// A unit's sample version and its latest fits, each stamped with the
+  /// version it was computed at (0: none; versions start at 1).
   struct UnitCache {
-    std::uint64_t version = 1;  ///< starts above any cached entry's 0
-    std::vector<CacheEntry> entries;
+    std::uint64_t version = 1;
+    std::uint64_t exec_version = 0;
+    fit::FitResult exec;
+    std::uint64_t transfer_version = 0;
+    fit::TransferModel transfer;
   };
 
-  /// Cached-or-computed exec fit; returns the entry so fit_unit can attach
-  /// the transfer model. Touches only cache_[u] — safe for the per-unit
-  /// parallel fan-out in fit_all.
-  CacheEntry& exec_entry(UnitId u, const fit::SelectionOptions& options) const;
-
-  /// Stores `exec` as unit u's fit for `options` at the current version.
-  CacheEntry& install(UnitId u, const fit::SelectionOptions& options,
-                      fit::FitResult exec) const;
+  /// Cached-or-computed exec fit; returns the unit's cache so fit_unit can
+  /// attach the transfer model. Touches only cache_[u] — safe for the
+  /// per-unit parallel fan-out in fit_all.
+  UnitCache& exec_entry(UnitId u) const;
 
   std::vector<fit::SampleSet> exec_;
   std::vector<fit::SampleSet> transfer_;
   std::size_t total_grains_ = 1;
+  fit::SelectionOptions options_;
 
   mutable std::vector<UnitCache> cache_;
   /// Mutated through std::atomic_ref (fit_all fans units across threads);

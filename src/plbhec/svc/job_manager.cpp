@@ -244,6 +244,9 @@ struct ServiceSim {
     if (!options.warm_start) return {};
     // Prefer the job's own observations (same workload instance, same
     // unit) over the cross-job store; they exist from the second epoch on.
+    // Having them means grains completed, so the new epoch's total is below
+    // job.total and ProfileDb::seed replays them rescaled: no moment
+    // snapshot could be restored as is.
     if (job.exec_obs[g].size() >= 4) {
       rt::WarmProfile warm;
       warm.exec = job.exec_obs[g].items();
@@ -251,9 +254,6 @@ struct ServiceSim {
       warm.total_grains = static_cast<double>(job.total);
       warm.stored_r2 =
           fit::select_model(job.exec_obs[g], options.scheduler.fit).r2;
-      warm.exec_moments = job.exec_obs[g].moments().snapshot();
-      warm.transfer_moments = job.transfer_obs[g].moments().snapshot();
-      warm.has_moments = true;
       return warm;
     }
     return store.warm_profile(specs[id].app_kind, device_kind(g));
@@ -580,8 +580,8 @@ struct ServiceSim {
     }
     for (const auto& [kind, g] : best) {
       store.put(make_entry(specs[id].app_kind, kind, job.exec_obs[g],
-                           job.transfer_obs[g], static_cast<double>(job.total),
-                           options.scheduler.fit));
+                           job.transfer_obs[g],
+                           static_cast<double>(job.total)));
     }
     if (!options.store_path.empty() && !store.save(options.store_path) &&
         options.counters != nullptr) {

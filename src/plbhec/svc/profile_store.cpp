@@ -44,9 +44,6 @@ struct Writer : ByteWriter {
     for (double v : m.gram) f64(v);
     for (double v : m.xty) f64(v);
     f64(m.yty);
-    for (double v : m.wgram) f64(v);
-    for (double v : m.wxty) f64(v);
-    f64(m.wyty);
   }
   void curve(const fit::CurveModel& c) {
     u32(static_cast<std::uint32_t>(c.terms.size()));
@@ -91,9 +88,6 @@ struct Reader : ByteReader {
     for (double& v : m.gram) v = f64();
     for (double& v : m.xty) v = f64();
     m.yty = f64();
-    for (double& v : m.wgram) v = f64();
-    for (double& v : m.wxty) v = f64();
-    m.wyty = f64();
     if (ok && m.n != expected_n) ok = false;  // snapshot/sample mismatch
     return ok;
   }
@@ -147,8 +141,7 @@ const char* to_string(StoreLoadStatus status) {
 
 ProfileEntry make_entry(std::string app_kind, std::string device_kind,
                         const fit::SampleSet& exec,
-                        const fit::SampleSet& transfer, double total_grains,
-                        const fit::SelectionOptions& fit_options) {
+                        const fit::SampleSet& transfer, double total_grains) {
   PLBHEC_EXPECTS(total_grains > 0.0);
   ProfileEntry entry;
   entry.app_kind = std::move(app_kind);
@@ -175,10 +168,10 @@ ProfileEntry make_entry(std::string app_kind, std::string device_kind,
   entry.exec_moments = exec_set.moments().snapshot();
   entry.transfer_moments = transfer_set.moments().snapshot();
 
-  fit::FitResult fitted = fit::select_model(exec_set, fit_options);
+  fit::FitResult fitted = fit::select_model(exec_set);
   entry.exec_model = fitted.model;
   entry.stored_r2 = fitted.r2;
-  entry.exec_fit = rt::StoredFit{fit_options, std::move(fitted)};
+  entry.exec_fit = std::move(fitted);
   entry.transfer_model = fit::fit_transfer(transfer_set);
   return entry;
 }

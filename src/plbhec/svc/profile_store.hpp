@@ -15,6 +15,15 @@
 ///   +20  payload    ...      u32 entry count, u64 write sequence, entries
 ///   end  checksum   u64      FNV-1a 64 over the payload bytes
 ///
+/// Each entry: app kind and device kind (u32 length + bytes each), f64
+/// total_grains, f64 stored_r2, u64 updates, u64 stamp, the exec and the
+/// transfer samples (u32 count + f64 x, f64 time each), the exec and the
+/// transfer moments (u64 n, the 8x8 Gram matrix, X^T y and y^T y: 73 f64),
+/// the exec model (u32 term count, u32 per term, f64 per coefficient, f64
+/// r2) and the transfer model (f64 slope, latency, r2). Version 3 dropped
+/// the 1/time-weighted moment sums version 2 carried; an older image
+/// decodes as version skew and the service cold-starts.
+///
 /// A reader rejects — without crashing and without partially applying —
 /// truncated files, wrong magic, version skew, checksum mismatches and
 /// structurally corrupt payloads; the service then falls back to cold
@@ -70,10 +79,10 @@ struct ProfileEntry {
   fit::MomentSnapshot transfer_moments;
   fit::CurveModel exec_model;
   fit::TransferModel transfer_model;
-  /// The complete selection make_entry() ran over `exec`, with its
-  /// options. In memory only: the image does not carry it, so a decoded
-  /// entry is refitted by the warm start that reads it.
-  std::optional<rt::StoredFit> exec_fit;
+  /// The complete selection make_entry() ran over `exec`. In memory only:
+  /// the image does not carry it, so a decoded entry is refitted by the
+  /// warm start that reads it.
+  std::optional<fit::FitResult> exec_fit;
 };
 
 /// Builds a store entry from one job's per-unit observation sets: trims to
@@ -83,12 +92,11 @@ struct ProfileEntry {
                                       std::string device_kind,
                                       const fit::SampleSet& exec,
                                       const fit::SampleSet& transfer,
-                                      double total_grains,
-                                      const fit::SelectionOptions& fit_options);
+                                      double total_grains);
 
 class ProfileStore {
  public:
-  static constexpr std::uint32_t kFormatVersion = 2;
+  static constexpr std::uint32_t kFormatVersion = 3;
   /// Per-curve sample cap; bounds file size under repeated merging.
   static constexpr std::size_t kMaxSamplesPerCurve = 64;
 

@@ -53,7 +53,7 @@ TEST(WindowedSampleSet, ForgettingModeWeightsRecentBehavior) {
   for (int i = 1; i <= 30; ++i) window.add(0.01 * i, 1.0 * 0.01 * i);
   for (int i = 1; i <= 30; ++i) window.add(0.01 * i, 4.0 * 0.01 * i);
 
-  const fit::FitResult recent = adapt::fit_recent(window, {});
+  const fit::FitResult recent = adapt::fit_recent(window);
   ASSERT_TRUE(recent.model.valid());
   // The discounted fit must describe the new regime, not the average.
   EXPECT_NEAR(recent.model(0.2), 0.8, 0.1);
@@ -70,7 +70,7 @@ TEST(FitRecent, UndiscountedWindowAgreesWithFreshRefit) {
     window.add(x, t);
     all.add(x, t);
   }
-  const fit::FitResult from_window = adapt::fit_recent(window, {});
+  const fit::FitResult from_window = adapt::fit_recent(window);
   const fit::FitResult from_samples = fit::select_model(all);
   ASSERT_TRUE(from_window.model.valid());
   ASSERT_TRUE(from_samples.model.valid());
@@ -81,7 +81,7 @@ TEST(FitRecent, UndiscountedWindowAgreesWithFreshRefit) {
 
 TEST(FitRecent, EmptyWindowGivesInvalidModel) {
   adapt::WindowedSampleSet window{adapt::WindowConfig{}};
-  const fit::FitResult result = adapt::fit_recent(window, {});
+  const fit::FitResult result = adapt::fit_recent(window);
   EXPECT_FALSE(result.model.valid());
   EXPECT_FALSE(result.acceptable);
 }
@@ -135,7 +135,7 @@ TEST(ResidualCusum, DeterministicAcrossInstances) {
   EXPECT_EQ(a.observed(), b.observed());
 }
 
-// ---- BlockMinFilter / trimmed_mean ----------------------------------------
+// ---- BlockMinFilter -------------------------------------------------------
 
 TEST(BlockMinFilter, ForwardsNormalizedCostMinimum) {
   adapt::BlockMinFilter filter(3);
@@ -171,11 +171,6 @@ TEST(BlockMinFilter, DegenerateBlockForwardsEverything) {
   adapt::BlockMinFilter filter(1);
   for (int i = 1; i <= 5; ++i)
     EXPECT_TRUE(filter.push(0.1 * i, 1.0).has_value());
-}
-
-TEST(TrimmedMean, DropsTailsAndHandlesEmpty) {
-  EXPECT_DOUBLE_EQ(adapt::trimmed_mean({1.0, 2.0, 3.0, 100.0}, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(adapt::trimmed_mean({}, 0.2), 0.0);
 }
 
 // ---- DriftMonitor ---------------------------------------------------------
@@ -397,7 +392,7 @@ fit::SampleSet curve_samples(double slope, double intercept,
 
 svc::ProfileEntry entry_for(const std::string& app) {
   return svc::make_entry(app, "dev-cpu", curve_samples(2.0, 0.1, 8),
-                         curve_samples(0.5, 0.01, 8), 1000.0, {});
+                         curve_samples(0.5, 0.01, 8), 1000.0);
 }
 
 TEST(ProfileStoreStamps, PutAdvancesSequenceAndStampsEntries) {
@@ -463,7 +458,7 @@ rt::WarmProfile aged_profile(std::uint64_t age) {
 
 TEST(PlbHecAdapt, StaleWarmProfileIsSkippedNotSeeded) {
   core::PlbHecOptions opts = frozen_options();
-  opts.warm.assign(1, aged_profile(opts.warm_max_age + 1));
+  opts.warm.assign(1, aged_profile(core::kWarmMaxAge + 1));
   sim::SimCluster cluster(sim::scenario(2));
   apps::GrnWorkload workload(apps::GrnWorkload::paper_instance(kGrains));
   rt::EngineOptions eopts;

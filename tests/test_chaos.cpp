@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -75,7 +78,8 @@ TEST(Script, InjectRejectsOutOfRangeUnitsDeliveringNothing) {
 
 /// Delegating scheduler that records the order in which the engine reports
 /// permanent unit failures — the scheduler-visible demotion sequence the
-/// seam contract is stated in.
+/// seam contract is stated in. The record may be read from another thread
+/// while the run is in flight.
 class RecordingScheduler final : public rt::Scheduler {
  public:
   explicit RecordingScheduler(std::unique_ptr<rt::Scheduler> inner)
@@ -96,16 +100,34 @@ class RecordingScheduler final : public rt::Scheduler {
   void on_barrier(double now) override { inner_->on_barrier(now); }
   void on_unit_failed(rt::UnitId unit, std::size_t lost_grains,
                       double now) override {
-    failed_order_.push_back(unit);
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      failed_order_.push_back(unit);
+    }
+    recorded_.notify_all();
     inner_->on_unit_failed(unit, lost_grains, now);
   }
 
-  [[nodiscard]] const std::vector<rt::UnitId>& failed_order() const {
+  [[nodiscard]] std::vector<rt::UnitId> failed_order() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
     return failed_order_;
+  }
+
+  /// Blocks until `unit`'s failure is recorded or `budget` runs out; true
+  /// when it was recorded.
+  bool wait_for_failure(rt::UnitId unit,
+                        std::chrono::milliseconds budget) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return recorded_.wait_for(lock, budget, [&] {
+      return std::find(failed_order_.begin(), failed_order_.end(), unit) !=
+             failed_order_.end();
+    });
   }
 
  private:
   std::unique_ptr<rt::Scheduler> inner_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable recorded_;
   std::vector<rt::UnitId> failed_order_;
 };
 
@@ -384,10 +406,44 @@ class HoldAfterFirstBlock final : public rt::ExecUnit {
   std::size_t blocks_ = 0;  ///< only the unit's engine worker touches it
 };
 
+/// Event gate for the order of two demotions on a real rig: forwards every
+/// event to `inner`, but delivers an event on `gated` only once
+/// `scheduler` has recorded `prior`'s failure. The wait is bounded by
+/// `budget`; if the earlier demotion never comes, the event goes through
+/// late and the run's demotion record shows it.
+class AfterFailure final : public FaultTarget {
+ public:
+  AfterFailure(FaultTarget& inner, const RecordingScheduler& scheduler,
+               rt::UnitId prior, std::size_t gated,
+               std::chrono::milliseconds budget)
+      : inner_(inner),
+        scheduler_(scheduler),
+        prior_(prior),
+        gated_(gated),
+        budget_(budget) {}
+
+  [[nodiscard]] std::size_t unit_count() const override {
+    return inner_.unit_count();
+  }
+  [[nodiscard]] bool supports(FaultKind kind) const override {
+    return inner_.supports(kind);
+  }
+  void deliver(const FaultEvent& event) override {
+    if (event.unit == gated_)
+      (void)scheduler_.wait_for_failure(prior_, budget_);
+    inner_.deliver(event);
+  }
+
+ private:
+  FaultTarget& inner_;
+  const RecordingScheduler& scheduler_;
+  rt::UnitId prior_;
+  std::size_t gated_;
+  std::chrono::milliseconds budget_;
+};
+
 TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
-  // One script, written once: freeze unit 1 early, kill unit 2 much
-  // later (the wide gap keeps the two demotions ordered even when a
-  // loaded CI machine stretches the heartbeat-timeout detection path).
+  // One script, written once: freeze unit 1 early, kill unit 2 later.
   // The seam contract (fault.hpp): the scheduler-visible outcome — the
   // demotion sequence and zero lost grains — is identical whether the
   // script lands on the simulated cluster's virtual timeline or on real
@@ -415,15 +471,19 @@ TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
   // Real side: unit 0 is coordinator-local, units 1 and 2 are daemons.
   // The player arms once both daemons have served a block (the run is
   // demonstrably in flight on every scripted unit), then replays the
-  // same script in wall time. Completion is event-gated, not raced: unit
-  // 2, whose kill is the script's last event, holds every block after
-  // its first until the player has delivered the whole script, so the
-  // kill always lands on a block in flight however fast the rig runs.
+  // same script in wall time. Both orders are event-gated, not raced:
+  // unit 2's kill waits until the scheduler has seen unit 1's freeze
+  // demote it, however long heartbeat detection takes on a loaded host;
+  // and unit 2, whose kill is the script's last event, holds every block
+  // after its first until the player has delivered the whole script, so
+  // the kill always lands on a block in flight however fast the rig runs.
   std::vector<rt::UnitId> net_order;
   {
     net::WorkerDaemon d1({0, "wd1", 1.0});
     net::WorkerDaemon d2({0, "wd2", 1.0});
-    NetFaultTarget target({nullptr, &d1, &d2});
+    NetFaultTarget rig({nullptr, &d1, &d2});
+    RecordingScheduler scheduler(std::make_unique<core::PlbHecScheduler>());
+    AfterFailure target(rig, scheduler, 1, 2, std::chrono::seconds(30));
 
     ScriptPlayer::Options options;
     options.armed = [&] {
@@ -446,7 +506,6 @@ TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
 
     player.start();
 
-    RecordingScheduler scheduler(std::make_unique<core::PlbHecScheduler>());
     const rt::RunResult r = engine.run(workload, scheduler);
     player.join();
     d1.unfreeze();

@@ -78,11 +78,9 @@ TEST(Matrix, VectorHelpers) {
   EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
   EXPECT_DOUBLE_EQ(norm_inf(a), 4.0);
-  axpy(2.0, b, a);
-  EXPECT_DOUBLE_EQ(a[0], 5.0);
-  EXPECT_DOUBLE_EQ(a[1], 8.0);
   scale(a, 0.5);
-  EXPECT_DOUBLE_EQ(a[0], 2.5);
+  EXPECT_DOUBLE_EQ(a[0], 1.5);
+  EXPECT_DOUBLE_EQ(a[1], 2.0);
 }
 
 class LuSizes : public ::testing::TestWithParam<std::size_t> {};
@@ -137,17 +135,6 @@ TEST(Lu, OneShotSolveHelper) {
   auto x = solve(a, std::vector<double>{6.0});
   ASSERT_TRUE(x);
   EXPECT_DOUBLE_EQ((*x)[0], 2.0);
-}
-
-TEST(Lu, ConditionEstimateOrdersMatrices) {
-  const double k_id = condition_estimate(Matrix::identity(4));
-  Matrix bad{{1.0, 0.0}, {0.0, 1e-8}};
-  EXPECT_LT(k_id, condition_estimate(bad));
-}
-
-TEST(Lu, ConditionEstimateInfiniteForSingular) {
-  Matrix m{{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_TRUE(std::isinf(condition_estimate(m)));
 }
 
 class QrShapes
@@ -226,11 +213,10 @@ TEST(Cholesky, SolvesSpdSystem) {
 TEST(Cholesky, RejectsIndefinite) {
   Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
   EXPECT_FALSE(Cholesky::factor(a).has_value());
-  EXPECT_FALSE(is_positive_definite(a));
 }
 
 TEST(Cholesky, AcceptsIdentity) {
-  EXPECT_TRUE(is_positive_definite(Matrix::identity(5)));
+  EXPECT_TRUE(Cholesky::factor(Matrix::identity(5)).has_value());
 }
 
 class GemmSizes : public ::testing::TestWithParam<std::size_t> {};

@@ -414,8 +414,8 @@ TEST(Loopback, ProfileSyncMergesBothWays) {
     transfer.add(x, 0.5 * x + 0.002);
   }
   svc::ProfileStore coordinator_store;
-  coordinator_store.put(svc::make_entry("matmul-512", "cpu", exec, transfer,
-                                        512.0, {}));
+  coordinator_store.put(
+      svc::make_entry("matmul-512", "cpu", exec, transfer, 512.0));
 
   RemoteUnit unit(steady_options(daemon.port()));
   ASSERT_TRUE(unit.sync_profiles(coordinator_store));
@@ -820,8 +820,7 @@ TEST(Pipeline, EngineRunPublishesWireAndOverlapCounters) {
   obs::CounterRegistry reg;
   p1->publish_counters(reg);
   p2->publish_counters(reg);
-  core::publish_transfer_models(reg, plb.models(),
-                                core::PlbHecOptions{}.overlap_smoothing);
+  core::publish_transfer_models(reg, plb.models());
   EXPECT_EQ(reg.value("net.wd1.chunks_pipelined"),
             p1->wire_stats().chunks_pipelined);
   EXPECT_EQ(reg.value("net.wd2.chunks_pipelined"),

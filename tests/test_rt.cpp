@@ -308,19 +308,6 @@ TEST(ProfileDb, GrainsToFraction) {
   EXPECT_DOUBLE_EQ(db.grains_to_fraction(50), 0.25);
 }
 
-TEST(ProfileDb, AllAcceptableRequiresEveryUnit) {
-  ProfileDb db(2, 1000);
-  TaskObservation obs;
-  obs.unit = 0;
-  for (std::size_t g : {10u, 20u, 40u, 80u}) {
-    obs.grains = g;
-    obs.exec_seconds = 0.002 * static_cast<double>(g);
-    obs.transfer_seconds = 1e-4;
-    db.record(obs);
-  }
-  EXPECT_FALSE(db.all_acceptable());  // unit 1 has no samples
-}
-
 TEST(ProfileDb, ZeroGrainObservationIgnored) {
   ProfileDb db(1, 100);
   TaskObservation obs;
@@ -337,8 +324,9 @@ TEST(ProfileDb, ZeroGrainObservationIgnored) {
 
 // ---- Fit cache --------------------------------------------------------------
 
-ProfileDb seeded_db(std::size_t units = 2, std::size_t samples = 6) {
-  ProfileDb db(units, 1000);
+ProfileDb seeded_db(std::size_t units = 2, std::size_t samples = 6,
+                    fit::SelectionOptions options = {}) {
+  ProfileDb db(units, 1000, options);
   TaskObservation obs;
   for (UnitId u = 0; u < units; ++u) {
     obs.unit = u;
@@ -395,19 +383,19 @@ TEST(ProfileDbFitCache, ResetClearsCacheAndCounters) {
   EXPECT_EQ(s.qr_solves, 0u);
 }
 
-TEST(ProfileDbFitCache, DistinctOptionsAreSeparateEntries) {
-  ProfileDb db = seeded_db(1);
-  fit::SelectionOptions weighted;
-  weighted.relative_weighting = true;
-  (void)db.exec_fit(0);
-  (void)db.exec_fit(0, weighted);
-  EXPECT_EQ(db.fit_stats().fits_computed, 2u);
-  EXPECT_EQ(db.fit_stats().fits_cached, 0u);
-  // Both entries stay live: repeated calls with either key hit the cache.
-  (void)db.exec_fit(0);
-  (void)db.exec_fit(0, weighted);
-  EXPECT_EQ(db.fit_stats().fits_computed, 2u);
-  EXPECT_EQ(db.fit_stats().fits_cached, 2u);
+TEST(ProfileDbFitCache, EngineSetAtConstructionReachesEveryFit) {
+  // Twelve samples put the default engine on the moment solves; a QR
+  // database fits the same samples without touching the moments.
+  const ProfileDb gram = seeded_db(1, 12);
+  const ProfileDb qr = seeded_db(1, 12, {fit::FitEngine::kQr});
+  (void)gram.exec_fit(0);
+  (void)qr.exec_fit(0);
+  (void)qr.exec_fit(0);
+  EXPECT_GT(gram.fit_stats().gram_solves, 0u);
+  EXPECT_EQ(qr.fit_stats().gram_solves, 0u);
+  EXPECT_GT(qr.fit_stats().qr_solves, 0u);
+  EXPECT_EQ(qr.fit_stats().fits_computed, 1u);
+  EXPECT_EQ(qr.fit_stats().fits_cached, 1u);
 }
 
 TEST(ProfileDbFitCache, FitUnitSharesExecFitAndCachesTransfer) {

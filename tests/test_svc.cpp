@@ -50,7 +50,7 @@ fit::SampleSet curve_samples(double slope, double intercept,
 ProfileStore one_entry_store() {
   ProfileStore store;
   store.put(make_entry("app-a", "dev-cpu", curve_samples(2.0, 0.1, 8),
-                       curve_samples(0.5, 0.01, 8), 1000.0, {}));
+                       curve_samples(0.5, 0.01, 8), 1000.0));
   return store;
 }
 
@@ -166,7 +166,7 @@ TEST(ProfileStore, BitExactWarmSeedServesItsFirstFitFromTheCache) {
   const auto plb = seeded_scheduler(warm, 1000);
   const rt::ProfileDb& db = plb->profiles();
   ASSERT_EQ(db.exec_samples(0).size(), 8u);
-  const fit::PerfModel seeded = db.fit_unit(0, core::PlbHecOptions{}.fit);
+  const fit::PerfModel seeded = db.fit_unit(0);
   EXPECT_EQ(db.fit_stats().fits_cached, 1u);
   EXPECT_EQ(db.fit_stats().fits_computed, 0u);
   const fit::FitResult fresh = fit::select_model(db.exec_samples(0));
@@ -177,7 +177,7 @@ TEST(ProfileStore, BitExactWarmSeedServesItsFirstFitFromTheCache) {
               std::bit_cast<std::uint64_t>(fresh.model.coefficients[i]));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(seeded.exec.r2),
             std::bit_cast<std::uint64_t>(fresh.model.r2));
-  const fit::FitResult cached = db.exec_fit(0, core::PlbHecOptions{}.fit);
+  const fit::FitResult cached = db.exec_fit(0);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.bic),
             std::bit_cast<std::uint64_t>(fresh.bic));
   EXPECT_EQ(cached.acceptable, fresh.acceptable);
@@ -203,14 +203,13 @@ TEST(ProfileStore, BitExactWarmSeedServesItsFirstFitFromTheCache) {
 
 TEST(ProfileStore, RescaledOrDecodedWarmSeedRefits) {
   const ProfileStore store = one_entry_store();  // totals 1000
-  const fit::SelectionOptions options = core::PlbHecOptions{}.fit;
 
   // A different grain total replays rescaled samples: the stored fit does
   // not describe them, so the first fit is computed.
   const auto rescaled =
       seeded_scheduler(store.warm_profile("app-a", "dev-cpu"), 2000);
   ASSERT_EQ(rescaled->profiles().exec_samples(0).size(), 8u);
-  (void)rescaled->profiles().fit_unit(0, options);
+  (void)rescaled->profiles().fit_unit(0);
   EXPECT_EQ(rescaled->profiles().fit_stats().fits_computed, 1u);
   EXPECT_EQ(rescaled->profiles().fit_stats().fits_cached, 0u);
 
@@ -222,12 +221,24 @@ TEST(ProfileStore, RescaledOrDecodedWarmSeedRefits) {
   EXPECT_FALSE(loaded.entries()[0].exec_fit.has_value());
   const auto decoded =
       seeded_scheduler(loaded.warm_profile("app-a", "dev-cpu"), 1000);
-  const fit::PerfModel refit = decoded->profiles().fit_unit(0, options);
+  const fit::PerfModel refit = decoded->profiles().fit_unit(0);
   EXPECT_EQ(decoded->profiles().fit_stats().fits_computed, 1u);
   EXPECT_EQ(decoded->profiles().fit_stats().fits_cached, 0u);
   EXPECT_EQ(refit.exec.coefficients,
             store.entries()[0].exec_model.coefficients);
   EXPECT_EQ(loaded.encode(), bytes);
+}
+
+TEST(ProfileStore, BitExactWarmSeedUnderAnotherEngineRefits) {
+  // make_entry's stored selection ran with the default options; a
+  // database selecting with another engine computes its own.
+  const ProfileStore store = one_entry_store();  // totals 1000
+  rt::ProfileDb db(1, 1000, {fit::FitEngine::kQr});
+  db.seed(0, store.warm_profile("app-a", "dev-cpu"));
+  (void)db.exec_fit(0);
+  EXPECT_EQ(db.fit_stats().fits_computed, 1u);
+  EXPECT_EQ(db.fit_stats().fits_cached, 0u);
+  EXPECT_EQ(db.fit_stats().gram_solves, 0u);
 }
 
 TEST(ProfileStore, RejectsTruncationAtEveryPrefixLength) {
@@ -255,6 +266,14 @@ TEST(ProfileStore, RejectsVersionSkew) {
   std::vector<std::uint8_t> bytes = one_entry_store().encode();
   bytes[8] += 1;  // bump the little-endian version field
   ProfileStore out;
+  EXPECT_EQ(ProfileStore::decode(bytes, out), StoreLoadStatus::kVersionSkew);
+  EXPECT_TRUE(out.empty());
+
+  // Version 2 images carried 1/time-weighted moment sums that version 3
+  // dropped: a store written before the change cold-starts.
+  bytes = one_entry_store().encode();
+  bytes[8] = 2;
+  bytes[9] = bytes[10] = bytes[11] = 0;
   EXPECT_EQ(ProfileStore::decode(bytes, out), StoreLoadStatus::kVersionSkew);
   EXPECT_TRUE(out.empty());
 }
@@ -296,12 +315,12 @@ TEST(ProfileStore, PutReplacesByKeyAndCountsUpdates) {
   ProfileStore store = one_entry_store();
   EXPECT_EQ(store.entries()[0].updates, 1u);
   store.put(make_entry("app-a", "dev-cpu", curve_samples(3.0, 0.2, 10),
-                       curve_samples(0.5, 0.01, 10), 500.0, {}));
+                       curve_samples(0.5, 0.01, 10), 500.0));
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.entries()[0].updates, 2u);
   EXPECT_EQ(store.entries()[0].total_grains, 500.0);
   store.put(make_entry("app-b", "dev-cpu", curve_samples(1.0, 0.1, 8),
-                       curve_samples(0.5, 0.01, 8), 100.0, {}));
+                       curve_samples(0.5, 0.01, 8), 100.0));
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.entries()[0].app_kind, "app-a");  // sorted by key
   EXPECT_EQ(store.entries()[1].app_kind, "app-b");
@@ -310,8 +329,7 @@ TEST(ProfileStore, PutReplacesByKeyAndCountsUpdates) {
 TEST(ProfileStore, TrimsToSampleCapWithConsistentMoments) {
   const std::size_t cap = ProfileStore::kMaxSamplesPerCurve;
   const fit::SampleSet big = curve_samples(2.0, 0.1, cap + 40);
-  const ProfileEntry entry =
-      make_entry("app", "dev", big, big, 1000.0, {});
+  const ProfileEntry entry = make_entry("app", "dev", big, big, 1000.0);
   ASSERT_EQ(entry.exec.size(), cap);
   EXPECT_EQ(entry.exec_moments.n, cap);
   // The most recent samples are the ones kept.
