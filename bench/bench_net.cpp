@@ -168,7 +168,7 @@ DistributedRun run_distributed(std::size_t n, std::size_t depth) {
 
   std::vector<std::unique_ptr<rt::ExecUnit>> units;
   units.push_back(std::make_unique<rt::LocalExecUnit>(
-      rt::LocalExecUnit::Options{"coord.cpu0", 1.0, true}));
+      rt::LocalExecUnit::Options{"coord.cpu0", 1.0}));
   units.push_back(std::make_unique<net::RemoteUnit>(
       pipelined_options(d1.port(), "remote.1", depth)));
   units.push_back(std::make_unique<net::RemoteUnit>(
@@ -220,7 +220,7 @@ KillRun run_worker_kill(std::size_t grains, std::size_t depth) {
 
   std::vector<std::unique_ptr<rt::ExecUnit>> units;
   units.push_back(std::make_unique<rt::LocalExecUnit>(
-      rt::LocalExecUnit::Options{"coord.cpu0", 1.0, true}));
+      rt::LocalExecUnit::Options{"coord.cpu0", 1.0}));
   units.push_back(
       std::make_unique<net::RemoteUnit>(std::move(healthy_opts)));
   auto doomed_unit =

@@ -66,7 +66,7 @@ std::string Table::render() const {
 
   auto rule = [&] {
     std::string s = "+";
-    for (auto w : widths) s += std::string(w + 2, '-') + "+";
+    for (auto w : widths) s.append(w + 2, '-').append("+");
     s += "\n";
     return s;
   };
@@ -75,10 +75,12 @@ std::string Table::render() const {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string cell = c < cells.size() ? cells[c] : "";
       const std::size_t pad = widths[c] - cell.size();
+      s += ' ';
       if (looks_numeric(cell))
-        s += " " + std::string(pad, ' ') + cell + " |";
+        s.append(pad, ' ').append(cell);
       else
-        s += " " + cell + std::string(pad, ' ') + " |";
+        s.append(cell).append(pad, ' ');
+      s += " |";
     }
     s += "\n";
     return s;

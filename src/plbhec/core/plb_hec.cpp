@@ -64,7 +64,7 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   stats_.reprobe_blocks_per_unit.assign(units.size(), 0);
   for (rt::UnitId u = 0; u < units.size() && u < options_.warm.size(); ++u) {
     const rt::WarmProfile& warm = options_.warm[u];
-    if (!warm.usable() || warm.stored_r2 < fit::kR2Threshold) continue;
+    if (!warm.usable() || !warm.fit.acceptable) continue;
     // A profile that predates too many store writes describes a cluster
     // state nobody has observed lately; probing costs less than betting a
     // validation block on it.
@@ -275,7 +275,7 @@ void PlbHecScheduler::maybe_finish_modeling() {
                               0});
     fit_and_select();
   }
-  sync_fit_stats();
+  static_cast<rt::FitStats&>(stats_) = profiles_.fit_stats();
 }
 
 void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
@@ -579,20 +579,11 @@ void PlbHecScheduler::finish_reprobe(rt::UnitId unit, double now) {
   fit_and_select();
 }
 
-void PlbHecScheduler::sync_fit_stats() {
-  const rt::FitStats fs = profiles_.fit_stats();
-  stats_.fits_computed = fs.fits_computed;
-  stats_.fits_cached = fs.fits_cached;
-  stats_.gram_solves = fs.gram_solves;
-  stats_.qr_solves = fs.qr_solves;
-  stats_.qr_fallbacks = fs.qr_fallbacks;
-}
-
 void PlbHecScheduler::fit_and_select() {
   ++generation_;
   const std::vector<fit::PerfModel> prev_models = models_;
   models_ = profiles_.fit_all();
-  sync_fit_stats();
+  static_cast<rt::FitStats&>(stats_) = profiles_.fit_stats();
 
   // Drift hooks. A unit mid-ladder owns only a handful of post-change
   // samples, not enough for a trustworthy model — a refit triggered
@@ -641,7 +632,7 @@ void PlbHecScheduler::fit_and_select() {
   // simplex right-hand side equal to one execution window): with nonlinear
   // curves, equal E at full shares does not imply equal E for the blocks
   // actually issued, and window-level shares stay within the probed range.
-  solver::BlockSelectionOptions sel_opt = options_.selection;
+  solver::BlockSelectionOptions sel_opt;
   sel_opt.total_fraction = options_.step_fraction;
   const solver::BlockSelection sel =
       solver::select_block_sizes(alive_models, sel_opt);

@@ -101,13 +101,10 @@ struct PlbHecOptions {
   /// Curve-fit engine (the acceptance bar is fit::kR2Threshold, the
   /// paper's 0.7).
   fit::SelectionOptions fit;
-  /// Block-selection configuration (total_fraction is set per solve from
-  /// step_fraction).
-  solver::BlockSelectionOptions selection;
   /// Per-unit warm-start profiles (the service layer loads these from its
   /// ProfileStore at job admission), indexed by the unit ids passed to
-  /// start(). A unit whose stored profile has stored_r2 >=
-  /// fit::kR2Threshold is seeded with the persisted samples and issues ONE
+  /// start(). A unit whose profile's fit is acceptable (R^2 >=
+  /// fit::kR2Threshold) is seeded with the persisted samples and issues ONE
   /// cheap validation block instead of the exponential probe schedule; if
   /// the seeded fit still predicts that block within the kWarmRelError
   /// bound, the unit's modeling is complete (warm hit). Otherwise the
@@ -134,8 +131,36 @@ struct PlbHecOptions {
   double max_block_seconds = 0.0;
 };
 
-/// Diagnostics exposed for the benchmark harness.
-struct PlbHecStats {
+/// Probe, warm-start and drift counters of a PLB-HeC run. The service
+/// sums them per job and per run (svc::JobOutcome, svc::ServiceResult).
+struct ProbeStats {
+  std::size_t probe_blocks = 0;    ///< modeling-phase blocks completed
+  std::size_t probe_blocks_saved = 0;  ///< schedule blocks skipped by warm
+                                       ///< hits (kMinProbeRounds - 1 each)
+  std::size_t warm_hits = 0;       ///< units whose stored profile validated
+  std::size_t warm_misses = 0;     ///< stored profiles rejected at validation
+  std::size_t warm_stale_skips = 0;  ///< stored profiles too old to seed
+  std::size_t drift_detections = 0;  ///< residual CUSUM trips
+  std::size_t reprobe_blocks = 0;    ///< targeted re-probe ladder blocks
+  std::size_t reprobe_swaps = 0;     ///< refreshed fits swapped in
+
+  ProbeStats& operator+=(const ProbeStats& o) {
+    probe_blocks += o.probe_blocks;
+    probe_blocks_saved += o.probe_blocks_saved;
+    warm_hits += o.warm_hits;
+    warm_misses += o.warm_misses;
+    warm_stale_skips += o.warm_stale_skips;
+    drift_detections += o.drift_detections;
+    reprobe_blocks += o.reprobe_blocks;
+    reprobe_swaps += o.reprobe_swaps;
+    return *this;
+  }
+};
+
+/// Diagnostics exposed for the benchmark harness: the profile database's
+/// fit counters (rt::FitStats, synced at every fit), the probe, warm and
+/// drift counters, and the selection history.
+struct PlbHecStats : rt::FitStats, ProbeStats {
   std::size_t probe_rounds = 0;
   std::size_t solves = 0;          ///< block-size selections performed
   std::size_t refinements = 0;     ///< barrier-free progressive refinements
@@ -143,22 +168,8 @@ struct PlbHecStats {
   std::vector<double> solve_seconds;  ///< wall time per selection
   double modeling_grains = 0.0;    ///< grains consumed by the modeling phase
   std::vector<std::vector<double>> fraction_history;  ///< per selection
-  std::size_t fits_computed = 0;   ///< exec-curve selections actually solved
-  std::size_t fits_cached = 0;     ///< selections served from the fit cache
-  std::size_t gram_solves = 0;     ///< subset fits via cached moments
-  std::size_t qr_solves = 0;       ///< subset fits via design-matrix QR
-  std::size_t qr_fallbacks = 0;    ///< Gram-path conditioning bailouts
-  std::size_t probe_blocks = 0;    ///< modeling-phase blocks completed
-  std::size_t warm_hits = 0;       ///< units whose stored profile validated
-  std::size_t warm_misses = 0;     ///< stored profiles rejected at validation
-  std::size_t probe_blocks_saved = 0;  ///< schedule blocks skipped by warm
-                                       ///< hits (kMinProbeRounds - 1 each)
   std::size_t overlap_units = 0;   ///< units on the max(F, G) regime at the
                                    ///< most recent selection
-  std::size_t drift_detections = 0;  ///< residual CUSUM trips
-  std::size_t reprobe_blocks = 0;    ///< targeted re-probe ladder blocks
-  std::size_t reprobe_swaps = 0;     ///< refreshed fits swapped in
-  std::size_t warm_stale_skips = 0;  ///< stored profiles too old to seed
   /// Ladder blocks per unit; re-probe is targeted, so drift on one unit
   /// must leave every other unit's counter at zero (gated in bench_adapt).
   std::vector<std::size_t> reprobe_blocks_per_unit;
@@ -242,7 +253,6 @@ class PlbHecScheduler final : public rt::Scheduler {
   void finish_reprobe(rt::UnitId unit, double now);
   void maybe_finish_modeling();
   void fit_and_select();
-  void sync_fit_stats();
   [[nodiscard]] bool alive(rt::UnitId u) const { return !failed_[u]; }
   [[nodiscard]] std::size_t alive_count() const;
 

@@ -66,6 +66,8 @@ struct FitResult {
   double r2 = 0.0;
   double bic = 0.0;
   bool acceptable = false;  ///< r2 >= kR2Threshold
+
+  friend bool operator==(const FitResult&, const FitResult&) = default;
 };
 
 /// Fits the given term subset (at most 20 terms) to the samples. Returns

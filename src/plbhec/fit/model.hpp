@@ -26,6 +26,8 @@ struct CurveModel {
   }
   /// Human-readable formula, e.g. "0.013 + 1.27*x + 0.004*ln(x)".
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const CurveModel&, const CurveModel&) = default;
 };
 
 /// Affine transfer-time model G_p(x) = bandwidth_term * x + latency (Eq. 2).

@@ -26,20 +26,4 @@ void MomentSet::scale(double lambda) {
 
 void MomentSet::clear() { *this = MomentSet{}; }
 
-MomentSnapshot MomentSet::snapshot() const {
-  MomentSnapshot snap;
-  snap.n = n_;
-  snap.gram = gram_;
-  snap.xty = xty_;
-  snap.yty = yty_;
-  return snap;
-}
-
-void MomentSet::restore(const MomentSnapshot& snap) {
-  n_ = static_cast<std::size_t>(snap.n);
-  gram_ = snap.gram;
-  xty_ = snap.xty;
-  yty_ = snap.yty;
-}
-
 }  // namespace plbhec::fit

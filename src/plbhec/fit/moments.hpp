@@ -7,28 +7,17 @@
 /// cached moments — independent of the number of samples — which keeps the
 /// modeling-phase overhead flat as probe counts grow (the cost the paper's
 /// overhead table charges against PLB-HeC).
+///
+/// Moments are derived state: add() is the only way in (scale() aside, for
+/// a drift window's forgetting), so a set's accumulators are always the
+/// in-order replay of its observations and are never persisted.
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 
 #include "plbhec/fit/basis.hpp"
 
 namespace plbhec::fit {
-
-/// Plain-data image of a MomentSet, byte-serializable by the on-disk
-/// ProfileStore. Round-tripping a snapshot restores the accumulators
-/// bit-identically — no replay, no recomputation — so a warm-started fit
-/// from a loaded store matches the original run's fit exactly.
-struct MomentSnapshot {
-  std::uint64_t n = 0;
-  std::array<double, kBasisCount * kBasisCount> gram{};
-  std::array<double, kBasisCount> xty{};
-  double yty = 0.0;
-
-  friend bool operator==(const MomentSnapshot&,
-                         const MomentSnapshot&) = default;
-};
 
 class MomentSet {
  public:
@@ -62,11 +51,6 @@ class MomentSet {
   [[nodiscard]] double yty() const { return yty_; }
   /// Sum of observed times (the intercept row of X^T y).
   [[nodiscard]] double sum_y() const { return xty(BasisFn::kOne); }
-
-  /// Bit-exact copy of the accumulator state (ProfileStore serialization).
-  [[nodiscard]] MomentSnapshot snapshot() const;
-  /// Replaces the accumulator state with a previously taken snapshot.
-  void restore(const MomentSnapshot& snap);
 
   friend bool operator==(const MomentSet&, const MomentSet&) = default;
 

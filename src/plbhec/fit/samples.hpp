@@ -2,6 +2,9 @@
 /// \file samples.hpp
 /// Measurement samples collected during the performance-modeling phase:
 /// (block-size fraction, observed time) pairs for execution and transfer.
+/// A set's samples are its whole state: the moments beside them are the
+/// in-order add() replay of the samples, so copying a set equals replaying
+/// it, and a persisted profile stores only the samples.
 
 #include <cstddef>
 #include <vector>
@@ -15,6 +18,8 @@ namespace plbhec::fit {
 struct Sample {
   double x = 0.0;     ///< block size as a fraction of the total input, (0, 1]
   double time = 0.0;  ///< observed seconds
+
+  friend bool operator==(const Sample&, const Sample&) = default;
 };
 
 /// Growable set of samples with cheap column views for the fitters, plus
@@ -42,20 +47,12 @@ class SampleSet {
 
   [[nodiscard]] const MomentSet& moments() const { return moments_; }
 
-  /// Replaces the set with persisted samples plus their moment snapshot,
-  /// skipping the per-sample rank-1 updates. The snapshot must describe
-  /// exactly these samples (count checked; values trusted — the store
-  /// checksums its payload).
-  void restore(std::vector<Sample> samples, const MomentSnapshot& snap) {
-    PLBHEC_EXPECTS(snap.n == samples.size());
-    samples_ = std::move(samples);
-    moments_.restore(snap);
-  }
-
   void clear() {
     samples_.clear();
     moments_.clear();
   }
+
+  friend bool operator==(const SampleSet&, const SampleSet&) = default;
 
  private:
   std::vector<Sample> samples_;

@@ -30,6 +30,14 @@ constexpr std::size_t kRecvChunk = 64 * 1024;
 /// in front of the parse offset, shift the tail down.
 constexpr std::size_t kCompactBytes = 256 * 1024;
 
+/// A connection's epoll interest: always readable, writable while output
+/// is queued.
+std::uint32_t interest(bool want_write) {
+  std::uint32_t events = EPOLLIN;
+  if (want_write) events |= EPOLLOUT;
+  return events;
+}
+
 }  // namespace
 
 /// One unit of executor work, in strict per-connection FIFO order.
@@ -306,8 +314,7 @@ void WorkerDaemon::apply_freeze(bool frozen) {
       }
     } else if (!state->in_epoll) {
       epoll_event ev{};
-      ev.events = static_cast<std::uint32_t>(
-          EPOLLIN | (state->want_write ? EPOLLOUT : 0));
+      ev.events = interest(state->want_write);
       ev.data.fd = fd;
       if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0) {
         state->in_epoll = true;
@@ -482,8 +489,7 @@ void WorkerDaemon::flush_writes(const std::shared_ptr<ConnState>& state) {
 void WorkerDaemon::update_interest(ConnState& state) {
   if (!state.in_epoll) return;
   epoll_event ev{};
-  ev.events = static_cast<std::uint32_t>(
-      EPOLLIN | (state.want_write ? EPOLLOUT : 0));
+  ev.events = interest(state.want_write);
   ev.data.fd = state.conn->native_handle();
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, ev.data.fd, &ev);
 }

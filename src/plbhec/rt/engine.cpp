@@ -165,12 +165,12 @@ RunResult SimEngine::run(Workload& workload, Scheduler& scheduler) {
 
     const Event ev = events.top();
     events.pop();
-    if (++processed_events > options_.max_events) {
+    if (++processed_events > sim::kMaxEvents) {
       result.error = "event watchdog tripped (runaway scheduling loop)";
       return result;
     }
     now = ev.time;
-    if (now > options_.max_sim_time) {
+    if (now > sim::kMaxSimSeconds) {
       result.error = "simulated-time watchdog tripped";
       return result;
     }

@@ -23,8 +23,6 @@ struct EngineOptions {
   sim::NoiseModel noise;         ///< measurement noise model
   std::uint64_t seed = 42;       ///< base seed; each unit gets a forked stream
   bool record_trace = true;      ///< keep the full segment trace
-  double max_sim_time = 1e9;     ///< watchdog: abort runs past this (seconds)
-  std::size_t max_events = 50'000'000;  ///< watchdog: abort runaway loops
   /// Observability sink for dispatch/barrier/failure events; also handed
   /// to the scheduler before start() so its decisions land in the same
   /// stream. Null = record nothing. Not owned.

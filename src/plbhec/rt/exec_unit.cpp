@@ -51,7 +51,7 @@ bool LocalExecUnit::execute(Workload& workload, std::size_t begin,
   const auto bytes = static_cast<std::size_t>(
       static_cast<double>(end - begin) * workload.bytes_per_grain());
   const Clock::time_point t_transfer = Clock::now();
-  if (options_.emulate_transfer && bytes > 0) {
+  if (bytes > 0) {
     staging_.resize(bytes);
     // Touch every page so the copy cost is real.
     std::memset(staging_.data(), 0x5a, staging_.size());

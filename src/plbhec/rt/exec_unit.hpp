@@ -61,7 +61,6 @@ class LocalExecUnit final : public ExecUnit {
   struct Options {
     std::string name = "host.cpu";
     double slowdown = 1.0;  ///< >= 1.0; busy-stretch factor for exec time
-    bool emulate_transfer = true;
   };
 
   explicit LocalExecUnit(Options options);

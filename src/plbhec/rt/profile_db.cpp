@@ -60,19 +60,21 @@ void ProfileDb::seed(UnitId u, const WarmProfile& warm) {
   if (!warm.usable()) return;
   const double scale = warm.total_grains / static_cast<double>(total_grains_);
   ++cache_[u].version;
-  if (warm.has_moments && scale == 1.0) {
-    exec_[u].restore(warm.exec, warm.exec_moments);
-    transfer_[u].restore(warm.transfer, warm.transfer_moments);
-    if (warm.exec_fit && options_ == fit::SelectionOptions{}) {
-      cache_[u].exec = *warm.exec_fit;
+  if (scale == 1.0) {
+    // A set's moments are the in-order replay of its samples, so the copy
+    // holds bit for bit what replaying the samples would build.
+    exec_[u] = warm.exec;
+    transfer_[u] = warm.transfer;
+    if (options_ == fit::SelectionOptions{}) {
+      cache_[u].exec = warm.fit;
       cache_[u].exec_version = cache_[u].version;
     }
   } else {
-    for (const fit::Sample& s : warm.exec) {
+    for (const fit::Sample& s : warm.exec.items()) {
       const double x = s.x * scale;
       if (x > 0.0 && x <= 1.0) exec_[u].add(x, s.time);
     }
-    for (const fit::Sample& s : warm.transfer) {
+    for (const fit::Sample& s : warm.transfer.items()) {
       const double x = s.x * scale;
       if (x > 0.0 && x <= 1.0) transfer_[u].add(x, s.time);
     }

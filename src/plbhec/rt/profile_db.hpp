@@ -13,7 +13,6 @@
 /// process-wide work-stealing pool.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "plbhec/fit/least_squares.hpp"
@@ -22,31 +21,34 @@
 
 namespace plbhec::rt {
 
-/// Cross-run warm-start profile for one processing unit, loaded from the
-/// service layer's ProfileStore: persisted (fraction, time) samples whose
-/// x-values are relative to a *previous* run's grain total, plus the
-/// acceptance R^2 recorded with them. When `total_grains` matches the new
-/// run's total, the moment snapshots are restored bit-exactly (the fit is
-/// identical to the run that persisted them); otherwise the samples are
-/// replayed with rescaled fractions.
-struct WarmProfile {
-  std::vector<fit::Sample> exec;      ///< x relative to `total_grains`
-  std::vector<fit::Sample> transfer;
+/// A processing unit's profile as one run hands it to another: the exec
+/// and transfer samples, with x relative to `total_grains`, and the model
+/// selection over the exec samples. The samples are the whole state; the
+/// moments inside each SampleSet are their add() replay, and `fit` is
+/// select_model over `exec` (the default SelectionOptions for a stored
+/// profile), so the producer computes it once and a bit-exact seed serves
+/// it as the unit's first fit.
+struct SampledProfile {
+  fit::SampleSet exec;
+  fit::SampleSet transfer;
   double total_grains = 0.0;  ///< grain denominator of the sample x-values
-  double stored_r2 = 0.0;     ///< exec-fit R^2 the store recorded
+  fit::FitResult fit;         ///< selection over `exec`
+
+  friend bool operator==(const SampledProfile&,
+                         const SampledProfile&) = default;
+};
+
+/// Warm-start profile for one processing unit: a stored entry from the
+/// service layer's ProfileStore, or a job's own observations at an epoch
+/// restart. With a matching grain total ProfileDb::seed copies the sample
+/// sets and installs `fit`; otherwise it replays the samples with x
+/// rescaled to the new run's total.
+struct WarmProfile : SampledProfile {
   /// Staleness of the stored entry, in store writes: how many profiles the
   /// store has persisted (across all keys) since this one was last
   /// refreshed. 0 = just written (or an in-run profile). The scheduler's
   /// warm-start validation bound tightens with this.
   std::uint64_t age = 0;
-  fit::MomentSnapshot exec_moments;
-  fit::MomentSnapshot transfer_moments;
-  bool has_moments = false;
-  /// The selection (default SelectionOptions) its producer already ran
-  /// over exactly `exec` and `exec_moments`, if any. A bit-exact restore
-  /// installs it as the unit's cached fit, so the first fit of the seeded
-  /// unit is not recomputed.
-  std::optional<fit::FitResult> exec_fit;
 
   [[nodiscard]] bool usable() const {
     return !exec.empty() && total_grains > 0.0;
@@ -77,12 +79,12 @@ class ProfileDb {
   /// invalidating its cached fit).
   void record(const TaskObservation& obs);
 
-  /// Seeds a freshly reset unit with a persisted warm-start profile. With
-  /// matching grain totals the stored moments are restored bit-exactly,
-  /// and the profile's stored selection, if any, becomes the unit's cached
-  /// fit when this database selects with the default options; otherwise
-  /// samples are replayed with x rescaled to this run's total (fractions
-  /// outside (0, 1] are dropped). Bumps the unit's version.
+  /// Seeds a freshly reset unit with a warm-start profile. With matching
+  /// grain totals the sample sets are copied, and the profile's selection
+  /// becomes the unit's cached fit when this database selects with the
+  /// default options; otherwise the samples are replayed with x rescaled
+  /// to this run's total (fractions outside (0, 1] are dropped). Bumps the
+  /// unit's version.
   void seed(UnitId u, const WarmProfile& warm);
 
   /// Drops every sample of one unit (warm-start validation failure path);

@@ -15,6 +15,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A run aborts when this many consecutive barriers make no progress.
+constexpr std::size_t kMaxStuckBarriers = 3;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -34,7 +37,6 @@ std::vector<std::unique_ptr<ExecUnit>> make_local_units(
     LocalExecUnit::Options lo;
     lo.name = "host.cpu" + std::to_string(u);
     lo.slowdown = options.slowdowns[u];
-    lo.emulate_transfer = options.emulate_transfer;
     locals.push_back(std::make_unique<LocalExecUnit>(std::move(lo)));
   }
   return locals;
@@ -194,7 +196,7 @@ RunResult ThreadEngine::run(Workload& workload, Scheduler& scheduler) {
           // Everyone idle with work left: this is the scheduler barrier.
           if (assigned_since_barrier) {
             stuck_barriers = 0;
-          } else if (++stuck_barriers >= options_.max_stuck_barriers) {
+          } else if (++stuck_barriers >= kMaxStuckBarriers) {
             failed = true;
             error = "scheduler refused to assign work after barrier";
             --idle_waiting;

@@ -38,11 +38,6 @@ struct ThreadEngineOptions {
   /// Per-unit slowdown factors (>= 1.0). Size defines the unit count when
   /// no explicit ExecUnit set is supplied; ignored otherwise.
   std::vector<double> slowdowns = {1.0, 2.0};
-  /// Emulate input staging with a real memcpy of the block's bytes
-  /// (local units only).
-  bool emulate_transfer = true;
-  /// Abort when this many consecutive barriers make no progress.
-  std::size_t max_stuck_barriers = 3;
   /// Best-effort pin each unit's worker to a core (Linux only).
   bool pin_workers = true;
   /// Observability sink for dispatch/barrier/failure events; also handed

@@ -75,6 +75,12 @@ struct BlockCost {
                                    double now, const NoiseModel& noise,
                                    Rng& rng);
 
+/// Watchdogs of every simulated dispatch loop (rt::SimEngine and the
+/// service): a run whose virtual clock passes kMaxSimSeconds, or that
+/// fires more than kMaxEvents events, is aborted as a runaway.
+inline constexpr double kMaxSimSeconds = 1e9;
+inline constexpr std::size_t kMaxEvents = 50'000'000;
+
 class SimCluster {
  public:
   explicit SimCluster(const std::vector<MachineConfig>& machines);

@@ -26,10 +26,11 @@ UnitConfig make_gpu_unit(const std::string& machine, int index,
 }  // namespace
 
 MachineConfig machine_a() {
-  MachineConfig m;
-  m.name = "A";
-  m.cpu_info = "Intel Xeon E5-2690V2, 10 cores @ 3.0 GHz, 25 MB cache";
-  m.gpu_info = "Tesla K20c, 2496 cores / 13 SMs, 205 GB/s, 6 GB";
+  MachineConfig m{
+      .name = "A",
+      .cpu_info = "Intel Xeon E5-2690V2, 10 cores @ 3.0 GHz, 25 MB cache",
+      .gpu_info = "Tesla K20c, 2496 cores / 13 SMs, 205 GB/s, 6 GB",
+      .units = {}};
   m.units.push_back(make_cpu_unit(
       m.name, {.name = "Xeon E5-2690V2",
                .cores = 10,
@@ -51,10 +52,11 @@ MachineConfig machine_a() {
 }
 
 MachineConfig machine_b(bool dual_gpu_boards) {
-  MachineConfig m;
-  m.name = "B";
-  m.cpu_info = "Intel i7-920, 4 cores @ 2.67 GHz, 8 MB cache";
-  m.gpu_info = "GTX 295, 2 x 240 cores / 30 SMs, 223.8 GB/s, 896 MB";
+  MachineConfig m{
+      .name = "B",
+      .cpu_info = "Intel i7-920, 4 cores @ 2.67 GHz, 8 MB cache",
+      .gpu_info = "GTX 295, 2 x 240 cores / 30 SMs, 223.8 GB/s, 896 MB",
+      .units = {}};
   m.units.push_back(make_cpu_unit(
       m.name, {.name = "i7-920",
                .cores = 4,
@@ -78,10 +80,11 @@ MachineConfig machine_b(bool dual_gpu_boards) {
 }
 
 MachineConfig machine_c(bool dual_gpu_boards) {
-  MachineConfig m;
-  m.name = "C";
-  m.cpu_info = "Intel i7-4930K, 6 cores @ 3.4 GHz, 12 MB cache";
-  m.gpu_info = "GTX 680, 2 x 1536 cores / 8 SMs, 192.2 GB/s, 2 GB";
+  MachineConfig m{
+      .name = "C",
+      .cpu_info = "Intel i7-4930K, 6 cores @ 3.4 GHz, 12 MB cache",
+      .gpu_info = "GTX 680, 2 x 1536 cores / 8 SMs, 192.2 GB/s, 2 GB",
+      .units = {}};
   m.units.push_back(make_cpu_unit(
       m.name, {.name = "i7-4930K",
                .cores = 6,
@@ -103,10 +106,11 @@ MachineConfig machine_c(bool dual_gpu_boards) {
 }
 
 MachineConfig machine_d() {
-  MachineConfig m;
-  m.name = "D";
-  m.cpu_info = "Intel i7-3930K, 6 cores @ 3.2 GHz, 12 MB cache";
-  m.gpu_info = "GTX Titan, 2688 cores / 14 SMs, 223.8 GB/s, 6 GB";
+  MachineConfig m{
+      .name = "D",
+      .cpu_info = "Intel i7-3930K, 6 cores @ 3.2 GHz, 12 MB cache",
+      .gpu_info = "GTX Titan, 2688 cores / 14 SMs, 223.8 GB/s, 6 GB",
+      .units = {}};
   m.units.push_back(make_cpu_unit(
       m.name, {.name = "i7-3930K",
                .cores = 6,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <queue>
+#include <string_view>
 #include <utility>
 
 #include "plbhec/common/contracts.hpp"
@@ -75,7 +76,9 @@ struct JobRt {
   core::PlbHecScheduler* plb = nullptr;  ///< stats view; null once harvested
   std::size_t in_flight = 0;
   /// Service-side observation log in the *job* fraction domain (x =
-  /// grains / total), per global unit — the warm seed for epoch restarts.
+  /// grains / total), per global unit — the warm seed for epoch restarts
+  /// and the job's store entries. Held from admission until the entries
+  /// are put.
   std::vector<fit::SampleSet> exec_obs;
   std::vector<fit::SampleSet> transfer_obs;
 
@@ -226,16 +229,7 @@ struct ServiceSim {
   void harvest(JobId id) {
     JobRt& job = jobs[id];
     if (job.plb == nullptr) return;
-    const core::PlbHecStats& s = job.plb->stats();
-    JobOutcome& out = res.jobs[id];
-    out.probe_blocks += s.probe_blocks;
-    out.probe_blocks_saved += s.probe_blocks_saved;
-    out.warm_hits += s.warm_hits;
-    out.warm_misses += s.warm_misses;
-    out.warm_stale_skips += s.warm_stale_skips;
-    out.drift_detections += s.drift_detections;
-    out.reprobe_blocks += s.reprobe_blocks;
-    out.reprobe_swaps += s.reprobe_swaps;
+    res.jobs[id] += job.plb->stats();
     job.plb = nullptr;
   }
 
@@ -245,15 +239,14 @@ struct ServiceSim {
     // Prefer the job's own observations (same workload instance, same
     // unit) over the cross-job store; they exist from the second epoch on.
     // Having them means grains completed, so the new epoch's total is below
-    // job.total and ProfileDb::seed replays them rescaled: no moment
-    // snapshot could be restored as is.
+    // job.total and ProfileDb::seed replays them rescaled; the selection
+    // only gates the seed.
     if (job.exec_obs[g].size() >= 4) {
       rt::WarmProfile warm;
-      warm.exec = job.exec_obs[g].items();
-      warm.transfer = job.transfer_obs[g].items();
+      warm.exec = job.exec_obs[g];
+      warm.transfer = job.transfer_obs[g];
       warm.total_grains = static_cast<double>(job.total);
-      warm.stored_r2 =
-          fit::select_model(job.exec_obs[g], options.scheduler.fit).r2;
+      warm.fit = fit::select_model(warm.exec, options.scheduler.fit);
       return warm;
     }
     return store.warm_profile(specs[id].app_kind, device_kind(g));
@@ -363,6 +356,8 @@ struct ServiceSim {
       const JobId id = queue.top();
       queue.pop();
       jobs[id].phase = JobPhase::kForming;
+      jobs[id].exec_obs.resize(n);
+      jobs[id].transfer_obs.resize(n);
       res.jobs[id].admitted = now;
       PLBHEC_OBS_RECORD(options.sink,
                         {now, obs::EventKind::kJobAdmitted, obs::kNoUnit,
@@ -587,6 +582,8 @@ struct ServiceSim {
         options.counters != nullptr) {
       options.counters->add("svc.store.save_failed");
     }
+    job.exec_obs = {};
+    job.transfer_obs = {};
 
     for (const rt::UnitId g : std::vector<rt::UnitId>(job.held)) {
       units[g].leased = false;
@@ -655,11 +652,11 @@ struct ServiceSim {
     events.pop();
     PLBHEC_ASSERT(ev.time >= now);
     now = ev.time;
-    if (++processed > options.max_events) {
+    if (++processed > sim::kMaxEvents) {
       fail("service exceeded the event watchdog");
       return;
     }
-    if (now > options.max_sim_time) {
+    if (now > sim::kMaxSimSeconds) {
       fail("service exceeded the simulated-time watchdog");
       return;
     }
@@ -699,8 +696,6 @@ struct ServiceSim {
       PLBHEC_EXPECTS(job.total > 0);
       job.profile = job.workload->profile();
       job.bytes_per_grain = job.workload->bytes_per_grain();
-      job.exec_obs.resize(n);
-      job.transfer_obs.resize(n);
       JobOutcome& out = res.jobs[id];
       out.id = id;
       out.name = spec.name;
@@ -739,20 +734,30 @@ struct ServiceSim {
 
     for (const JobOutcome& out : res.jobs) {
       res.makespan = std::max(res.makespan, out.finished);
-      res.probe_blocks += out.probe_blocks;
-      res.probe_blocks_saved += out.probe_blocks_saved;
-      res.warm_hits += out.warm_hits;
-      res.warm_misses += out.warm_misses;
-      res.warm_stale_skips += out.warm_stale_skips;
-      res.drift_detections += out.drift_detections;
-      res.reprobe_blocks += out.reprobe_blocks;
-      res.reprobe_swaps += out.reprobe_swaps;
+      res += out;
     }
     if (res.makespan > 0.0 && n > 0) {
       res.utilization =
           res.busy_unit_seconds / (static_cast<double>(n) * res.makespan);
     }
   }
+};
+
+/// The end-of-run ServiceResult totals JobManager::run publishes to the
+/// counter registry, under their svc.* names.
+constexpr std::pair<std::string_view, std::size_t ServiceResult::*>
+    kPublishedTotals[] = {
+        {"svc.leases_granted", &ServiceResult::leases_granted},
+        {"svc.leases_revoked", &ServiceResult::leases_revoked},
+        {"svc.scheduler_restarts", &ServiceResult::scheduler_restarts},
+        {"svc.warmstart.hits", &ServiceResult::warm_hits},
+        {"svc.warmstart.misses", &ServiceResult::warm_misses},
+        {"svc.warmstart.stale_skips", &ServiceResult::warm_stale_skips},
+        {"svc.adapt.drift_detections", &ServiceResult::drift_detections},
+        {"svc.adapt.reprobe_blocks", &ServiceResult::reprobe_blocks},
+        {"svc.adapt.reprobe_swaps", &ServiceResult::reprobe_swaps},
+        {"svc.probe_blocks", &ServiceResult::probe_blocks},
+        {"svc.probe_blocks_saved", &ServiceResult::probe_blocks_saved},
 };
 
 }  // namespace
@@ -790,17 +795,9 @@ ServiceResult JobManager::run() {
   if (obs::CounterRegistry* reg = options_.counters) {
     reg->add("svc.jobs_submitted", specs_.size());
     reg->add("svc.jobs_completed", sim.res.completion_order.size());
-    reg->add("svc.leases_granted", sim.res.leases_granted);
-    reg->add("svc.leases_revoked", sim.res.leases_revoked);
-    reg->add("svc.scheduler_restarts", sim.res.scheduler_restarts);
-    reg->add("svc.warmstart.hits", sim.res.warm_hits);
-    reg->add("svc.warmstart.misses", sim.res.warm_misses);
-    reg->add("svc.warmstart.stale_skips", sim.res.warm_stale_skips);
-    reg->add("svc.adapt.drift_detections", sim.res.drift_detections);
-    reg->add("svc.adapt.reprobe_blocks", sim.res.reprobe_blocks);
-    reg->add("svc.adapt.reprobe_swaps", sim.res.reprobe_swaps);
-    reg->add("svc.probe_blocks", sim.res.probe_blocks);
-    reg->add("svc.probe_blocks_saved", sim.res.probe_blocks_saved);
+    for (const auto& [name, field] : kPublishedTotals) {
+      reg->add(name, sim.res.*field);
+    }
   }
   return std::move(sim.res);
 }

@@ -58,8 +58,9 @@ struct JobSpec {
   std::function<std::unique_ptr<rt::Workload>()> make_workload;
 };
 
-/// Per-job outcome of one service run.
-struct JobOutcome {
+/// Per-job outcome of one service run; the probe, warm and drift counters
+/// (core::ProbeStats) sum every scheduler epoch of the job.
+struct JobOutcome : core::ProbeStats {
   JobId id = 0;
   std::string name;
   std::string app_kind;
@@ -70,14 +71,6 @@ struct JobOutcome {
   std::size_t total_grains = 0;
   std::size_t tasks = 0;
   double busy_seconds = 0.0;  ///< transfer + exec over all its tasks
-  std::size_t probe_blocks = 0;       ///< modeling blocks, all epochs
-  std::size_t probe_blocks_saved = 0; ///< skipped via warm starts
-  std::size_t warm_hits = 0;
-  std::size_t warm_misses = 0;
-  std::size_t warm_stale_skips = 0;   ///< warm seeds dropped for staleness
-  std::size_t drift_detections = 0;   ///< CUSUM trips across its schedulers
-  std::size_t reprobe_blocks = 0;     ///< targeted re-probe ladder blocks
-  std::size_t reprobe_swaps = 0;      ///< refreshed fits swapped in
   std::size_t lease_restarts = 0;  ///< drain-and-regrow scheduler restarts
   std::size_t max_units_held = 0;
   bool ok = false;
@@ -86,7 +79,9 @@ struct JobOutcome {
   [[nodiscard]] double turnaround() const { return finished - arrival; }
 };
 
-struct ServiceResult {
+/// Outcome of one service run; the probe, warm and drift counters
+/// (core::ProbeStats) sum every job's.
+struct ServiceResult : core::ProbeStats {
   bool ok = false;
   std::string error;
   double makespan = 0.0;  ///< finish time of the last job (virtual seconds)
@@ -97,22 +92,12 @@ struct ServiceResult {
   std::size_t leases_granted = 0;
   std::size_t leases_revoked = 0;
   std::size_t scheduler_restarts = 0;
-  std::size_t probe_blocks = 0;
-  std::size_t probe_blocks_saved = 0;
-  std::size_t warm_hits = 0;
-  std::size_t warm_misses = 0;
-  std::size_t warm_stale_skips = 0;
-  std::size_t drift_detections = 0;
-  std::size_t reprobe_blocks = 0;
-  std::size_t reprobe_swaps = 0;
   StoreLoadStatus store_status = StoreLoadStatus::kMissing;
 };
 
 struct ServiceOptions {
   sim::NoiseModel noise;
   std::uint64_t seed = 42;
-  double max_sim_time = 1e9;            ///< watchdog (virtual seconds)
-  std::size_t max_events = 50'000'000;  ///< watchdog (discrete events)
   LeasePolicyOptions lease;
   /// Base options for every per-job PLB-HeC instance; the service fills in
   /// the `warm` vector per epoch.

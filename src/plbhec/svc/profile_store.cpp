@@ -9,6 +9,7 @@
 
 #include "plbhec/common/codec.hpp"
 #include "plbhec/common/contracts.hpp"
+#include "plbhec/fit/least_squares.hpp"
 
 namespace plbhec::svc {
 namespace {
@@ -25,36 +26,17 @@ constexpr std::size_t kChecksumBytes = 8;
 // absurd counts; cap them so the decoder never attempts a huge allocation.
 constexpr std::size_t kMaxEntries = 1u << 20;
 constexpr std::size_t kMaxStringBytes = 4096;
-constexpr std::size_t kMaxSamples = 1u << 20;
-constexpr std::size_t kMaxModelTerms = 64;
 
 // ---- encoding ------------------------------------------------------------
 
 /// Domain-specific composites over the shared byte codec.
 struct Writer : ByteWriter {
-  void samples(const std::vector<fit::Sample>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const fit::Sample& s : v) {
+  void samples(const fit::SampleSet& set) {
+    u32(static_cast<std::uint32_t>(set.size()));
+    for (const fit::Sample& s : set.items()) {
       f64(s.x);
       f64(s.time);
     }
-  }
-  void moments(const fit::MomentSnapshot& m) {
-    u64(m.n);
-    for (double v : m.gram) f64(v);
-    for (double v : m.xty) f64(v);
-    f64(m.yty);
-  }
-  void curve(const fit::CurveModel& c) {
-    u32(static_cast<std::uint32_t>(c.terms.size()));
-    for (fit::BasisFn t : c.terms) u32(static_cast<std::uint32_t>(t));
-    for (double v : c.coefficients) f64(v);
-    f64(c.r2);
-  }
-  void transfer(const fit::TransferModel& t) {
-    f64(t.slope);
-    f64(t.latency);
-    f64(t.r2);
   }
 };
 
@@ -62,59 +44,27 @@ struct Writer : ByteWriter {
 
 struct Reader : ByteReader {
   bool str(std::string& s) { return ByteReader::str(s, kMaxStringBytes); }
-  bool samples(std::vector<fit::Sample>& v) {
+  /// Rebuilds a curve by replaying its samples, so its moments are derived
+  /// from the samples and never read from the image.
+  bool samples(fit::SampleSet& set) {
     const std::uint32_t n = u32();
-    if (!ok || n > kMaxSamples) {
+    if (!ok || n > ProfileStore::kMaxSamplesPerCurve) {
       ok = false;
       return false;
     }
-    v.resize(n);
-    for (fit::Sample& s : v) {
-      s.x = f64();
-      s.time = f64();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const double x = f64();
+      const double time = f64();
       // Reject values SampleSet::add's contracts would abort on: a store
       // that passed the checksum can still have been written by a buggy
       // producer, and the service must degrade to cold-start, not abort.
-      if (!ok || !std::isfinite(s.x) || !std::isfinite(s.time) ||
-          s.x <= 0.0 || s.x > 1.0 || s.time < 0.0) {
+      if (!ok || !std::isfinite(x) || !std::isfinite(time) || x <= 0.0 ||
+          x > 1.0 || time < 0.0) {
         ok = false;
         return false;
       }
+      set.add(x, time);
     }
-    return ok;
-  }
-  bool moments(fit::MomentSnapshot& m, std::size_t expected_n) {
-    m.n = u64();
-    for (double& v : m.gram) v = f64();
-    for (double& v : m.xty) v = f64();
-    m.yty = f64();
-    if (ok && m.n != expected_n) ok = false;  // snapshot/sample mismatch
-    return ok;
-  }
-  bool curve(fit::CurveModel& c) {
-    const std::uint32_t n = u32();
-    if (!ok || n > kMaxModelTerms) {
-      ok = false;
-      return false;
-    }
-    c.terms.resize(n);
-    for (fit::BasisFn& t : c.terms) {
-      const std::uint32_t raw = u32();
-      if (!ok || raw > static_cast<std::uint32_t>(fit::BasisFn::kXLnX)) {
-        ok = false;
-        return false;
-      }
-      t = static_cast<fit::BasisFn>(raw);
-    }
-    c.coefficients.resize(n);
-    for (double& v : c.coefficients) v = f64();
-    c.r2 = f64();
-    return ok;
-  }
-  bool transfer(fit::TransferModel& t) {
-    t.slope = f64();
-    t.latency = f64();
-    t.r2 = f64();
     return ok;
   }
 };
@@ -149,7 +99,7 @@ ProfileEntry make_entry(std::string app_kind, std::string device_kind,
   entry.total_grains = total_grains;
 
   // Trim to the cap keeping the most recent samples; a trimmed curve's
-  // moments are rebuilt by replay so snapshot and samples always agree.
+  // moments are rebuilt by replay.
   const auto capped = [](const fit::SampleSet& full) {
     if (full.size() <= ProfileStore::kMaxSamplesPerCurve) return full;
     fit::SampleSet trimmed;
@@ -160,19 +110,9 @@ ProfileEntry make_entry(std::string app_kind, std::string device_kind,
     }
     return trimmed;
   };
-  const fit::SampleSet exec_set = capped(exec);
-  const fit::SampleSet transfer_set = capped(transfer);
-
-  entry.exec = exec_set.items();
-  entry.transfer = transfer_set.items();
-  entry.exec_moments = exec_set.moments().snapshot();
-  entry.transfer_moments = transfer_set.moments().snapshot();
-
-  fit::FitResult fitted = fit::select_model(exec_set);
-  entry.exec_model = fitted.model;
-  entry.stored_r2 = fitted.r2;
-  entry.exec_fit = std::move(fitted);
-  entry.transfer_model = fit::fit_transfer(transfer_set);
+  entry.exec = capped(exec);
+  entry.transfer = capped(transfer);
+  entry.fit = fit::select_model(entry.exec);
   return entry;
 }
 
@@ -191,6 +131,8 @@ const ProfileEntry* ProfileStore::find(std::string_view app_kind,
 }
 
 void ProfileStore::put(ProfileEntry entry) {
+  PLBHEC_EXPECTS(entry.exec.size() <= kMaxSamplesPerCurve &&
+                 entry.transfer.size() <= kMaxSamplesPerCurve);
   entry.stamp = ++seq_;
   const auto it =
       std::lower_bound(entries_.begin(), entries_.end(), nullptr,
@@ -215,18 +157,8 @@ rt::WarmProfile ProfileStore::warm_profile(
     std::string_view app_kind, std::string_view device_kind) const {
   const ProfileEntry* entry = find(app_kind, device_kind);
   if (entry == nullptr) return {};
-  rt::WarmProfile warm;
-  warm.exec = entry->exec;
-  warm.transfer = entry->transfer;
-  warm.total_grains = entry->total_grains;
-  warm.stored_r2 = entry->stored_r2;
-  warm.exec_moments = entry->exec_moments;
-  warm.transfer_moments = entry->transfer_moments;
-  warm.has_moments = true;
-  warm.exec_fit = entry->exec_fit;
   PLBHEC_ASSERT(entry->stamp <= seq_);
-  warm.age = seq_ - entry->stamp;
-  return warm;
+  return {*entry, seq_ - entry->stamp};
 }
 
 std::vector<std::uint8_t> ProfileStore::encode() const {
@@ -238,15 +170,10 @@ std::vector<std::uint8_t> ProfileStore::encode() const {
     w.str(e.app_kind);
     w.str(e.device_kind);
     w.f64(e.total_grains);
-    w.f64(e.stored_r2);
     w.u64(e.updates);
     w.u64(e.stamp);
     w.samples(e.exec);
     w.samples(e.transfer);
-    w.moments(e.exec_moments);
-    w.moments(e.transfer_moments);
-    w.curve(e.exec_model);
-    w.transfer(e.transfer_model);
   }
 
   std::vector<std::uint8_t> out;
@@ -306,16 +233,11 @@ StoreLoadStatus ProfileStore::decode(std::span<const std::uint8_t> bytes,
     r.str(e.app_kind);
     r.str(e.device_kind);
     e.total_grains = r.f64();
-    e.stored_r2 = r.f64();
     e.updates = r.u64();
     e.stamp = r.u64();
     if (r.ok && e.stamp > seq) r.ok = false;  // stamp ahead of the counter
     r.samples(e.exec);
     r.samples(e.transfer);
-    r.moments(e.exec_moments, e.exec.size());
-    r.moments(e.transfer_moments, e.transfer.size());
-    r.curve(e.exec_model);
-    r.transfer(e.transfer_model);
     if (r.ok && (!std::isfinite(e.total_grains) || e.total_grains <= 0.0)) {
       r.ok = false;
     }
@@ -330,6 +252,7 @@ StoreLoadStatus ProfileStore::decode(std::span<const std::uint8_t> bytes,
     return StoreLoadStatus::kCorrupt;
   }
 
+  for (ProfileEntry& e : entries) e.fit = fit::select_model(e.exec);
   out.entries_ = std::move(entries);
   out.seq_ = seq;
   return StoreLoadStatus::kOk;

@@ -1,11 +1,12 @@
 #pragma once
 /// \file profile_store.hpp
-/// Versioned, checksummed on-disk database of fitted performance profiles,
+/// Versioned, checksummed on-disk database of processing-unit profiles,
 /// keyed by (application kind, device kind). The multi-tenant service
-/// persists each completed job's per-device profiling samples (plus their
-/// incremental moment snapshots and the selected models) and warm-starts
-/// later jobs of the same kind from them, skipping most of PLB-HeC's
-/// exponential probing schedule.
+/// persists each completed job's per-device profiling samples and
+/// warm-starts later jobs of the same kind from them, skipping most of
+/// PLB-HeC's exponential probing schedule. A stored profile is its
+/// samples: moments and the selected model are derived from them when an
+/// entry is built (make_entry) or decoded.
 ///
 /// File format (little-endian, native IEEE-754 doubles):
 ///
@@ -16,12 +17,10 @@
 ///   end  checksum   u64      FNV-1a 64 over the payload bytes
 ///
 /// Each entry: app kind and device kind (u32 length + bytes each), f64
-/// total_grains, f64 stored_r2, u64 updates, u64 stamp, the exec and the
-/// transfer samples (u32 count + f64 x, f64 time each), the exec and the
-/// transfer moments (u64 n, the 8x8 Gram matrix, X^T y and y^T y: 73 f64),
-/// the exec model (u32 term count, u32 per term, f64 per coefficient, f64
-/// r2) and the transfer model (f64 slope, latency, r2). Version 3 dropped
-/// the 1/time-weighted moment sums version 2 carried; an older image
+/// total_grains, u64 updates, u64 stamp, then the exec and the transfer
+/// samples (u32 count of at most kMaxSamplesPerCurve, then f64 x and f64
+/// time each). Version 4 dropped the moment sums, the stored R^2 and the
+/// selected models version 3 carried beside the samples; an older image
 /// decodes as version skew and the service cold-starts.
 ///
 /// A reader rejects — without crashing and without partially applying —
@@ -33,13 +32,11 @@
 /// profiles but may encode different stamps.)
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "plbhec/fit/least_squares.hpp"
 #include "plbhec/fit/samples.hpp"
 #include "plbhec/rt/profile_db.hpp"
 
@@ -59,35 +56,25 @@ enum class StoreLoadStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(StoreLoadStatus status);
 
-/// One persisted profile: the raw samples (x relative to `total_grains`),
-/// their moment snapshots for bit-exact warm restore, and the models that
-/// were selected when the entry was written.
-struct ProfileEntry {
+/// One persisted profile: the unit's samples (x relative to
+/// `total_grains`) and the default-options selection over its exec
+/// samples, under its (app, device) key.
+struct ProfileEntry : rt::SampledProfile {
   std::string app_kind;     ///< workload identity, e.g. "matmul-4096"
   std::string device_kind;  ///< DeviceModel::description() of the unit
-  double total_grains = 0.0;  ///< grain denominator of the sample x-values
-  double stored_r2 = 0.0;     ///< exec-fit R^2 at persist time
   std::uint64_t updates = 0;  ///< times this key has been refreshed
   /// Store write sequence at the last refresh of this key. The owning
   /// store's sequence() minus this is the entry's age — how many other
   /// profile writes landed since this one was current — which the
   /// warm-start validation gate uses to tighten acceptance with staleness.
   std::uint64_t stamp = 0;
-  std::vector<fit::Sample> exec;
-  std::vector<fit::Sample> transfer;
-  fit::MomentSnapshot exec_moments;
-  fit::MomentSnapshot transfer_moments;
-  fit::CurveModel exec_model;
-  fit::TransferModel transfer_model;
-  /// The complete selection make_entry() ran over `exec`. In memory only:
-  /// the image does not carry it, so a decoded entry is refitted by the
-  /// warm start that reads it.
-  std::optional<fit::FitResult> exec_fit;
+
+  friend bool operator==(const ProfileEntry&, const ProfileEntry&) = default;
 };
 
-/// Builds a store entry from one job's per-unit observation sets: trims to
-/// the sample cap (most recent kept, moments rebuilt by replay), fits the
-/// models and records the acceptance R^2 the warm-start gate checks.
+/// Builds a store entry from one job's per-unit observation sets: keeps
+/// the most recent kMaxSamplesPerCurve samples of each curve and runs the
+/// exec selection the warm-start gate reads.
 [[nodiscard]] ProfileEntry make_entry(std::string app_kind,
                                       std::string device_kind,
                                       const fit::SampleSet& exec,
@@ -96,8 +83,9 @@ struct ProfileEntry {
 
 class ProfileStore {
  public:
-  static constexpr std::uint32_t kFormatVersion = 3;
-  /// Per-curve sample cap; bounds file size under repeated merging.
+  static constexpr std::uint32_t kFormatVersion = 4;
+  /// Per-curve sample cap; bounds file size under repeated merging. No
+  /// writer exceeds it, so a longer curve in an image decodes as corrupt.
   static constexpr std::size_t kMaxSamplesPerCurve = 64;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -131,7 +119,9 @@ class ProfileStore {
   /// Serializes the store to the on-disk image described above.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
-  /// Decodes an image into `out`. On any failure `out` is left empty.
+  /// Decodes an image into `out`, rebuilding each entry's sample sets by
+  /// replay and re-running its selection, so a decoded entry equals the
+  /// one make_entry() built. On any failure `out` is left empty.
   [[nodiscard]] static StoreLoadStatus decode(
       std::span<const std::uint8_t> bytes, ProfileStore& out);
 

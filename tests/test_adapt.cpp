@@ -449,10 +449,9 @@ TEST(ProfileStoreStamps, VersionSkewStillRejectsCleanly) {
 rt::WarmProfile aged_profile(std::uint64_t age) {
   rt::WarmProfile warm;
   warm.total_grains = kGrains;
-  warm.stored_r2 = 0.99;
   warm.age = age;
-  for (int i = 1; i <= 8; ++i)
-    warm.exec.push_back({0.02 * i, 0.01 * i});
+  for (int i = 1; i <= 8; ++i) warm.exec.add(0.02 * i, 0.01 * i);
+  warm.fit = fit::select_model(warm.exec);
   return warm;
 }
 

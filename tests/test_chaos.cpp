@@ -493,7 +493,7 @@ TEST(NetChaos, SameScriptProducesSameDemotionSequenceOnBothSidesOfSeam) {
 
     std::vector<std::unique_ptr<rt::ExecUnit>> units;
     units.push_back(std::make_unique<rt::LocalExecUnit>(
-        rt::LocalExecUnit::Options{"local0", 1.0, true}));
+        rt::LocalExecUnit::Options{"local0", 1.0}));
     units.push_back(
         std::make_unique<net::RemoteUnit>(chaos_rig_options(d1.port())));
     units.push_back(std::make_unique<HoldAfterFirstBlock>(

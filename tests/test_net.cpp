@@ -444,7 +444,7 @@ TEST(Failure, FrozenDaemonTriggersHeartbeatDemotionWithZeroLostGrains) {
 
   std::vector<std::unique_ptr<rt::ExecUnit>> units;
   units.push_back(std::make_unique<rt::LocalExecUnit>(
-      rt::LocalExecUnit::Options{"local0", 1.0, true}));
+      rt::LocalExecUnit::Options{"local0", 1.0}));
   units.push_back(std::make_unique<RemoteUnit>(steady_options(healthy.port())));
   auto doomed_unit =
       std::make_unique<RemoteUnit>(fast_options(doomed.port()));
@@ -485,7 +485,7 @@ TEST(Failure, KilledDaemonIsDemotedAfterBoundedReconnects) {
 
   std::vector<std::unique_ptr<rt::ExecUnit>> units;
   units.push_back(std::make_unique<rt::LocalExecUnit>(
-      rt::LocalExecUnit::Options{"local0", 1.0, true}));
+      rt::LocalExecUnit::Options{"local0", 1.0}));
   units.push_back(std::make_unique<RemoteUnit>(steady_options(healthy.port())));
   auto doomed_unit =
       std::make_unique<RemoteUnit>(fast_options(doomed->port()));
@@ -736,7 +736,7 @@ TEST(Pipeline, FrozenDaemonMidPipelineLosesZeroGrains) {
 
   std::vector<std::unique_ptr<rt::ExecUnit>> units;
   units.push_back(std::make_unique<rt::LocalExecUnit>(
-      rt::LocalExecUnit::Options{"local0", 1.0, true}));
+      rt::LocalExecUnit::Options{"local0", 1.0}));
   units.push_back(
       std::make_unique<RemoteUnit>(pipelined_options(healthy.port(), 4)));
   RemoteUnitOptions doomed_ro = fast_options(doomed.port());
@@ -1003,7 +1003,7 @@ TEST(Reactor, ConcurrentCoordinatorsLoseZeroGrainsWhenDaemonIsKilled) {
   for (Rig& rig : rigs) {
     std::vector<std::unique_ptr<rt::ExecUnit>> units;
     units.push_back(std::make_unique<rt::LocalExecUnit>(
-        rt::LocalExecUnit::Options{"local0", 1.0, true}));
+        rt::LocalExecUnit::Options{"local0", 1.0}));
     auto remote = std::make_unique<RemoteUnit>(fast_options(doomed.port()));
     rig.remote = remote.get();
     units.push_back(std::move(remote));

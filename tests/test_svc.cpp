@@ -1,6 +1,7 @@
 // Tests for the multi-tenant service layer: ProfileStore format
 // robustness (truncation / magic / checksum / version skew reject cleanly
-// and fall back to cold start), bit-identical warm-start round-trips,
+// and fall back to cold start, and a byte-mutation sweep with resealed
+// checksums reaches the entry decoder), bit-identical warm-start round-trips,
 // lease-target fairness properties, JobManager admission ordering,
 // replay determinism, the stretch bound under a bursty mixed-priority
 // trace, zero lost grains when a leased unit dies, counted store-write
@@ -13,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "plbhec/apps/synthetic.hpp"
 #include "plbhec/chaos/fault.hpp"
 #include "plbhec/chaos/sim_target.hpp"
+#include "plbhec/common/codec.hpp"
 #include "plbhec/core/plb_hec.hpp"
 #include "plbhec/rt/engine.hpp"
 #include "plbhec/rt/profile_db.hpp"
@@ -54,6 +57,19 @@ ProfileStore one_entry_store() {
   return store;
 }
 
+/// Rewrites an image's payload length and FNV-1a checksum to match its
+/// current bytes, so a mutated payload passes the framing checks and
+/// reaches the entry decoder.
+void reseal(std::vector<std::uint8_t>& image) {
+  constexpr std::size_t kHeader = 8 + 4 + 8;  // magic + version + length
+  ASSERT_GE(image.size(), kHeader + 8);
+  const std::uint64_t payload = image.size() - kHeader - 8;
+  std::memcpy(image.data() + 12, &payload, sizeof payload);
+  const std::uint64_t sum = common::fnv1a64(
+      std::span<const std::uint8_t>(image.data() + kHeader, payload));
+  std::memcpy(image.data() + kHeader + payload, &sum, sizeof sum);
+}
+
 TEST(ProfileStore, EncodeDecodeRoundTripsBitIdentically) {
   const ProfileStore store = one_entry_store();
   const std::vector<std::uint8_t> bytes = store.encode();
@@ -62,21 +78,21 @@ TEST(ProfileStore, EncodeDecodeRoundTripsBitIdentically) {
   ASSERT_EQ(ProfileStore::decode(bytes, loaded), StoreLoadStatus::kOk);
   ASSERT_EQ(loaded.size(), 1u);
 
+  // The image holds only samples; decode replays them and re-runs the
+  // selection, so the decoded entry equals the one make_entry built:
+  // samples, moments and fit alike.
   const ProfileEntry& a = store.entries()[0];
   const ProfileEntry& b = loaded.entries()[0];
-  EXPECT_EQ(a.app_kind, b.app_kind);
-  EXPECT_EQ(a.device_kind, b.device_kind);
-  EXPECT_EQ(a.total_grains, b.total_grains);
-  EXPECT_EQ(a.stored_r2, b.stored_r2);  // exact: doubles are memcpy'd
-  ASSERT_EQ(a.exec.size(), b.exec.size());
-  for (std::size_t i = 0; i < a.exec.size(); ++i) {
-    EXPECT_EQ(a.exec[i].x, b.exec[i].x);
-    EXPECT_EQ(a.exec[i].time, b.exec[i].time);
-  }
-  EXPECT_EQ(a.exec_moments, b.exec_moments);
-  EXPECT_EQ(a.transfer_moments, b.transfer_moments);
-  EXPECT_EQ(a.exec_model.coefficients, b.exec_model.coefficients);
-  EXPECT_EQ(a.transfer_model.slope, b.transfer_model.slope);
+  EXPECT_TRUE(a == b);
+  ASSERT_TRUE(b.fit.acceptable);
+  ASSERT_EQ(a.fit.model.coefficients.size(), b.fit.model.coefficients.size());
+  for (std::size_t i = 0; i < a.fit.model.coefficients.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.fit.model.coefficients[i]),
+              std::bit_cast<std::uint64_t>(b.fit.model.coefficients[i]));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.fit.r2),
+            std::bit_cast<std::uint64_t>(b.fit.r2));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.fit.bic),
+            std::bit_cast<std::uint64_t>(b.fit.bic));
 
   // Re-encoding the decoded store reproduces the image byte for byte.
   EXPECT_EQ(loaded.encode(), bytes);
@@ -89,8 +105,8 @@ TEST(ProfileStore, WarmSeedRefitsIdenticallyAfterRoundTrip) {
   ASSERT_EQ(ProfileStore::decode(bytes, loaded), StoreLoadStatus::kOk);
 
   // Seed two profile databases — one from the original store, one from the
-  // decoded image — with matching grain totals, so the moment snapshots
-  // restore bit-exactly, and compare the resulting fits.
+  // decoded image — with matching grain totals, so the sample sets are
+  // copied as they are, and compare the resulting fits.
   rt::ProfileDb original(1, 1000);
   rt::ProfileDb reloaded(1, 1000);
   original.seed(0, store.warm_profile("app-a", "dev-cpu"));
@@ -120,7 +136,7 @@ TEST(ProfileStore, SeedRescalesAcrossGrainTotals) {
   ASSERT_EQ(db.exec_samples(0).size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(db.exec_samples(0).items()[i].x,
-                     store.entries()[0].exec[i].x * 0.5);
+                     store.entries()[0].exec.items()[i].x * 0.5);
   }
   db.clear_unit(0);
   EXPECT_TRUE(db.exec_samples(0).empty());
@@ -157,12 +173,12 @@ void complete_validation_block(core::PlbHecScheduler& plb) {
 TEST(ProfileStore, BitExactWarmSeedServesItsFirstFitFromTheCache) {
   const ProfileStore store = one_entry_store();  // totals 1000
   const rt::WarmProfile warm = store.warm_profile("app-a", "dev-cpu");
-  ASSERT_TRUE(warm.exec_fit.has_value());
+  ASSERT_TRUE(warm.fit.acceptable);
 
-  // Matching grain totals restore the samples bit-exactly, so the fit
+  // Matching grain totals copy the samples as they are, so the fit
   // make_entry stored is the fit of exactly these samples: the scheduler's
   // pre-validation fit_unit is a cache hit, equal bit for bit to a fresh
-  // selection over the restored samples.
+  // selection over the copied samples.
   const auto plb = seeded_scheduler(warm, 1000);
   const rt::ProfileDb& db = plb->profiles();
   ASSERT_EQ(db.exec_samples(0).size(), 8u);
@@ -182,26 +198,29 @@ TEST(ProfileStore, BitExactWarmSeedServesItsFirstFitFromTheCache) {
             std::bit_cast<std::uint64_t>(fresh.bic));
   EXPECT_EQ(cached.acceptable, fresh.acceptable);
 
-  // In the scheduler's own flow the saving is exactly that one fit: the
-  // same validation block against the same profile decoded from its image
-  // (which carries no fit) computes one more selection and hits the cache
-  // once less, and the runs otherwise agree.
+  // decode re-runs the selection, so a seed decoded from the image is a
+  // cache hit too: the same validation block against the original and the
+  // decoded profile computes the same selections, hits the cache as often,
+  // and the runs agree.
   ProfileStore loaded;
   ASSERT_EQ(ProfileStore::decode(store.encode(), loaded), StoreLoadStatus::kOk);
   const auto cached_run = seeded_scheduler(warm, 1000);
   const auto decoded_run =
       seeded_scheduler(loaded.warm_profile("app-a", "dev-cpu"), 1000);
+  EXPECT_EQ(decoded_run->profiles().fit_unit(0).exec, seeded.exec);
+  EXPECT_EQ(decoded_run->profiles().fit_stats().fits_computed, 0u);
   complete_validation_block(*cached_run);
   complete_validation_block(*decoded_run);
   const rt::FitStats a = cached_run->profiles().fit_stats();
   const rt::FitStats b = decoded_run->profiles().fit_stats();
-  EXPECT_EQ(a.fits_computed + 1, b.fits_computed);
-  EXPECT_EQ(a.fits_cached, b.fits_cached + 1);
+  EXPECT_EQ(a.fits_computed, b.fits_computed);
+  EXPECT_EQ(a.fits_cached + 1, b.fits_cached);  // the extra fit_unit above
+  EXPECT_EQ(cached_run->stats().warm_hits, 1u);
   EXPECT_EQ(cached_run->stats().warm_hits, decoded_run->stats().warm_hits);
   EXPECT_EQ(cached_run->fractions(), decoded_run->fractions());
 }
 
-TEST(ProfileStore, RescaledOrDecodedWarmSeedRefits) {
+TEST(ProfileStore, RescaledWarmSeedRefits) {
   const ProfileStore store = one_entry_store();  // totals 1000
 
   // A different grain total replays rescaled samples: the stored fit does
@@ -212,21 +231,6 @@ TEST(ProfileStore, RescaledOrDecodedWarmSeedRefits) {
   (void)rescaled->profiles().fit_unit(0);
   EXPECT_EQ(rescaled->profiles().fit_stats().fits_computed, 1u);
   EXPECT_EQ(rescaled->profiles().fit_stats().fits_cached, 0u);
-
-  // The image does not carry the fit: a decoded entry refits (to the same
-  // bits), and round-tripping leaves the encoded bytes unchanged.
-  const std::vector<std::uint8_t> bytes = store.encode();
-  ProfileStore loaded;
-  ASSERT_EQ(ProfileStore::decode(bytes, loaded), StoreLoadStatus::kOk);
-  EXPECT_FALSE(loaded.entries()[0].exec_fit.has_value());
-  const auto decoded =
-      seeded_scheduler(loaded.warm_profile("app-a", "dev-cpu"), 1000);
-  const fit::PerfModel refit = decoded->profiles().fit_unit(0);
-  EXPECT_EQ(decoded->profiles().fit_stats().fits_computed, 1u);
-  EXPECT_EQ(decoded->profiles().fit_stats().fits_cached, 0u);
-  EXPECT_EQ(refit.exec.coefficients,
-            store.entries()[0].exec_model.coefficients);
-  EXPECT_EQ(loaded.encode(), bytes);
 }
 
 TEST(ProfileStore, BitExactWarmSeedUnderAnotherEngineRefits) {
@@ -270,12 +274,78 @@ TEST(ProfileStore, RejectsVersionSkew) {
   EXPECT_TRUE(out.empty());
 
   // Version 2 images carried 1/time-weighted moment sums that version 3
-  // dropped: a store written before the change cold-starts.
-  bytes = one_entry_store().encode();
-  bytes[8] = 2;
-  bytes[9] = bytes[10] = bytes[11] = 0;
-  EXPECT_EQ(ProfileStore::decode(bytes, out), StoreLoadStatus::kVersionSkew);
+  // dropped, and version 3 images carried moments, R^2 and models beside
+  // the samples that version 4 derives: a store written before either
+  // change cold-starts.
+  for (const std::uint8_t old_version : {std::uint8_t{2}, std::uint8_t{3}}) {
+    bytes = one_entry_store().encode();
+    bytes[8] = old_version;
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    EXPECT_EQ(ProfileStore::decode(bytes, out), StoreLoadStatus::kVersionSkew)
+        << "version " << int{old_version};
+    EXPECT_TRUE(out.empty());
+  }
+}
+
+TEST(ProfileStore, RejectsCurveOverTheSampleCap) {
+  // A curve of exactly the cap decodes; one more sample, spliced into the
+  // exec curve of an otherwise valid image, decodes as corrupt.
+  const std::size_t cap = ProfileStore::kMaxSamplesPerCurve;
+  ProfileStore store;
+  store.put(make_entry("app", "dev", curve_samples(2.0, 0.1, cap),
+                       curve_samples(0.5, 0.01, 2), 1000.0));
+  std::vector<std::uint8_t> bytes = store.encode();
+  ProfileStore out;
+  ASSERT_EQ(ProfileStore::decode(bytes, out), StoreLoadStatus::kOk);
+
+  // Header, entry count, sequence, the two 3-byte keys, total_grains,
+  // updates and stamp come before the exec count.
+  const std::size_t count_at = 20 + 4 + 8 + (4 + 3) * 2 + 8 * 3;
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + count_at, sizeof count);
+  ASSERT_EQ(count, cap);
+  ++count;
+  std::memcpy(bytes.data() + count_at, &count, sizeof count);
+  const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(count_at + 4);
+  const std::vector<std::uint8_t> sample(first, first + 16);
+  bytes.insert(first, sample.begin(), sample.end());  // repeat the first
+  reseal(bytes);
+  EXPECT_EQ(ProfileStore::decode(bytes, out), StoreLoadStatus::kCorrupt);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(ProfileStore, MutatedImagesWithResealedChecksumsDecodeSafely) {
+  // Every byte of a one-entry image, set to 0x00, 0xFF, its high bit
+  // flipped and +1, with the payload length and checksum resealed so the
+  // mutation reaches the entry decoder, the sample replay and the
+  // selection decode runs. Each result is a defined status; an accepted
+  // image re-encodes to exactly the mutated bytes.
+  const std::vector<std::uint8_t> image = one_entry_store().encode();
+  std::size_t accepted = 0;
+  std::size_t corrupt = 0;
+  for (std::size_t at = 0; at < image.size(); ++at) {
+    const std::uint8_t b = image[at];
+    for (const std::uint8_t value :
+         {std::uint8_t{0x00}, std::uint8_t{0xff},
+          static_cast<std::uint8_t>(b ^ 0x80u),
+          static_cast<std::uint8_t>(b + 1u)}) {
+      std::vector<std::uint8_t> mutated = image;
+      mutated[at] = value;
+      reseal(mutated);
+      ProfileStore out;
+      const StoreLoadStatus status = ProfileStore::decode(mutated, out);
+      EXPECT_STRNE(to_string(status), "unknown") << "byte " << at;
+      if (status == StoreLoadStatus::kOk) {
+        ++accepted;
+        EXPECT_EQ(out.encode(), mutated) << "byte " << at;
+      } else {
+        EXPECT_TRUE(out.empty()) << "byte " << at;
+        if (status == StoreLoadStatus::kCorrupt) ++corrupt;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(corrupt, 0u);
 }
 
 TEST(ProfileStore, RejectsChecksumMismatch) {
@@ -331,10 +401,14 @@ TEST(ProfileStore, TrimsToSampleCapWithConsistentMoments) {
   const fit::SampleSet big = curve_samples(2.0, 0.1, cap + 40);
   const ProfileEntry entry = make_entry("app", "dev", big, big, 1000.0);
   ASSERT_EQ(entry.exec.size(), cap);
-  EXPECT_EQ(entry.exec_moments.n, cap);
-  // The most recent samples are the ones kept.
-  EXPECT_EQ(entry.exec.back().x, big.items().back().x);
-  EXPECT_EQ(entry.exec.front().x, big.items()[40].x);
+  // The most recent samples are the ones kept, and the moments are their
+  // replay.
+  EXPECT_EQ(entry.exec.items().back().x, big.items().back().x);
+  EXPECT_EQ(entry.exec.items().front().x, big.items()[40].x);
+  fit::SampleSet replay;
+  for (const fit::Sample& s : entry.exec.items()) replay.add(s.x, s.time);
+  EXPECT_EQ(entry.exec.moments(), replay.moments());
+  EXPECT_EQ(entry.exec.moments().count(), cap);
 }
 
 // ---- lease policy ---------------------------------------------------------
