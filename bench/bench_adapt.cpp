@@ -92,12 +92,11 @@ core::PlbHecOptions rebalance_options() { return base_options(); }
 core::PlbHecOptions adaptive_options() {
   core::PlbHecOptions opts = fitonce_options();
   opts.adapt.enabled = true;
-  opts.adapt.lambda = 0.9;
   // Exec-phase observations start after ~20% of the input (the modeling
   // cap); the drift lands at 30%, so the warmup must finish on the two or
   // three windows in between. The sim is noise-free, so a 2-sample
   // baseline (spread at the sigma floor) is safe.
-  opts.adapt.min_stable = 2;
+  opts.adapt.cusum.min_stable = 2;
   opts.adapt.reprobe_rounds = 2;
   return opts;
 }
@@ -108,8 +107,7 @@ core::PlbHecOptions adaptive_options() {
 core::PlbHecOptions thread_adaptive_options() {
   core::PlbHecOptions opts = fitonce_options();
   opts.adapt.enabled = true;
-  opts.adapt.lambda = 0.9;
-  opts.adapt.cusum_h = 8.0;
+  opts.adapt.cusum.h = 8.0;
   opts.adapt.robust_ingest = true;
   opts.adapt.reprobe_rounds = 2;
   return opts;

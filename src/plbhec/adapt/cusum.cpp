@@ -10,15 +10,15 @@ bool ResidualCusum::observe(double residual_ratio) {
     warmup_.add(residual_ratio);
     if (warmup_.count() >= options_.min_stable) {
       mu_ = warmup_.mean();
-      sigma_ = std::max(warmup_.stddev(), options_.sigma_floor);
+      sigma_ = std::max(warmup_.stddev(), kCusumSigmaFloor);
       armed_ = true;
     }
     return false;
   }
 
   const double z = (residual_ratio - mu_) / sigma_;
-  s_pos_ = std::max(0.0, s_pos_ + z - options_.k);
-  s_neg_ = std::max(0.0, s_neg_ - z - options_.k);
+  s_pos_ = std::max(0.0, s_pos_ + z - kCusumSlack);
+  s_neg_ = std::max(0.0, s_neg_ - z - kCusumSlack);
   return s_pos_ > options_.h || s_neg_ > options_.h;
 }
 

@@ -9,8 +9,8 @@
 /// with z = (r - mu) / sigma_eff. A trip (either side exceeding h) means
 /// the unit's behavior has shifted persistently relative to its fitted
 /// model — slow throttle ramps accumulate, one-off spikes do not. The
-/// spread is floored (sigma_floor, in relative-residual units) because a
-/// deterministic simulation can produce a near-zero warmup spread that
+/// spread is floored (kCusumSigmaFloor, in relative-residual units) because
+/// a deterministic simulation can produce a near-zero warmup spread that
 /// would otherwise make the detector hair-triggered.
 
 #include <cstddef>
@@ -19,13 +19,14 @@
 
 namespace plbhec::adapt {
 
+/// Per-step slack k, in sigma units.
+inline constexpr double kCusumSlack = 0.5;
+/// Lower bound on the residual spread, in relative-residual units.
+inline constexpr double kCusumSigmaFloor = 0.05;
+
 struct CusumOptions {
-  double k = 0.5;               ///< per-step slack, in sigma units
   double h = 6.0;               ///< trip threshold, in sigma units
   std::size_t min_stable = 8;   ///< warmup observations before arming
-  double sigma_floor = 0.05;    ///< lower bound on the residual spread
-
-  friend bool operator==(const CusumOptions&, const CusumOptions&) = default;
 };
 
 class ResidualCusum {

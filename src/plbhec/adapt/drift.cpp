@@ -14,16 +14,11 @@ void DriftMonitor::configure(const DriftOptions& options, std::size_t units) {
   trips_.assign(units, 0);
 
   WindowConfig wc;
-  wc.lambda = options.lambda;
-  CusumOptions cc;
-  cc.k = options.cusum_k;
-  cc.h = options.cusum_h;
-  cc.min_stable = options.min_stable;
-  cc.sigma_floor = options.sigma_floor;
-  const std::size_t block = options.robust_ingest ? options.robust_block : 1;
+  wc.lambda = kDriftLambda;
+  const std::size_t block = options.robust_ingest ? kRobustBlock : 1;
   for (std::size_t u = 0; u < units; ++u) {
     windows_.emplace_back(wc);
-    detectors_.emplace_back(cc);
+    detectors_.emplace_back(options.cusum);
     filters_.emplace_back(block);
   }
 }

@@ -19,6 +19,12 @@
 
 namespace plbhec::adapt {
 
+/// Forgetting factor of every unit's recent window (an effective window
+/// of ~10 samples).
+inline constexpr double kDriftLambda = 0.9;
+/// Block size of the robust ingest filter (DriftOptions::robust_ingest).
+inline constexpr std::size_t kRobustBlock = 3;
+
 /// Knobs for the whole subsystem; embedded in core::PlbHecOptions so the
 /// service layer inherits them per job.
 struct DriftOptions {
@@ -26,15 +32,8 @@ struct DriftOptions {
   /// is unchanged unless a caller opts in.
   bool enabled = false;
 
-  /// Forgetting factor of the per-unit recent window. 1 = no forgetting.
-  double lambda = 0.9;
-
-  /// CUSUM slack and threshold in sigma units, warmup length, and the
-  /// floor on the standardization spread (relative-residual units).
-  double cusum_k = 0.5;
-  double cusum_h = 6.0;
-  std::size_t min_stable = 8;
-  double sigma_floor = 0.05;
+  /// Every unit's residual CUSUM: trip threshold and warmup length.
+  CusumOptions cusum;
 
   /// Length of the geometric re-probe ladder run on a tripped unit
   /// (blocks of initial, 2x, 4x, ... the probing block size).
@@ -50,11 +49,8 @@ struct DriftOptions {
   double overdue_factor = 4.0;
 
   /// Robust ingest: pass execution observations through a per-unit
-  /// BlockMinFilter of this block size before they reach the window.
+  /// BlockMinFilter of kRobustBlock samples before they reach the window.
   bool robust_ingest = false;
-  std::size_t robust_block = 3;
-
-  friend bool operator==(const DriftOptions&, const DriftOptions&) = default;
 };
 
 class DriftMonitor {

@@ -29,6 +29,7 @@ class SampleSet {
  public:
   void add(double x, double time) {
     PLBHEC_EXPECTS(x > 0.0);
+    PLBHEC_EXPECTS(x <= 1.0);
     PLBHEC_EXPECTS(time >= 0.0);
     samples_.push_back({x, time});
     moments_.add(x, time);

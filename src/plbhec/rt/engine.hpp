@@ -2,9 +2,8 @@
 /// \file engine.hpp
 /// Discrete-event execution engine: runs a Workload on a simulated
 /// heterogeneous cluster under a pluggable Scheduler, in virtual time.
-/// This is the master-node dispatch loop of the paper's runtime — units
-/// request blocks as they finish (§III-D) and the engine profiles transfer
-/// and execution times for every task.
+/// One job over every unit on rt::SimDispatcher, the paper's master-node
+/// dispatch loop (§III-D), plus the run's trace and per-unit statistics.
 
 #include <cstdint>
 #include <string>

@@ -47,6 +47,7 @@ double ProfileDb::grains_to_fraction(std::size_t grains) const {
 
 void ProfileDb::record(const TaskObservation& obs) {
   PLBHEC_EXPECTS(obs.unit < exec_.size());
+  PLBHEC_EXPECTS(obs.grains <= total_grains_);
   if (obs.grains == 0) return;
   const double x = grains_to_fraction(obs.grains);
   exec_[obs.unit].add(x, obs.exec_seconds);

@@ -76,7 +76,9 @@ class ProfileDb {
              fit::SelectionOptions options = {});
 
   /// Records a completed task's profile (bumps the unit's sample version,
-  /// invalidating its cached fit).
+  /// invalidating its cached fit). A task holds at most the run's total
+  /// grains, so its block fraction lies in (0, 1]; a zero-grain task
+  /// records nothing.
   void record(const TaskObservation& obs);
 
   /// Seeds a freshly reset unit with a warm-start profile. With matching

@@ -108,6 +108,7 @@ RunResult ThreadEngine::run(Workload& workload, Scheduler& scheduler) {
   std::deque<GrainRange> requeued;     // ranges returned by failed units
   std::size_t unassigned = total;      // grains awaiting (re)assignment
   std::size_t completed = 0;
+  std::size_t in_flight = 0;           // grains issued, not yet retired
   std::size_t active = 0;
   std::size_t idle_waiting = 0;
   std::size_t stuck_barriers = 0;
@@ -146,6 +147,10 @@ RunResult ThreadEngine::run(Workload& workload, Scheduler& scheduler) {
       unassigned += lost.end - lost.begin;
       result.grains_requeued += lost.end - lost.begin;
     }
+    in_flight -= lost.end - lost.begin;
+    // Grain conservation: every issued grain is completed or in flight
+    // (an underflow of total - unassigned fails it too).
+    PLBHEC_ASSERT(total - unassigned == completed + in_flight);
     detached_[unit] = 1;
     --active;
     if (is_failure) result.unit_stats[unit].failed = true;
@@ -236,6 +241,7 @@ RunResult ThreadEngine::run(Workload& workload, Scheduler& scheduler) {
       }
       grains = r.end - r.begin;
       unassigned -= grains;
+      in_flight += grains;
       const double issue_time = seconds_since(t0);
       PLBHEC_OBS_RECORD(sink, {issue_time, obs::EventKind::kBlockDispatched,
                                static_cast<std::uint32_t>(unit), 0.0, 0.0,
@@ -253,6 +259,8 @@ RunResult ThreadEngine::run(Workload& workload, Scheduler& scheduler) {
       }
 
       completed += grains;
+      in_flight -= grains;
+      PLBHEC_ASSERT(total - unassigned == completed + in_flight);
       UnitStats& stats = result.unit_stats[unit];
       stats.transfer_seconds += timing.transfer_seconds;
       stats.exec_seconds += timing.exec_seconds;

@@ -67,17 +67,17 @@ struct BlockCost {
 /// transfer uses the link at `now` and the execution the 3-argument device
 /// model at the unit's current speed, so link-degrade faults and the
 /// memory roof under throttling both apply. Noise is drawn from `rng` in a
-/// fixed order, transfer then exec. The one block-cost path of every
-/// simulated dispatch loop; requires the unit to be alive at `now`.
+/// fixed order, transfer then exec. rt::SimDispatcher's one block-cost
+/// path; requires the unit to be alive at `now`.
 [[nodiscard]] BlockCost cost_block(const SimUnit& unit,
                                    const WorkloadProfile& profile,
                                    double bytes_per_grain, std::size_t grains,
                                    double now, const NoiseModel& noise,
                                    Rng& rng);
 
-/// Watchdogs of every simulated dispatch loop (rt::SimEngine and the
-/// service): a run whose virtual clock passes kMaxSimSeconds, or that
-/// fires more than kMaxEvents events, is aborted as a runaway.
+/// Watchdogs of rt::SimDispatcher (rt::SimEngine and the service): a run
+/// whose virtual clock passes kMaxSimSeconds, or that fires more than
+/// kMaxEvents events, arrivals included, is aborted as a runaway.
 inline constexpr double kMaxSimSeconds = 1e9;
 inline constexpr std::size_t kMaxEvents = 50'000'000;
 

@@ -3,56 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <queue>
 #include <string_view>
 #include <utility>
 
 #include "plbhec/common/contracts.hpp"
-#include "plbhec/common/rng.hpp"
 #include "plbhec/obs/events.hpp"
+#include "plbhec/rt/sim_dispatch.hpp"
 
 namespace plbhec::svc {
 namespace {
 
-enum class EvKind { kArrival, kCompletion, kFailure };
-
-struct Ev {
-  double time = 0.0;
-  std::uint64_t seq = 0;  ///< tie-break: earlier-pushed event fires first
-  EvKind kind = EvKind::kArrival;
-  JobId job = 0;
-  rt::UnitId unit = 0;
-};
-
-struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-struct InFlight {
-  JobId job = 0;
-  rt::UnitId local = 0;
-  std::size_t grains = 0;
-  double start = 0.0;
-  double transfer_s = 0.0;
-  double exec_s = 0.0;
-};
-
+/// A unit's lease; its dispatch state lives in the rt::SimDispatcher.
 struct UnitRt {
-  bool busy = false;
-  bool dead = false;
   bool leased = false;
-  JobId owner = 0;
   /// Lease marked for revocation at this unit's next block boundary.
   bool revoke_pending = false;
-  InFlight task;
 };
 
 enum class JobPhase : std::uint8_t {
-  kPending,   ///< not yet arrived
-  kQueued,    ///< in the admission queue
+  kPending,   ///< arriving, or in the admission queue
   kForming,   ///< admitted, assembling its unit lease
   kRunning,   ///< scheduler active
   kDraining,  ///< lease grew: no new blocks until in-flight work drains
@@ -62,100 +33,91 @@ enum class JobPhase : std::uint8_t {
 struct JobRt {
   JobPhase phase = JobPhase::kPending;
   std::unique_ptr<rt::Workload> workload;
-  sim::WorkloadProfile profile;
-  double bytes_per_grain = 0.0;
-  std::size_t total = 0;
-  std::size_t completed = 0;
-  std::size_t issued = 0;
+  /// Grain pool, block costs and the current epoch's units (local id i is
+  /// global unit sim.units[i]), dispatched by the service's SimDispatcher.
+  rt::SimJob sim;
   std::size_t target = 0;  ///< lease policy's current unit entitlement
   std::vector<rt::UnitId> held;     ///< sorted global ids (incl. pending)
   std::vector<rt::UnitId> pending;  ///< granted but not yet integrated
-  std::map<rt::UnitId, rt::UnitId> global_to_local;  ///< current epoch
-  std::vector<rt::UnitId> local_to_global;
   std::unique_ptr<rt::Scheduler> scheduler;
   core::PlbHecScheduler* plb = nullptr;  ///< stats view; null once harvested
-  std::size_t in_flight = 0;
   /// Service-side observation log in the *job* fraction domain (x =
   /// grains / total), per global unit — the warm seed for epoch restarts
   /// and the job's store entries. Held from admission until the entries
   /// are put.
   std::vector<fit::SampleSet> exec_obs;
   std::vector<fit::SampleSet> transfer_obs;
-
-  [[nodiscard]] std::size_t unassigned() const { return total - issued; }
 };
 
-void insert_sorted(std::vector<rt::UnitId>& v, rt::UnitId g) {
-  v.insert(std::lower_bound(v.begin(), v.end(), g), g);
-}
-
-void erase_sorted(std::vector<rt::UnitId>& v, rt::UnitId g) {
-  const auto it = std::lower_bound(v.begin(), v.end(), g);
-  if (it != v.end() && *it == g) v.erase(it);
-}
-
-void insert_sorted_job(std::vector<JobId>& v, JobId id) {
+/// Sorted-vector set of unit or job ids (both std::size_t).
+void insert_sorted(std::vector<std::size_t>& v, std::size_t id) {
   v.insert(std::lower_bound(v.begin(), v.end(), id), id);
 }
 
-void erase_sorted_job(std::vector<JobId>& v, JobId id) {
+void erase_sorted(std::vector<std::size_t>& v, std::size_t id) {
   const auto it = std::lower_bound(v.begin(), v.end(), id);
   if (it != v.end() && *it == id) v.erase(it);
 }
 
 /// Admission order: priority class first, then submission id (FIFO within
-/// class). Returns true when `a` should leave the queue *after* `b`, i.e.
-/// the priority_queue's top() is the next job to admit.
+/// class; ids follow submission order). As the admission queue's
+/// comparator it says whether `a` leaves *after* `b`, so top() is the next
+/// job to admit.
 struct AdmitLater {
   const std::vector<JobSpec>* specs = nullptr;
-  bool operator()(JobId a, JobId b) const {
+  [[nodiscard]] bool before(JobId a, JobId b) const {
     const auto pa = static_cast<std::uint8_t>((*specs)[a].priority);
     const auto pb = static_cast<std::uint8_t>((*specs)[b].priority);
-    if (pa != pb) return pa > pb;
-    return a > b;
+    return pa != pb ? pa < pb : a < b;
   }
+  bool operator()(JobId a, JobId b) const { return before(b, a); }
 };
 
 /// The whole per-run state; constructed fresh inside run() so the event
-/// loop's working set dies with it.
+/// loop's working set dies with it. Not copyable or movable: the
+/// dispatcher calls back into it.
 struct ServiceSim {
   const sim::SimCluster& cluster;
   const ServiceOptions& options;
   const std::vector<JobSpec>& specs;
   ProfileStore& store;
 
-  std::size_t n = 0;
+  const std::size_t n;
   std::vector<UnitRt> units;
-  std::vector<Rng> unit_rng;
   std::vector<JobRt> jobs;
+  const AdmitLater admit;
   std::priority_queue<JobId, std::vector<JobId>, AdmitLater> queue;
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
-  std::uint64_t seq = 0;
-  double now = 0.0;
-  std::size_t processed = 0;
-  std::size_t barriers = 0;   ///< scheduler barriers reached, all jobs
+  rt::SimDispatcher dispatch;
   std::vector<JobId> active;  ///< sorted; phases forming/running/draining
   ServiceResult res;
 
   ServiceSim(const sim::SimCluster& c, const ServiceOptions& o,
              const std::vector<JobSpec>& s, ProfileStore& st)
-      : cluster(c), options(o), specs(s), store(st), queue(AdmitLater{&s}) {}
+      : cluster(c),
+        options(o),
+        specs(s),
+        store(st),
+        n(c.size()),
+        units(n),
+        admit{&s},
+        queue(admit),
+        dispatch(c, o.noise, o.seed, o.sink,
+                 [this](rt::SimJob& job, rt::UnitId g) {
+                   end_lease(job.id, g);
+                 }) {}
+  ServiceSim(const ServiceSim&) = delete;
+  ServiceSim& operator=(const ServiceSim&) = delete;
 
   // ---- helpers ---------------------------------------------------------
 
+  [[nodiscard]] double now() const { return dispatch.now(); }
+
   [[nodiscard]] std::size_t alive_units() const {
     std::size_t count = 0;
-    for (const UnitRt& un : units) {
-      if (!un.dead) ++count;
+    for (rt::UnitId g = 0; g < n; ++g) {
+      if (!dispatch.dead(g)) ++count;
     }
     return count;
-  }
-
-  [[nodiscard]] bool admission_before(JobId a, JobId b) const {
-    const auto pa = static_cast<std::uint8_t>(specs[a].priority);
-    const auto pb = static_cast<std::uint8_t>(specs[b].priority);
-    if (pa != pb) return pa < pb;
-    return a < b;  // FIFO within class (ids follow submission order)
   }
 
   [[nodiscard]] std::string device_kind(rt::UnitId g) const {
@@ -181,37 +143,38 @@ struct ServiceSim {
   /// already reached). Notifies the job's scheduler so PLB-HeC re-solves
   /// the distribution over the survivors.
   void revoke_now(JobId id, rt::UnitId g) {
-    JobRt& job = jobs[id];
-    UnitRt& un = units[g];
-    PLBHEC_ASSERT(!un.busy && un.leased && un.owner == id);
-    const auto it = job.global_to_local.find(g);
-    if (it != job.global_to_local.end()) {
-      if (job.scheduler) job.scheduler->on_unit_failed(it->second, 0, now);
-      job.global_to_local.erase(it);
-    }
-    erase_sorted(job.held, g);
-    erase_sorted(job.pending, g);
-    un.leased = false;
-    un.revoke_pending = false;
+    PLBHEC_ASSERT(std::binary_search(jobs[id].held.begin(),
+                                     jobs[id].held.end(), g));
+    dispatch.release(g);
+    end_lease(id, g);
     ++res.leases_revoked;
     PLBHEC_OBS_RECORD(options.sink,
-                      {now, obs::EventKind::kLeaseRevoked,
+                      {now(), obs::EventKind::kLeaseRevoked,
                        static_cast<std::uint32_t>(g), 0.0, 0.0, id,
-                       job.held.size()});
+                       jobs[id].held.size()});
+  }
+
+  /// Unit g leaves job `id`'s lease: revoked, or dead (the dispatcher's
+  /// unit-lost callback).
+  void end_lease(JobId id, rt::UnitId g) {
+    JobRt& job = jobs[id];
+    erase_sorted(job.held, g);
+    erase_sorted(job.pending, g);
+    units[g].leased = false;
+    units[g].revoke_pending = false;
   }
 
   void grant(JobId id, rt::UnitId g) {
     JobRt& job = jobs[id];
     UnitRt& un = units[g];
-    PLBHEC_ASSERT(!un.leased && !un.busy && !un.dead);
+    PLBHEC_ASSERT(!un.leased && !dispatch.busy(g) && !dispatch.dead(g));
     un.leased = true;
-    un.owner = id;
     insert_sorted(job.held, g);
     ++res.leases_granted;
     res.jobs[id].max_units_held =
         std::max(res.jobs[id].max_units_held, job.held.size());
     PLBHEC_OBS_RECORD(options.sink,
-                      {now, obs::EventKind::kLeaseGranted,
+                      {now(), obs::EventKind::kLeaseGranted,
                        static_cast<std::uint32_t>(g), 0.0, 0.0, id,
                        job.held.size()});
     if (job.phase == JobPhase::kForming) {
@@ -220,7 +183,7 @@ struct ServiceSim {
       // Running/draining: integrate at the drain boundary.
       insert_sorted(job.pending, g);
       if (job.phase == JobPhase::kRunning) job.phase = JobPhase::kDraining;
-      if (job.in_flight == 0) start_epoch(id);
+      if (job.sim.in_flight == 0) start_epoch(id);
     }
   }
 
@@ -245,7 +208,7 @@ struct ServiceSim {
       rt::WarmProfile warm;
       warm.exec = job.exec_obs[g];
       warm.transfer = job.transfer_obs[g];
-      warm.total_grains = static_cast<double>(job.total);
+      warm.total_grains = static_cast<double>(job.sim.total);
       warm.fit = fit::select_model(warm.exec, options.scheduler.fit);
       return warm;
     }
@@ -265,13 +228,13 @@ struct ServiceSim {
     const auto window_grains = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround(
                options.scheduler.step_fraction *
-               static_cast<double>(job.total))));
+               static_cast<double>(job.sim.total))));
     double best = 0.0;
     for (rt::UnitId g = 0; g < n; ++g) {
       const sim::SimUnit& su = cluster.unit(g);
       if (su.failed_at(at)) continue;
       const double s = su.device->execution_seconds(
-          job.profile, static_cast<double>(window_grains),
+          job.sim.profile, static_cast<double>(window_grains),
           su.speed_factor(at));
       if (best == 0.0 || s < best) best = s;
     }
@@ -282,7 +245,6 @@ struct ServiceSim {
   /// remaining grains as the work total. Requires no in-flight tasks.
   void start_epoch(JobId id) {
     JobRt& job = jobs[id];
-    PLBHEC_ASSERT(job.in_flight == 0);
     PLBHEC_ASSERT(!job.held.empty());
     const bool restart = job.scheduler != nullptr;
     if (restart) {
@@ -291,35 +253,20 @@ struct ServiceSim {
       ++res.scheduler_restarts;
     }
     job.pending.clear();
-    job.local_to_global = job.held;  // held is sorted: dense local ids
-    job.global_to_local.clear();
+    dispatch.attach(job.sim, job.held);  // held is sorted: dense local ids
     std::vector<rt::UnitInfo> infos;
     infos.reserve(job.held.size());
     std::vector<rt::WarmProfile> warm;
     warm.reserve(job.held.size());
-    for (rt::UnitId local = 0; local < job.local_to_global.size(); ++local) {
-      const rt::UnitId g = job.local_to_global[local];
-      job.global_to_local[g] = local;
-      const sim::SimUnit& su = cluster.unit(g);
-      rt::UnitInfo info;
-      info.id = local;
-      info.name = su.name;
-      info.kind = su.device->kind() == sim::DeviceKind::kGpu
-                      ? rt::ProcKind::kGpu
-                      : rt::ProcKind::kCpu;
-      info.machine = su.machine_index;
-      infos.push_back(std::move(info));
+    for (rt::UnitId local = 0; local < job.held.size(); ++local) {
+      const rt::UnitId g = job.held[local];
+      infos.push_back(rt::sim_unit_info(cluster, g, local));
       warm.push_back(warm_for(job, id, g));
     }
 
-    const std::size_t remaining = job.total - job.completed;
+    const std::size_t remaining = job.sim.total - job.sim.completed;
     PLBHEC_ASSERT(remaining > 0);
-    job.issued = job.completed;  // lost in-flight grains are back in the pool
-    rt::WorkInfo work;
-    work.name = job.workload->name();
-    work.total_grains = remaining;
-    work.bytes_per_grain = job.bytes_per_grain;
-    work.initial_block = std::max<std::size_t>(1, remaining / 512);
+    const rt::WorkInfo work = rt::sim_work_info(*job.workload, remaining);
 
     if (options.make_scheduler) {
       job.scheduler =
@@ -330,12 +277,13 @@ struct ServiceSim {
       opt.warm = std::move(warm);
       if (opt.max_block_seconds <= 0.0 && options.preempt_windows > 0.0) {
         opt.max_block_seconds =
-            options.preempt_windows * best_window_seconds(job, now);
+            options.preempt_windows * best_window_seconds(job, now());
       }
       auto plb = std::make_unique<core::PlbHecScheduler>(std::move(opt));
       job.plb = plb.get();
       job.scheduler = std::move(plb);
     }
+    job.sim.scheduler = job.scheduler.get();
     job.scheduler->set_event_sink(options.sink);
     job.scheduler->start(infos, work);
     job.phase = JobPhase::kRunning;
@@ -358,11 +306,12 @@ struct ServiceSim {
       jobs[id].phase = JobPhase::kForming;
       jobs[id].exec_obs.resize(n);
       jobs[id].transfer_obs.resize(n);
-      res.jobs[id].admitted = now;
+      res.jobs[id].admitted = now();
       PLBHEC_OBS_RECORD(options.sink,
-                        {now, obs::EventKind::kJobAdmitted, obs::kNoUnit,
-                         now - res.jobs[id].arrival, 0.0, id, queue.size()});
-      insert_sorted_job(active, id);
+                        {now(), obs::EventKind::kJobAdmitted, obs::kNoUnit,
+                         now() - res.jobs[id].arrival, 0.0, id,
+                         queue.size()});
+      insert_sorted(active, id);
     }
     if (active.empty()) return;
 
@@ -373,7 +322,7 @@ struct ServiceSim {
     std::vector<JobId> entitled = active;
     if (entitled.size() > supply) {
       std::sort(entitled.begin(), entitled.end(),
-                [&](JobId a, JobId b) { return admission_before(a, b); });
+                [&](JobId a, JobId b) { return admit.before(a, b); });
       entitled.resize(supply);
       std::sort(entitled.begin(), entitled.end());
     }
@@ -396,43 +345,26 @@ struct ServiceSim {
   void rebalance() {
     // Phase A: shed surplus. Idle units are revoked at once (they are at a
     // block boundary by definition); busy units are marked and handed over
-    // when their current task completes.
+    // when their current task completes. A victim is the highest-id
+    // unmarked unit: unintegrated idle, then integrated idle, then busy.
+    const auto last = [&](const std::vector<rt::UnitId>& from, bool busy) {
+      const auto it =
+          std::find_if(from.rbegin(), from.rend(), [&](rt::UnitId g) {
+            return dispatch.busy(g) == busy && !units[g].revoke_pending;
+          });
+      return it == from.rend() ? std::optional<rt::UnitId>() : *it;
+    };
     for (JobId id : active) {
       JobRt& job = jobs[id];
       while (effective_held(job) > job.target) {
-        rt::UnitId victim = rt::UnitId(-1);
-        bool victim_idle = false;
-        // Prefer (highest-id): unintegrated idle, then integrated idle,
-        // then busy not yet marked.
-        for (auto it = job.pending.rbegin(); it != job.pending.rend(); ++it) {
-          if (!units[*it].busy && !units[*it].revoke_pending) {
-            victim = *it;
-            victim_idle = true;
-            break;
-          }
-        }
-        if (victim == rt::UnitId(-1)) {
-          for (auto it = job.held.rbegin(); it != job.held.rend(); ++it) {
-            if (!units[*it].busy && !units[*it].revoke_pending) {
-              victim = *it;
-              victim_idle = true;
-              break;
-            }
-          }
-        }
-        if (victim == rt::UnitId(-1)) {
-          for (auto it = job.held.rbegin(); it != job.held.rend(); ++it) {
-            if (units[*it].busy && !units[*it].revoke_pending) {
-              victim = *it;
-              break;
-            }
-          }
-        }
-        if (victim == rt::UnitId(-1)) break;  // nothing left to shed
-        if (victim_idle) {
-          revoke_now(id, victim);
+        std::optional<rt::UnitId> idle = last(job.pending, false);
+        if (!idle) idle = last(job.held, false);
+        if (idle) {
+          revoke_now(id, *idle);
+        } else if (const auto busy = last(job.held, true)) {
+          units[*busy].revoke_pending = true;
         } else {
-          units[victim].revoke_pending = true;
+          break;  // nothing left to shed
         }
       }
     }
@@ -441,13 +373,13 @@ struct ServiceSim {
     // first (admission order).
     std::vector<JobId> order = active;
     std::sort(order.begin(), order.end(),
-              [&](JobId a, JobId b) { return admission_before(a, b); });
+              [&](JobId a, JobId b) { return admit.before(a, b); });
     for (JobId id : order) {
       JobRt& job = jobs[id];
       while (effective_held(job) < job.target) {
         rt::UnitId free_unit = rt::UnitId(-1);
         for (rt::UnitId g = 0; g < n; ++g) {
-          if (!units[g].leased && !units[g].dead && !units[g].busy) {
+          if (!units[g].leased && !dispatch.dead(g) && !dispatch.busy(g)) {
             free_unit = g;
             break;
           }
@@ -458,70 +390,7 @@ struct ServiceSim {
     }
   }
 
-  // ---- task issue & completion -----------------------------------------
-
-  void retire_unit(JobId id, rt::UnitId g, std::size_t lost_grains) {
-    JobRt& job = jobs[id];
-    UnitRt& un = units[g];
-    un.dead = true;
-    un.leased = false;
-    un.revoke_pending = false;
-    const auto it = job.global_to_local.find(g);
-    if (it != job.global_to_local.end()) {
-      if (job.scheduler) {
-        job.scheduler->on_unit_failed(it->second, lost_grains, now);
-      }
-      job.global_to_local.erase(it);
-    }
-    erase_sorted(job.held, g);
-    erase_sorted(job.pending, g);
-    PLBHEC_OBS_RECORD(options.sink,
-                      {now, obs::EventKind::kUnitFailed,
-                       static_cast<std::uint32_t>(g), 0.0, 0.0, lost_grains,
-                       id});
-  }
-
-  void issue(JobId id, rt::UnitId g, rt::UnitId local, std::size_t grains) {
-    JobRt& job = jobs[id];
-    UnitRt& un = units[g];
-    const sim::BlockCost cost =
-        sim::cost_block(cluster.unit(g), job.profile, job.bytes_per_grain,
-                        grains, now, options.noise, unit_rng[g]);
-    un.busy = true;
-    un.task = {id, local, grains, now, cost.transfer_s, cost.exec_s};
-    job.issued += grains;
-    ++job.in_flight;
-    PLBHEC_OBS_RECORD(options.sink,
-                      {now, obs::EventKind::kBlockDispatched,
-                       static_cast<std::uint32_t>(g), 0.0, 0.0, grains, seq});
-    events.push({cost.event_s, seq++,
-                 cost.fails ? EvKind::kFailure : EvKind::kCompletion, id, g});
-  }
-
-  /// One assignment sweep over a job's leased units; returns the number of
-  /// tasks issued.
-  std::size_t assignment_round(JobId id) {
-    JobRt& job = jobs[id];
-    std::size_t assigned = 0;
-    for (rt::UnitId local = 0; local < job.local_to_global.size(); ++local) {
-      const rt::UnitId g = job.local_to_global[local];
-      const auto it = job.global_to_local.find(g);
-      if (it == job.global_to_local.end()) continue;  // revoked this epoch
-      UnitRt& un = units[g];
-      if (un.busy || un.dead) continue;
-      if (cluster.unit(g).failed_at(now)) {  // failed while idle
-        retire_unit(id, g, 0);
-        continue;
-      }
-      if (job.unassigned() == 0) break;
-      std::size_t grains = job.scheduler->next_block(local, now);
-      grains = std::min(grains, job.unassigned());
-      if (grains == 0) continue;
-      issue(id, g, local, grains);
-      ++assigned;
-    }
-    return assigned;
-  }
+  // ---- dispatch & completion -------------------------------------------
 
   void assign_work() {
     for (JobId id : active) {
@@ -529,23 +398,13 @@ struct ServiceSim {
       if (job.phase != JobPhase::kRunning) continue;
       if (job.held.empty()) {
         // Every unit was revoked between boundaries; wait for new grants.
-        if (job.in_flight == 0) job.phase = JobPhase::kForming;
+        if (job.sim.in_flight == 0) job.phase = JobPhase::kForming;
         continue;
       }
-      std::size_t assigned = assignment_round(id);
-      // Engine barrier protocol, per job: all units idle + work remains.
-      if (assigned == 0 && job.in_flight == 0 && job.unassigned() > 0) {
-        job.scheduler->on_barrier(now);
-        ++barriers;
-        PLBHEC_OBS_RECORD(options.sink,
-                          {now, obs::EventKind::kBarrier, obs::kNoUnit, 0.0,
-                           0.0, barriers, id});
-        assigned = assignment_round(id);
-        if (assigned == 0 && job.in_flight == 0 &&
-            !job.global_to_local.empty()) {
-          fail("scheduler for job '" + specs[id].name +
-               "' refused to assign work after a barrier");
-        }
+      if (dispatch.dispatch(job.sim) ==
+          rt::SimDispatcher::Outcome::kRefused) {
+        fail("scheduler for job '" + specs[id].name +
+             "' refused to assign work after a barrier");
       }
     }
   }
@@ -554,12 +413,13 @@ struct ServiceSim {
     JobRt& job = jobs[id];
     harvest(id);
     JobOutcome& out = res.jobs[id];
-    out.finished = now;
+    out.finished = now();
     out.ok = true;
     res.completion_order.push_back(id);
     PLBHEC_OBS_RECORD(options.sink,
-                      {now, obs::EventKind::kJobCompleted, obs::kNoUnit,
-                       now - out.admitted, out.queue_wait(), id, job.total});
+                      {now(), obs::EventKind::kJobCompleted, obs::kNoUnit,
+                       now() - out.admitted, out.queue_wait(), id,
+                       job.sim.total});
 
     // Merge this job's best-profiled unit of every device kind into the
     // store — the warm-start capital for future jobs — and persist it.
@@ -576,7 +436,7 @@ struct ServiceSim {
     for (const auto& [kind, g] : best) {
       store.put(make_entry(specs[id].app_kind, kind, job.exec_obs[g],
                            job.transfer_obs[g],
-                           static_cast<double>(job.total)));
+                           static_cast<double>(job.sim.total)));
     }
     if (!options.store_path.empty() && !store.save(options.store_path) &&
         options.counters != nullptr) {
@@ -585,138 +445,93 @@ struct ServiceSim {
     job.exec_obs = {};
     job.transfer_obs = {};
 
-    for (const rt::UnitId g : std::vector<rt::UnitId>(job.held)) {
-      units[g].leased = false;
-      units[g].revoke_pending = false;
-    }
-    job.held.clear();
-    job.pending.clear();
-    job.global_to_local.clear();
+    while (!job.held.empty()) end_lease(id, job.held.back());
+    dispatch.attach(job.sim, {});
+    job.sim.scheduler = nullptr;
     job.scheduler.reset();
     job.phase = JobPhase::kDone;
-    erase_sorted_job(active, id);
+    erase_sorted(active, id);
     renegotiate();
   }
 
-  void handle_completion(const Ev& ev, bool failed) {
-    UnitRt& un = units[ev.unit];
-    PLBHEC_ASSERT(un.busy);
-    un.busy = false;
-    const InFlight task = un.task;
-    JobRt& job = jobs[task.job];
-    --job.in_flight;
-
-    if (failed) {
-      job.issued -= task.grains;  // grains return to the pool
-      retire_unit(task.job, ev.unit, task.grains);
-      renegotiate();
+  /// The lease side of a block the dispatcher retired: its scheduler has
+  /// already heard of the completion or the failure.
+  void retire(const rt::SimDispatcher::Retired& retired) {
+    const JobId id = retired.job->id;
+    JobRt& job = jobs[id];
+    if (retired.failed) {
+      renegotiate();  // the dead unit's lease already ended
     } else {
-      job.completed += task.grains;
-      JobOutcome& out = res.jobs[task.job];
+      const rt::TaskObservation& task = retired.task;
+      JobOutcome& out = res.jobs[id];
       ++out.tasks;
-      out.busy_seconds += task.transfer_s + task.exec_s;
-      res.busy_unit_seconds += task.transfer_s + task.exec_s;
-      if (task.grains > 0) {
-        const double x = static_cast<double>(task.grains) /
-                         static_cast<double>(job.total);
-        job.exec_obs[ev.unit].add(x, task.exec_s);
-        job.transfer_obs[ev.unit].add(x, task.transfer_s);
-      }
-      if (job.scheduler) {
-        job.scheduler->on_complete({task.local, task.grains, task.transfer_s,
-                                    task.exec_s, task.start, now});
-      }
-      if (job.completed >= job.total) {
-        complete_job(task.job);
+      out.busy_seconds += task.transfer_seconds + task.exec_seconds;
+      res.busy_unit_seconds += task.transfer_seconds + task.exec_seconds;
+      const double x = static_cast<double>(task.grains) /
+                       static_cast<double>(job.sim.total);
+      job.exec_obs[retired.unit].add(x, task.exec_seconds);
+      job.transfer_obs[retired.unit].add(x, task.transfer_seconds);
+      if (job.sim.completed == job.sim.total) {
+        complete_job(id);
         assign_work();
         return;
       }
-      if (un.revoke_pending && !un.dead) {
-        revoke_now(task.job, ev.unit);
+      if (units[retired.unit].revoke_pending) {
+        revoke_now(id, retired.unit);
         renegotiate();
       }
     }
-    if (job.phase == JobPhase::kDraining && job.in_flight == 0 &&
+    if (job.phase == JobPhase::kDraining && job.sim.in_flight == 0 &&
         !job.held.empty()) {
-      start_epoch(task.job);
+      start_epoch(id);
     }
     assign_work();
   }
 
   // ---- the event loop --------------------------------------------------
 
-  /// Fires the next event. Callers guarantee the queue is non-empty and
-  /// the run has not failed.
-  void step() {
-    const Ev ev = events.top();
-    events.pop();
-    PLBHEC_ASSERT(ev.time >= now);
-    now = ev.time;
-    if (++processed > sim::kMaxEvents) {
-      fail("service exceeded the event watchdog");
-      return;
-    }
-    if (now > sim::kMaxSimSeconds) {
-      fail("service exceeded the simulated-time watchdog");
-      return;
-    }
-    switch (ev.kind) {
-      case EvKind::kArrival:
-        jobs[ev.job].phase = JobPhase::kQueued;
-        queue.push(ev.job);
-        renegotiate();
-        assign_work();
-        break;
-      case EvKind::kCompletion:
-        handle_completion(ev, /*failed=*/false);
-        break;
-      case EvKind::kFailure:
-        handle_completion(ev, /*failed=*/true);
-        break;
-    }
-  }
-
   void run() {
-    n = cluster.size();
-    units.assign(n, {});
-    unit_rng.clear();
-    unit_rng.reserve(n);
-    Rng master(options.seed);
-    for (rt::UnitId g = 0; g < n; ++g) unit_rng.push_back(master.fork(g + 1));
-
     jobs.resize(specs.size());
     res.jobs.resize(specs.size());
-    res.ok = true;
     for (JobId id = 0; id < specs.size(); ++id) {
       const JobSpec& spec = specs[id];
       JobRt& job = jobs[id];
       job.workload = spec.make_workload();
       PLBHEC_EXPECTS(job.workload != nullptr);
-      job.total = job.workload->total_grains();
-      PLBHEC_EXPECTS(job.total > 0);
-      job.profile = job.workload->profile();
-      job.bytes_per_grain = job.workload->bytes_per_grain();
+      job.sim = rt::SimJob(id, *job.workload);
+      PLBHEC_EXPECTS(job.sim.total > 0);
       JobOutcome& out = res.jobs[id];
       out.id = id;
       out.name = spec.name;
       out.app_kind = spec.app_kind;
       out.priority = spec.priority;
       out.arrival = spec.arrival_time;
-      out.total_grains = job.total;
+      out.total_grains = job.sim.total;
     }
 
-    // Arrival events, sequenced by (time, submission order).
+    // Arrivals fire in (time, submission) order, each before any block
+    // event at the same virtual time.
     std::vector<JobId> by_arrival(specs.size());
     for (JobId id = 0; id < specs.size(); ++id) by_arrival[id] = id;
     std::stable_sort(by_arrival.begin(), by_arrival.end(),
                      [&](JobId a, JobId b) {
                        return specs[a].arrival_time < specs[b].arrival_time;
                      });
-    for (JobId id : by_arrival) {
-      events.push({specs[id].arrival_time, seq++, EvKind::kArrival, id, 0});
+    auto next_arrival = by_arrival.begin();
+    while (res.error.empty()) {
+      if (next_arrival != by_arrival.end() &&
+          specs[*next_arrival].arrival_time <= dispatch.next_time()) {
+        if (!dispatch.advance(specs[*next_arrival].arrival_time)) break;
+        queue.push(*next_arrival++);
+        renegotiate();
+        assign_work();
+      } else if (const auto retired = dispatch.step()) {
+        retire(*retired);
+      } else {
+        break;
+      }
     }
-
-    while (!events.empty() && res.error.empty()) step();
+    if (!dispatch.error().empty()) fail(dispatch.error());
     finalize();
   }
 

@@ -27,9 +27,9 @@
 /// write bumps the svc.store.save_failed counter.
 ///
 /// One event loop: arrivals, block completions and unit failures fire in
-/// virtual-time order, and every block is costed by sim::cost_block, the
-/// same function rt::SimEngine uses, so speed and link faults reach a
-/// service job exactly as they reach a single engine run.
+/// virtual-time order. Each job's lease is dispatched by rt::SimDispatcher,
+/// as rt::SimEngine's one job is, so a job alone on the cluster is the
+/// engine's run and every fault reaches a service job as it reaches it.
 
 #include <cstdint>
 #include <functional>

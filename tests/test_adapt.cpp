@@ -189,7 +189,7 @@ TEST(DriftMonitor, TripsCountPerUnitAndResetClearsState) {
   adapt::DriftMonitor monitor;
   adapt::DriftOptions options;
   options.enabled = true;
-  options.min_stable = 2;
+  options.cusum.min_stable = 2;
   monitor.configure(options, 3);
 
   for (int i = 0; i < 2; ++i) EXPECT_FALSE(monitor.observe(1, 0.0));
@@ -215,8 +215,7 @@ TEST(DriftMonitor, RobustIngestFiltersThroughBlockMin) {
   adapt::DriftMonitor monitor;
   adapt::DriftOptions options;
   options.enabled = true;
-  options.robust_ingest = true;
-  options.robust_block = 3;
+  options.robust_ingest = true;  // blocks of kRobustBlock = 3
   monitor.configure(options, 1);
   monitor.ingest(0, 0.1, 5.0);
   monitor.ingest(0, 0.1, 1.0);
@@ -241,7 +240,7 @@ core::PlbHecOptions frozen_options() {
 core::PlbHecOptions adaptive_options() {
   core::PlbHecOptions opts = frozen_options();
   opts.adapt.enabled = true;
-  opts.adapt.min_stable = 2;  // noise-free sim: short warmup is safe
+  opts.adapt.cusum.min_stable = 2;  // noise-free sim: short warmup is safe
   opts.adapt.reprobe_rounds = 2;
   return opts;
 }

@@ -324,6 +324,8 @@ TEST(ProfileDb, ZeroGrainObservationIgnored) {
 
 // ---- Fit cache --------------------------------------------------------------
 
+/// Unit u's blocks grow by 10 + 3u grains from 10; every block lies within
+/// the 1000-grain total up to 16 units of 12 samples (the largest is 615).
 ProfileDb seeded_db(std::size_t units = 2, std::size_t samples = 6,
                     fit::SelectionOptions options = {}) {
   ProfileDb db(units, 1000, options);
@@ -331,7 +333,7 @@ ProfileDb seeded_db(std::size_t units = 2, std::size_t samples = 6,
   for (UnitId u = 0; u < units; ++u) {
     obs.unit = u;
     std::size_t g = 10;
-    for (std::size_t i = 0; i < samples; ++i, g += 10 + 7 * u) {
+    for (std::size_t i = 0; i < samples; ++i, g += 10 + 3 * u) {
       obs.grains = g;
       obs.exec_seconds =
           (0.01 + 0.002 * static_cast<double>(g)) * (1.0 + 0.2 * u);

@@ -5,8 +5,8 @@
 // lease-target fairness properties, JobManager admission ordering,
 // replay determinism, the stretch bound under a bursty mixed-priority
 // trace, zero lost grains when a leased unit dies, counted store-write
-// failures, and block costs identical to rt::SimEngine's under speed and
-// link faults.
+// failures, and a one-job service run that is rt::SimEngine's run event for
+// event under speed, link and kill faults.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "plbhec/chaos/sim_target.hpp"
 #include "plbhec/common/codec.hpp"
 #include "plbhec/core/plb_hec.hpp"
+#include "plbhec/obs/sink.hpp"
 #include "plbhec/rt/engine.hpp"
 #include "plbhec/rt/profile_db.hpp"
 #include "plbhec/sim/machine.hpp"
@@ -697,48 +698,109 @@ TEST(JobManagerDeathTest, MoreThanOneShardFailsItsPrecondition) {
   EXPECT_DEATH(JobManager(cluster, options), "precondition");
 }
 
-// ---- the service costs blocks like the engine -----------------------------
+// ---- a one-job service run is the engine's run ----------------------------
 
-struct Makespans {
-  double engine = 0.0;
-  double service = 0.0;
+/// What the engine and the service both record of a run: the event's kind,
+/// unit, virtual time and first integer field.
+struct EventKey {
+  obs::EventKind kind = obs::EventKind::kBarrier;
+  std::uint32_t unit = 0;
+  double time = 0.0;
+  std::uint64_t i = 0;
+
+  friend bool operator==(const EventKey&, const EventKey&) = default;
+};
+
+struct OneRun {
+  double makespan = 0.0;
+  std::size_t tasks = 0;
+  std::vector<EventKey> events;  ///< without admission, lease and job events
+};
+
+std::vector<EventKey> drained_keys(obs::EventSink& sink) {
+  std::vector<EventKey> keys;
+  for (const obs::Event& e : sink.drain()) {
+    if (e.kind == obs::EventKind::kJobAdmitted ||
+        e.kind == obs::EventKind::kJobCompleted ||
+        e.kind == obs::EventKind::kLeaseGranted ||
+        e.kind == obs::EventKind::kLeaseRevoked) {
+      continue;
+    }
+    keys.push_back({e.kind, e.unit, e.time, e.i});
+  }
+  return keys;
+}
+
+struct EngineAndService {
+  OneRun engine;
+  OneRun service;
 };
 
 /// Runs one job alone through a bare SimEngine and through JobManager on
 /// the same scenario(2) cluster under `faults`. Both sides get a fresh
 /// PlbHecScheduler, no noise and seed 7, and the service neither
-/// warm-starts nor caps block length, so only the block costs could tell
-/// the two loops apart.
-Makespans engine_and_service(const JobSpec& spec,
-                             const chaos::FaultScript& faults) {
+/// warm-starts nor caps block length, so the two runs must be one run.
+EngineAndService engine_and_service(const JobSpec& spec,
+                                    const chaos::FaultScript& faults) {
   sim::SimCluster cluster(sim::scenario(2));
   chaos::SimFaultTarget target(cluster);
   EXPECT_TRUE(chaos::inject(faults, target));
+  EngineAndService runs;
 
+  obs::EventSink engine_sink;
   rt::EngineOptions engine_options;
   engine_options.noise = sim::NoiseModel::none();
   engine_options.seed = 7;
+  engine_options.sink = &engine_sink;
   rt::SimEngine engine(cluster, engine_options);
   core::PlbHecScheduler plb;
   const std::unique_ptr<rt::Workload> workload = spec.make_workload();
   const rt::RunResult run = engine.run(*workload, plb);
   EXPECT_TRUE(run.ok) << run.error;
+  runs.engine.makespan = run.makespan;
+  for (const rt::UnitStats& stats : run.unit_stats) {
+    runs.engine.tasks += stats.tasks;
+  }
+  runs.engine.events = drained_keys(engine_sink);
 
+  obs::EventSink service_sink;
   ServiceOptions options = quiet_options(7);
   options.preempt_windows = 0.0;
   options.warm_start = false;
+  options.sink = &service_sink;
   JobManager manager(cluster, options);
   manager.submit(spec);
   const ServiceResult result = manager.run();
   EXPECT_TRUE(result.ok) << result.error;
-  return {run.makespan, result.makespan};
+  runs.service.makespan = result.makespan;
+  runs.service.tasks = result.jobs.at(0).tasks;
+  runs.service.events = drained_keys(service_sink);
+  return runs;
+}
+
+/// Equal makespans and task counts; with observability compiled in, equal
+/// event streams too.
+void expect_one_run(const EngineAndService& runs) {
+  EXPECT_EQ(runs.service.makespan, runs.engine.makespan);
+  EXPECT_EQ(runs.service.tasks, runs.engine.tasks);
+  if (!obs::kCompiledIn) return;
+  const std::vector<EventKey>& e = runs.engine.events;
+  const std::vector<EventKey>& s = runs.service.events;
+  EXPECT_FALSE(e.empty());
+  const auto [ei, si] = std::mismatch(e.begin(), e.end(), s.begin(), s.end());
+  const auto name = [](auto it, auto end) {
+    return it == end ? "nothing" : obs::to_string(it->kind);
+  };
+  EXPECT_TRUE(ei == e.end() && si == s.end())
+      << "first difference at event " << (ei - e.begin()) << " of "
+      << e.size() << " (service " << s.size() << "): engine "
+      << name(ei, e.end()) << ", service " << name(si, s.end());
 }
 
 TEST(JobManager, CostsBlocksLikeTheEngineWithoutFaults) {
-  const Makespans m = engine_and_service(
+  expect_one_run(engine_and_service(
       synthetic_job("syn", "syn", PriorityClass::kNormal, 0.0, 20'000),
-      chaos::FaultScript{});
-  EXPECT_EQ(m.service, m.engine);
+      chaos::FaultScript{}));
 }
 
 TEST(JobManager, CostsBlocksLikeTheEngineUnderSlowdown) {
@@ -752,8 +814,7 @@ TEST(JobManager, CostsBlocksLikeTheEngineUnderSlowdown) {
                      }};
   chaos::FaultScript faults;
   faults.slow_down(0, 0.5e-3, 0.5).slow_down(1, 0.5e-3, 0.25);
-  const Makespans m = engine_and_service(spmv, faults);
-  EXPECT_EQ(m.service, m.engine);
+  expect_one_run(engine_and_service(spmv, faults));
 }
 
 TEST(JobManager, CostsBlocksLikeTheEngineUnderLinkDegrade) {
@@ -761,11 +822,25 @@ TEST(JobManager, CostsBlocksLikeTheEngineUnderLinkDegrade) {
       synthetic_job("syn", "syn", PriorityClass::kNormal, 0.0, 20'000);
   chaos::FaultScript faults;
   faults.slow_down(1, 2e-3, 0.25).degrade_link(0, 1e-3, 0.5e-3, 0.1);
-  const Makespans faulted = engine_and_service(syn, faults);
-  EXPECT_EQ(faulted.service, faulted.engine);
+  const EngineAndService faulted = engine_and_service(syn, faults);
+  expect_one_run(faulted);
   // The faults reached the service run at all.
-  EXPECT_GT(faulted.service,
-            engine_and_service(syn, chaos::FaultScript{}).service);
+  EXPECT_GT(faulted.service.makespan,
+            engine_and_service(syn, chaos::FaultScript{}).service.makespan);
+}
+
+TEST(JobManager, CostsBlocksLikeTheEngineUnderKills) {
+  // A kill retires the unit's block, or finds the unit idle in an
+  // assignment round; either way the failure is recorded before the
+  // scheduler re-solves over the survivors.
+  const JobSpec syn =
+      synthetic_job("syn", "syn", PriorityClass::kNormal, 0.0, 20'000);
+  chaos::FaultScript one;
+  one.kill(2, 0.3);
+  expect_one_run(engine_and_service(syn, one));
+  chaos::FaultScript two;
+  two.kill(1, 0.05).kill(3, 0.9);
+  expect_one_run(engine_and_service(syn, two));
 }
 
 TEST(JobManager, LeaseFairnessBoundsStretchUnderBurstyLoad) {
