@@ -1,6 +1,6 @@
 // Performance-backbone microbenchmark: packed GEMM micro-kernel GFLOP/s
 // against the seed scalar kernel, and per-block dispatch overhead of the
-// persistent work-stealing pool against the seed's spawn/join pattern.
+// persistent thread pool against the seed's spawn/join pattern.
 // Emits JSON (stdout, plus an output path if given) with its gates
 // declared inline; tools/check_bench.py evaluates them against the
 // committed bench/results/bench_kernels.json. `--smoke` runs with reduced

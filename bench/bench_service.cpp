@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -229,13 +230,19 @@ int main(int argc, char** argv) {
   const std::vector<svc::JobSpec> trace =
       make_trace(jobs, seed, mean_gap, kind_pool());
 
-  const fs::path dir = fs::temp_directory_path();
-  const fs::path store_cold = dir / "plbhec_bench_service_cold.store";
-  const fs::path store_w1 = dir / "plbhec_bench_service_warm1.store";
-  const fs::path store_w2 = dir / "plbhec_bench_service_warm2.store";
+  // The store images live in a fresh directory of this process's own, so
+  // runs started together on one host cannot overwrite each other's.
+  std::string dir_name =
+      (fs::temp_directory_path() / "plbhec_bench_service_XXXXXX").string();
+  if (mkdtemp(dir_name.data()) == nullptr) {
+    std::perror("bench_service: mkdtemp");
+    return 1;
+  }
+  const fs::path dir = dir_name;
+  const fs::path store_cold = dir / "cold.store";
+  const fs::path store_w1 = dir / "warm1.store";
+  const fs::path store_w2 = dir / "warm2.store";
   std::error_code ec;
-  for (const fs::path& p : {store_cold, store_w1, store_w2})
-    fs::remove(p, ec);
 
   // Cold: store file absent, every job probes from scratch (jobs of the
   // same kind still share profiles in memory within the run). The run
@@ -255,6 +262,7 @@ int main(int argc, char** argv) {
       run_trace(cluster, trace, store_w1.string(), seed);
   const svc::ServiceResult replay =
       run_trace(cluster, trace, store_w2.string(), seed);
+  fs::remove_all(dir, ec);
 
   const bool all_ok = cold.ok && warm.ok && replay.ok;
   const bool replay_identical =
@@ -424,7 +432,5 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  for (const fs::path& p : {store_cold, store_w1, store_w2})
-    fs::remove(p, ec);
   return plbhec::bench::write_json(json, {out_path});
 }

@@ -1,94 +1,32 @@
 #pragma once
 /// \file thread_pool.hpp
-/// Persistent work-stealing thread pool: the shared execution backbone of
-/// the real-execution path. Workers are created once and parked on a
-/// condition variable when idle, so dispatching a parallel region costs an
-/// enqueue + wakeup instead of a thread spawn — the overhead that used to
-/// pollute the Phase-1 probe samples the performance models are fitted on.
+/// Persistent thread pool: the shared execution backbone of the
+/// real-execution path. Workers are created once and parked on a condition
+/// variable when idle, so dispatching a parallel region costs an enqueue +
+/// wakeup instead of a thread spawn — the overhead that used to pollute the
+/// Phase-1 probe samples the performance models are fitted on.
 ///
-/// Design:
-///  - one Chase-Lev-style deque per worker (lock-free owner push/pop at the
-///    bottom, CAS-synchronized steals at the top, following Le et al.,
-///    "Correct and Efficient Work-Stealing for Weak Memory Models");
-///  - external threads inject through a small mutex-guarded overflow queue;
-///  - `parallel_for` hands out chunks through an atomic cursor shared by
-///    the caller and a handful of runner tasks, so the caller always makes
-///    progress even on a 0- or 1-worker pool and nested calls cannot
-///    deadlock (a nested region's chunks are claimed by whoever arrives);
-///  - the first exception thrown by a chunk cancels the remaining chunks
-///    and is rethrown on the calling thread.
+/// Design: one mutex-guarded queue of open `parallel_for` regions.
+///  - a region lives on its caller's stack; the caller and the workers that
+///    join it claim chunks through one atomic cursor;
+///  - at most min(workers, chunks - 1) workers join a region, oldest open
+///    region first;
+///  - once the cursor is exhausted the caller withdraws the region from the
+///    queue and waits only until no worker is still inside. It never waits
+///    for a worker to start, so a busy or 0-worker pool cannot stall it and
+///    nested calls cannot deadlock (a worker joins regions only while idle);
+///  - the first exception thrown by a chunk cancels the chunks not yet
+///    started and is rethrown on the calling thread.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
 
-namespace plbhec::obs {
-class CounterRegistry;
-}
-
 namespace plbhec::exec {
-
-namespace detail {
-
-struct TaskNode;
-
-/// Chase-Lev work-stealing deque of task pointers. push()/pop() may only be
-/// called by the owning worker; steal() by anyone. The circular backing
-/// array grows on demand; retired arrays stay alive until destruction so
-/// racing thieves never read freed memory.
-class StealDeque {
- public:
-  StealDeque();
-  ~StealDeque();
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  void push(TaskNode* task);        ///< owner only
-  [[nodiscard]] TaskNode* pop();    ///< owner only
-  [[nodiscard]] TaskNode* steal();  ///< any thread
-
- private:
-  struct Array {
-    explicit Array(std::size_t capacity);
-    std::size_t capacity;
-    std::unique_ptr<std::atomic<TaskNode*>[]> slots;
-
-    [[nodiscard]] TaskNode* get(std::int64_t i) const {
-      return slots[static_cast<std::size_t>(i) & (capacity - 1)].load(
-          std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, TaskNode* t) {
-      slots[static_cast<std::size_t>(i) & (capacity - 1)].store(
-          t, std::memory_order_relaxed);
-    }
-  };
-
-  Array* grow(Array* old, std::int64_t top, std::int64_t bottom);
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Array*> array_;
-  std::vector<std::unique_ptr<Array>> retired_;  ///< owner-only, kept alive
-};
-
-}  // namespace detail
-
-/// Lifetime work-distribution counters of a pool (monotonic; a snapshot,
-/// not a consistent cut — counts are relaxed atomics).
-struct PoolStats {
-  std::uint64_t tasks_executed = 0;  ///< task nodes run by worker threads
-  std::uint64_t steals = 0;          ///< tasks taken from another worker's deque
-  std::uint64_t injected = 0;        ///< tasks enqueued by non-worker threads
-  std::uint64_t parallel_fors = 0;   ///< parallel_for regions dispatched
-};
 
 class ThreadPool {
  public:
@@ -113,53 +51,23 @@ class ThreadPool {
   /// Runs body(chunk_begin, chunk_end) over [begin, end) split into chunks
   /// of ~`grain` iterations (grain 0 = auto). The calling thread
   /// participates; returns when every chunk has finished. Nested calls are
-  /// allowed from inside chunks. The first exception thrown by a chunk is
-  /// rethrown here after the region drains.
+  /// allowed from inside chunks, and concurrent callers share the pool. The
+  /// first exception thrown by a chunk is rethrown here after the region
+  /// drains.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Fire-and-forget task; used by tests and one-off asynchronous work.
-  void submit(std::function<void()> fn);
-
-  /// Blocks until no submitted task remains (parallel_for joins itself and
-  /// does not need this).
-  void wait_idle();
-
-  /// Snapshot of the lifetime work-distribution counters.
-  [[nodiscard]] PoolStats stats() const;
-
-  /// Publishes the stats into a counter registry under `prefix` (e.g.
-  /// "pool." yields "pool.steals"). One snapshot per call; values overwrite.
-  void publish_counters(obs::CounterRegistry& registry,
-                        std::string_view prefix = "pool.") const;
-
  private:
-  friend struct detail::TaskNode;
+  struct Region;
 
-  void worker_loop(std::size_t index);
-  void enqueue(detail::TaskNode* node);
-  [[nodiscard]] detail::TaskNode* try_acquire(std::size_t self);
-  void notify_workers(std::size_t count);
+  void worker_loop();
+  void run_chunks(Region& region);
 
-  std::vector<std::unique_ptr<detail::StealDeque>> deques_;
+  std::mutex mutex_;
+  std::condition_variable wake_;  ///< workers wait here for an open region
+  std::deque<Region*> open_;      ///< regions with seats left, oldest first
+  bool stop_ = false;
   std::vector<std::thread> threads_;
-
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::int64_t> pending_{0};  ///< queued, unexecuted task nodes
-  std::atomic<bool> stop_{false};
-
-  std::mutex inject_mutex_;
-  std::deque<detail::TaskNode*> inject_;  ///< overflow queue for non-workers
-
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::int64_t> in_flight_{0};  ///< queued + running task nodes
-
-  std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> injected_{0};
-  std::atomic<std::uint64_t> parallel_fors_{0};
 };
 
 /// Convenience wrapper over the global pool.

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "plbhec/common/contracts.hpp"
-#include "plbhec/obs/counters.hpp"
 
 namespace plbhec::kdisp {
 
@@ -110,19 +109,6 @@ std::vector<DispatchRecord> KernelRegistry::resolved() const {
               return a.width < b.width;
             });
   return records;
-}
-
-void KernelRegistry::publish_counters(obs::CounterRegistry& registry) const {
-  registry.set("kdisp.host_isa", static_cast<std::uint64_t>(host_isa()));
-  registry.set("kdisp.effective_isa",
-               static_cast<std::uint64_t>(effective_isa()));
-  registry.set("kdisp.variants", variant_count());
-  for (const DispatchRecord& record : resolved()) {
-    const std::string prefix =
-        "kdisp." + record.kernel + "." + to_string(record.width);
-    registry.set(prefix + ".isa", static_cast<std::uint64_t>(record.isa));
-    registry.set(prefix + ".lookups", record.lookups);
-  }
 }
 
 void KernelRegistry::missing_kernel(std::string_view kernel) {

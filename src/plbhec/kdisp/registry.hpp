@@ -36,10 +36,7 @@
 #include <vector>
 
 #include "plbhec/kdisp/isa.hpp"
-
-namespace plbhec::obs {
-class CounterRegistry;
-}
+#include "plbhec/obs/counters.hpp"
 
 namespace plbhec::kdisp {
 
@@ -124,7 +121,20 @@ class KernelRegistry {
   ///   kdisp.host_isa / kdisp.effective_isa   (IsaClass as integer)
   ///   kdisp.variants                         (registered variant count)
   ///   kdisp.<kernel>.<width>.isa / .lookups  (per resolved slot)
-  void publish_counters(obs::CounterRegistry& registry) const;
+  /// Inline, so the kdisp archive references nothing in obs; a caller
+  /// that publishes links the counter registry anyway.
+  void publish_counters(obs::CounterRegistry& registry) const {
+    registry.set("kdisp.host_isa", static_cast<std::uint64_t>(host_isa()));
+    registry.set("kdisp.effective_isa",
+                 static_cast<std::uint64_t>(effective_isa()));
+    registry.set("kdisp.variants", variant_count());
+    for (const DispatchRecord& record : resolved()) {
+      const std::string prefix =
+          "kdisp." + record.kernel + "." + to_string(record.width);
+      registry.set(prefix + ".isa", static_cast<std::uint64_t>(record.isa));
+      registry.set(prefix + ".lookups", record.lookups);
+    }
+  }
 
  private:
   KernelRegistry() = default;

@@ -5,7 +5,7 @@
 /// validates numerics while the simulator provides GPU timing). Both entry
 /// points dispatch to the packed register-blocked micro-kernel in
 /// exec/gemm_micro.hpp; the parallel variant fans row panels out over the
-/// persistent work-stealing pool instead of spawning threads per call.
+/// persistent thread pool instead of spawning threads per call.
 
 #include <cstddef>
 #include <span>

@@ -10,7 +10,7 @@
 /// following `fit_and_select` share one fit per unit, and units that
 /// received no new samples between two selections are never refit.
 /// `fit_all` fans the per-unit model selection out across the
-/// process-wide work-stealing pool.
+/// process-wide thread pool, one unit per chunk.
 
 #include <cstdint>
 #include <vector>

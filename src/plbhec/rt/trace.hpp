@@ -34,13 +34,6 @@ class TraceLog {
     return segments_;
   }
 
-  /// Total busy (transfer + exec) seconds of a unit.
-  [[nodiscard]] double busy_seconds(UnitId unit) const;
-  /// Total grains processed by a unit.
-  [[nodiscard]] std::size_t grains_processed(UnitId unit) const;
-  /// Number of tasks (exec segments) run by a unit.
-  [[nodiscard]] std::size_t task_count(UnitId unit) const;
-
  private:
   std::vector<TraceSegment> segments_;
 };

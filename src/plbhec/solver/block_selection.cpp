@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "plbhec/common/contracts.hpp"
 #include "plbhec/solver/equal_time.hpp"
@@ -101,44 +100,6 @@ BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_begin)
           .count();
   return out;
-}
-
-std::vector<std::size_t> round_to_grains(std::span<const double> fractions,
-                                         std::size_t total_grains) {
-  const std::size_t n = fractions.size();
-  std::vector<std::size_t> grains(n, 0);
-  if (n == 0 || total_grains == 0) return grains;
-
-  double sum = 0.0;
-  for (double f : fractions) {
-    PLBHEC_EXPECTS(f >= 0.0);
-    sum += f;
-  }
-  PLBHEC_EXPECTS(sum > 0.0);
-
-  std::vector<double> remainder(n);
-  std::size_t assigned = 0;
-  for (std::size_t g = 0; g < n; ++g) {
-    const double ideal =
-        fractions[g] / sum * static_cast<double>(total_grains);
-    grains[g] = static_cast<std::size_t>(ideal);
-    remainder[g] = ideal - static_cast<double>(grains[g]);
-    assigned += grains[g];
-  }
-
-  // Distribute the leftover grains to the largest remainders.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return remainder[a] > remainder[b];
-  });
-  std::size_t leftover = total_grains - assigned;
-  for (std::size_t i = 0; leftover > 0; i = (i + 1) % n, --leftover)
-    ++grains[order[i]];
-
-  PLBHEC_ENSURES(std::accumulate(grains.begin(), grains.end(),
-                                 std::size_t{0}) == total_grains);
-  return grains;
 }
 
 }  // namespace plbhec::solver

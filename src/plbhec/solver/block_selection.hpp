@@ -41,10 +41,4 @@ struct BlockSelection {
     std::span<const fit::PerfModel> models,
     const BlockSelectionOptions& options = {});
 
-/// Rounds fractional shares to whole application grains (matrix lines,
-/// genes, options) with the largest-remainder method; the result sums to
-/// `total_grains` exactly.
-[[nodiscard]] std::vector<std::size_t> round_to_grains(
-    std::span<const double> fractions, std::size_t total_grains);
-
 }  // namespace plbhec::solver

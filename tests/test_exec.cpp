@@ -1,14 +1,17 @@
 // Tests for the shared execution backbone: the packed GEMM micro-kernel
-// against a naive reference on adversarial shapes, the persistent
-// work-stealing pool (nesting, exceptions, tiny pools), the reusable
-// WorkerSet, and the ThreadEngine regression that probe samples exclude
-// thread startup.
+// against a naive reference on adversarial shapes, the persistent pool
+// (nesting, exceptions, tiny pools, workers joining a region, a caller
+// never waiting for a worker to start), the reusable WorkerSet, and the
+// ThreadEngine regression that probe samples exclude thread startup.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -89,7 +92,11 @@ TEST(GemmPacked, ParallelMatchesSerialIncludingSmallM) {
   }
 }
 
-// ---- Work-stealing pool -----------------------------------------------------
+// ---- Thread pool ------------------------------------------------------------
+
+// Bounds every wait below that only a pool bug could make endless, so such
+// a bug fails the test instead of hanging it. No assertion reads the clock.
+constexpr auto kHangBound = std::chrono::seconds(30);
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
@@ -172,13 +179,64 @@ TEST(ThreadPool, ConcurrentCallersShareOnePool) {
   EXPECT_EQ(total.load(), 4u * 50u * 256u);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i)
-    pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
+TEST(ThreadPool, WorkersJoinARegion) {
+  ThreadPool pool(3);
+  const std::size_t lanes = pool.concurrency();
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t started = 0;
+  std::size_t timed_out = 0;
+  // Each chunk holds its thread until every chunk has started, so the
+  // region finishes without a timeout only if every worker joined it.
+  pool.parallel_for(0, lanes, 1, [&](std::size_t, std::size_t) {
+    std::unique_lock lock(mutex);
+    ++started;
+    cv.notify_all();
+    if (!cv.wait_for(lock, kHangBound, [&] { return started == lanes; }))
+      ++timed_out;
+  });
+  EXPECT_EQ(timed_out, 0u);
+}
+
+TEST(ThreadPool, CallerFinishesAloneWhileWorkersAreBusy) {
+  ThreadPool pool(3);
+  const std::size_t lanes = pool.concurrency();
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t holding = 0;
+  bool released = false;
+  bool hold_timed_out = false;
+  // A second thread's region holds one chunk on every lane until released,
+  // so no worker is free while the caller below runs its own region.
+  std::thread holder([&] {
+    pool.parallel_for(0, lanes, 1, [&](std::size_t, std::size_t) {
+      std::unique_lock lock(mutex);
+      ++holding;
+      cv.notify_all();
+      if (!cv.wait_for(lock, kHangBound, [&] { return released; }))
+        hold_timed_out = true;
+    });
+  });
+  bool all_held = false;
+  {
+    std::unique_lock lock(mutex);
+    all_held = cv.wait_for(lock, kHangBound, [&] { return holding == lanes; });
+  }
+  std::atomic<std::size_t> covered{0};
+  pool.parallel_for(0, 100, 1, [&](std::size_t lo, std::size_t hi) {
+    covered.fetch_add(hi - lo, std::memory_order_relaxed);
+  });
+  {
+    std::lock_guard lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  holder.join();
+  EXPECT_TRUE(all_held);
+  EXPECT_EQ(covered.load(), 100u);
+  // The holders were released only after the caller's region returned: a
+  // caller that waited for a worker to start would have run into the bound.
+  EXPECT_FALSE(hold_timed_out);
 }
 
 TEST(ThreadPool, StressManySmallRegions) {

@@ -1,6 +1,6 @@
 // Tests for the task runtime: the discrete-event engine's dispatch /
 // barrier / failure semantics (driven by scripted stub schedulers), the
-// profiling database, trace accounting, and the real-threaded engine
+// profiling database, and the real-threaded engine
 // (actual kernels on host threads, schedule-independent results).
 
 #include <gtest/gtest.h>
@@ -448,18 +448,6 @@ TEST(RunResultDeathTest, OutOfRangeUnitIdAbortsInsteadOfReadingPastTheEnd) {
   EXPECT_DOUBLE_EQ(result.idle_fraction(0), 1.0);
   EXPECT_DEATH((void)result.stats_for(2), "precondition");
   EXPECT_DEATH((void)result.idle_fraction(7), "precondition");
-}
-
-TEST(TraceLog, Accounting) {
-  TraceLog log;
-  log.add({0, SegmentKind::kTransfer, 0.0, 1.0, 10});
-  log.add({0, SegmentKind::kExec, 1.0, 3.0, 10});
-  log.add({1, SegmentKind::kExec, 0.0, 5.0, 20});
-  EXPECT_DOUBLE_EQ(log.busy_seconds(0), 3.0);
-  EXPECT_DOUBLE_EQ(log.busy_seconds(1), 5.0);
-  EXPECT_EQ(log.grains_processed(0), 10u);  // transfer grains not counted
-  EXPECT_EQ(log.task_count(0), 1u);
-  EXPECT_EQ(log.task_count(1), 1u);
 }
 
 // ---- Real-threaded engine ---------------------------------------------------

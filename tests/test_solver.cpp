@@ -1,7 +1,7 @@
 // Tests for the optimization layer: the interior-point NLP solver on
 // problems with known solutions (QPs, bound-constrained, equality-
 // constrained), KKT quality, the equal-time root find, the block-size
-// selection front end and its postconditions, and grain rounding.
+// selection front end and its postconditions.
 // Includes the oracle property: on seeded fitted systems with
 // non-decreasing curves, the root find and the paper's interior-point
 // formulation of Eq. (3)-(5) agree.
@@ -814,57 +814,6 @@ TEST(EqualTimeOracle, KinkedSumStillConverges) {
   expect_postconditions(models, select_block_sizes(models, opts), opts.x_min,
                         kWindow);
 }
-
-// ---- Grain rounding --------------------------------------------------------
-
-TEST(RoundToGrains, ExactSum) {
-  std::vector<double> fr{0.3, 0.3, 0.4};
-  const auto g = round_to_grains(fr, 10);
-  EXPECT_EQ(std::accumulate(g.begin(), g.end(), std::size_t{0}), 10u);
-  EXPECT_EQ(g[2], 4u);
-}
-
-TEST(RoundToGrains, LargestRemainderWins) {
-  std::vector<double> fr{0.55, 0.45};
-  const auto g = round_to_grains(fr, 3);
-  EXPECT_EQ(g[0] + g[1], 3u);
-  EXPECT_GE(g[0], g[1]);
-}
-
-TEST(RoundToGrains, UnnormalizedInputAccepted) {
-  std::vector<double> fr{1.0, 3.0};  // sums to 4, treated as shares
-  const auto g = round_to_grains(fr, 8);
-  EXPECT_EQ(g[0], 2u);
-  EXPECT_EQ(g[1], 6u);
-}
-
-TEST(RoundToGrains, ZeroTotal) {
-  std::vector<double> fr{0.5, 0.5};
-  const auto g = round_to_grains(fr, 0);
-  EXPECT_EQ(g[0] + g[1], 0u);
-}
-
-class RoundingProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RoundingProperty, AlwaysSumsAndStaysClose) {
-  const std::size_t total = GetParam();
-  Rng rng(total);
-  std::vector<double> fr(7);
-  double sum = 0.0;
-  for (auto& f : fr) {
-    f = rng.uniform(0.01, 1.0);
-    sum += f;
-  }
-  for (auto& f : fr) f /= sum;
-  const auto g = round_to_grains(fr, total);
-  EXPECT_EQ(std::accumulate(g.begin(), g.end(), std::size_t{0}), total);
-  for (std::size_t i = 0; i < fr.size(); ++i)
-    EXPECT_NEAR(static_cast<double>(g[i]),
-                fr[i] * static_cast<double>(total), 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Totals, RoundingProperty,
-                         ::testing::Values(1, 7, 100, 1023, 65536));
 
 }  // namespace
 }  // namespace plbhec::solver
