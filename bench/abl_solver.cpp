@@ -50,9 +50,7 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
   const Cli cli(argc, argv);
   const std::size_t trial_budget = cli.full() ? 1600 : 400;
-  solver::BlockSelectionOptions opt;
-  opt.total_fraction = 0.25;  // PLB-HeC's default execution window
-  const solver::EqualTimeOptions eq{opt.x_min, opt.total_fraction};
+  constexpr double kWindow = 0.25;  // PLB-HeC's default execution window
 
   std::printf(
       "=== Ablation — equal-time root find vs interior-point oracle ===\n");
@@ -66,9 +64,9 @@ int main(int argc, char** argv) {
     for (std::size_t trial = 0; trial < trials; ++trial) {
       const auto models = random_models(n, rng);
       const auto t0 = Clock::now();
-      const auto sel = solver::select_block_sizes(models, opt);
+      const auto sel = solver::select_block_sizes(models, kWindow);
       const auto t1 = Clock::now();
-      const auto ip = solver::solve_equal_time_ip(models, eq);
+      const auto ip = solver::solve_equal_time_ip(models, kWindow);
       const auto t2 = Clock::now();
       sel_us.add(std::chrono::duration<double, std::micro>(t1 - t0).count());
       ip_us.add(std::chrono::duration<double, std::micro>(t2 - t1).count());

@@ -49,10 +49,8 @@ fit::SampleSet make_samples(std::size_t count) {
 
 void BM_BlockSelection(benchmark::State& state) {
   const auto models = make_models(static_cast<std::size_t>(state.range(0)));
-  solver::BlockSelectionOptions opt;
-  opt.total_fraction = 0.25;
   for (auto _ : state) {
-    const auto sel = solver::select_block_sizes(models, opt);
+    const auto sel = solver::select_block_sizes(models, 0.25);
     benchmark::DoNotOptimize(sel.fractions.data());
   }
 }
@@ -61,7 +59,7 @@ BENCHMARK(BM_BlockSelection)->RangeMultiplier(2)->Range(4, 256);
 void BM_InteriorPointOracle(benchmark::State& state) {
   const auto models = make_models(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto ip = solver::solve_equal_time_ip(models, {1e-6, 0.25});
+    const auto ip = solver::solve_equal_time_ip(models, 0.25);
     benchmark::DoNotOptimize(ip.x.data());
   }
 }

@@ -12,11 +12,11 @@
 /// With --pipeline-depth N (N > 1) a second comparison drives the same
 /// rows straight through the remote data plane twice — once with the
 /// synchronous one-frame-per-round-trip protocol and once with the
-/// pipelined plane streaming identical row frames through a depth-N
+/// pipelined plane streaming identical 4-row frames through a depth-N
 /// window — and prints the two makespans side by side with the measured
 /// wire/kernel overlap fraction. (The scheduler-driven run above it also
 /// honors the depth, but at demo sizes PLB-HeC hands the slowed-down
-/// remotes mostly single-row probing blocks, which always take the sync
+/// remotes mostly probing blocks under 8 rows, which always take the sync
 /// path; the direct drive is what isolates the wire layer.)
 ///
 /// Usage: distributed_matmul [--n 384] [--workers 2] [--pipeline-depth 1]
@@ -84,9 +84,6 @@ RunOutcome run_once(std::size_t n, std::size_t workers, std::size_t depth,
     ro.machine = static_cast<std::uint32_t>(w + 1);
     ro.event_unit = static_cast<std::uint32_t>(w + 1);
     ro.pipeline_depth = depth;
-    // The engine's rebalancing rounds hand out blocks of a handful of
-    // rows; stream them row-per-frame so the demo actually pipelines.
-    if (depth > 1) ro.min_chunk_grains = 1;
     auto remote = std::make_unique<net::RemoteUnit>(ro);
     remotes.push_back(remote.get());
     units.push_back(std::move(remote));
@@ -166,13 +163,13 @@ RunOutcome run_once(std::size_t n, std::size_t workers, std::size_t depth,
   return out;
 }
 
-/// One leg of the wire-layer comparison: every row of an n x n matmul is
-/// shipped as its own result frame, split evenly across `workers`
-/// equal-speed daemons. `depth` = 1 issues one row per round-trip;
-/// `depth` > 1 issues 2*depth-row blocks that the unit streams as
-/// identical row frames through its window. Same frames, different
-/// windowing — the makespan difference is the protocol turnaround the
-/// window hides.
+/// One leg of the wire-layer comparison: every 4 rows of an n x n matmul
+/// (the transport's smallest chunk) are shipped as one result frame, split
+/// evenly across `workers` equal-speed daemons. `depth` = 1 issues one
+/// 4-row block per round-trip; `depth` > 1 issues 8*depth-row blocks that
+/// the unit streams as 2*depth identical 4-row frames through its window.
+/// Same frames, different windowing — the makespan difference is the
+/// protocol turnaround the window hides.
 RunOutcome run_wire_leg(std::size_t n, std::size_t workers,
                         std::size_t depth) {
   RunOutcome out;
@@ -187,7 +184,6 @@ RunOutcome run_wire_leg(std::size_t n, std::size_t workers,
     ro.port = daemons[w]->port();
     ro.name = "wire.remote." + std::to_string(w + 1);
     ro.pipeline_depth = depth;
-    ro.min_chunk_grains = 1;  // row-sized frames
     units.push_back(std::make_unique<net::RemoteUnit>(ro));
   }
 
@@ -195,7 +191,8 @@ RunOutcome run_wire_leg(std::size_t n, std::size_t workers,
   for (auto& unit : units)
     if (!unit->begin_run(workload)) return out;
 
-  const std::size_t block = depth > 1 ? 2 * depth : 1;
+  constexpr std::size_t kRowsPerFrame = 4;
+  const std::size_t block = kRowsPerFrame * (depth > 1 ? 2 * depth : 1);
   const std::size_t per_unit = n / workers;
   std::atomic<bool> failed{false};
   const auto start = std::chrono::steady_clock::now();
@@ -260,7 +257,7 @@ int main(int argc, char** argv) {
 
   bool identical = main_run.identical;
   if (depth > 1) {
-    // Wire-layer comparison: same row frames, sync vs windowed.
+    // Wire-layer comparison: same 4-row frames, sync vs windowed.
     std::printf("\nDriving every row straight through the data plane, "
                 "sync vs pipelined...\n");
     const RunOutcome sync_run = run_wire_leg(n, workers, 1);

@@ -7,9 +7,18 @@
 #include "plbhec/obs/sink.hpp"
 
 namespace plbhec::baselines {
+namespace {
 
-AcostaScheduler::AcostaScheduler(AcostaOptions options)
-    : options_(std::move(options)) {}
+/// Time-spread ratio below which the shares freeze (the user threshold).
+constexpr double kThreshold = 0.10;
+/// Weight on the new RP-based share.
+constexpr double kDamping = 0.5;
+/// Input fraction distributed per iteration: the original algorithm
+/// piggybacks on the application's own iterations, which are much smaller
+/// than the whole input.
+constexpr double kStepFraction = 0.02;
+
+}  // namespace
 
 void AcostaScheduler::start(const std::vector<rt::UnitInfo>& units,
                             const rt::WorkInfo& work) {
@@ -27,8 +36,8 @@ void AcostaScheduler::start(const std::vector<rt::UnitInfo>& units,
 }
 
 void AcostaScheduler::plan_iteration() {
-  const double window = options_.step_fraction *
-                        static_cast<double>(work_.total_grains);
+  const double window =
+      kStepFraction * static_cast<double>(work_.total_grains);
   for (std::size_t u = 0; u < units_n_; ++u) {
     if (failed_[u]) {
       pending_[u] = 0;
@@ -48,8 +57,8 @@ std::size_t AcostaScheduler::next_block(rt::UnitId unit, double /*now*/) {
   if (equilibrium_) {
     // Post-convergence: keep handing each unit its share of an iteration
     // window without synchronizing.
-    const double window = options_.step_fraction *
-                          static_cast<double>(work_.total_grains);
+    const double window =
+        kStepFraction * static_cast<double>(work_.total_grains);
     return std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround(share_[unit] * window)));
   }
@@ -90,7 +99,7 @@ void AcostaScheduler::on_barrier(double now) {
   // Convergence test on the time spread (the user threshold of the paper).
   const double mean_t = 0.5 * (min_t + max_t);
   const double spread = mean_t > 0.0 ? (max_t - min_t) / mean_t : 0.0;
-  if (mean_t > 0.0 && (max_t - min_t) <= options_.threshold * mean_t) {
+  if (mean_t > 0.0 && (max_t - min_t) <= kThreshold * mean_t) {
     equilibrium_ = true;
     PLBHEC_OBS_RECORD(sink_,
                       {now, obs::EventKind::kIterationSync, obs::kNoUnit,
@@ -108,8 +117,7 @@ void AcostaScheduler::on_barrier(double now) {
       continue;
     }
     const double target = rp[u] / srp;
-    share_[u] = (1.0 - options_.damping) * share_[u] +
-                options_.damping * target;
+    share_[u] = (1.0 - kDamping) * share_[u] + kDamping * target;
     sum += share_[u];
   }
   PLBHEC_ASSERT(sum > 0.0);

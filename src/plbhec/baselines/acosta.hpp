@@ -8,8 +8,9 @@
 /// iteration's load share of each unit is a weighted average of its
 /// current share and RP_u / SRP. Iterating converges to the balanced
 /// distribution only *asymptotically* — the weakness PLB-HeC targets.
-/// Once the inter-unit time spread falls below the user threshold the
-/// shares are frozen and execution continues without further barriers.
+/// Once the inter-unit time spread falls below the threshold (10 % of the
+/// mean iteration time) the shares are frozen and execution continues
+/// without further barriers.
 
 #include <vector>
 
@@ -17,20 +18,8 @@
 
 namespace plbhec::baselines {
 
-struct AcostaOptions {
-  double threshold = 0.10;      ///< time-spread ratio that forces rebalance
-  double damping = 0.5;         ///< weight on the new RP-based share
-  double step_fraction = 0.02;  ///< input fraction distributed per
-                                ///< iteration (the original algorithm
-                                ///< piggybacks on the application's own
-                                ///< iterations, which are much smaller
-                                ///< than the whole input)
-};
-
 class AcostaScheduler final : public rt::Scheduler {
  public:
-  explicit AcostaScheduler(AcostaOptions options = {});
-
   [[nodiscard]] std::string name() const override { return "Acosta"; }
 
   void start(const std::vector<rt::UnitInfo>& units,
@@ -49,7 +38,6 @@ class AcostaScheduler final : public rt::Scheduler {
  private:
   void plan_iteration();
 
-  AcostaOptions options_;
   rt::WorkInfo work_;
   std::size_t units_n_ = 0;
   std::vector<double> share_;

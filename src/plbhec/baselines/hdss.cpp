@@ -8,18 +8,23 @@
 #include "plbhec/obs/sink.hpp"
 
 namespace plbhec::baselines {
+namespace {
 
-HdssScheduler::HdssScheduler(HdssOptions options)
-    : options_(std::move(options)) {}
+// HDSS as its authors run it; the first probe block is the engine's hint.
+constexpr double kGrowth = 2.0;            // adaptive-phase block growth
+constexpr double kConvergence = 0.05;      // relative weight change to settle
+constexpr std::size_t kMinSamples = 3;     // samples before testing it
+constexpr double kAdaptiveCap = 0.15;      // max input fraction for phase 1
+constexpr double kCompletionFactor = 0.5;  // share of the quota per task
+
+}  // namespace
 
 void HdssScheduler::start(const std::vector<rt::UnitInfo>& units,
                           const rt::WorkInfo& work) {
   PLBHEC_EXPECTS(!units.empty());
   work_ = work;
   units_n_ = units.size();
-  initial_ = options_.initial_block
-                 ? options_.initial_block
-                 : std::max<std::size_t>(1, work.initial_block);
+  initial_ = std::max<std::size_t>(1, work.initial_block);
   speed_samples_.assign(units_n_, {});
   weight_.assign(units_n_, 0.0);
   prev_weight_.assign(units_n_, 0.0);
@@ -93,10 +98,10 @@ void HdssScheduler::update_weight(rt::UnitId u) {
   prev_weight_[u] = weight_[u];
   weight_[u] = w;
 
-  if (samples.size() >= options_.min_samples && prev_weight_[u] > 0.0) {
+  if (samples.size() >= kMinSamples && prev_weight_[u] > 0.0) {
     const double change =
         std::fabs(weight_[u] - prev_weight_[u]) / prev_weight_[u];
-    if (change < options_.convergence) converged_[u] = true;
+    if (change < kConvergence) converged_[u] = true;
   }
   // Cluster-wide adaptive-phase data cap: force the completion phase when
   // probing has consumed its budget even if some weight is still drifting.
@@ -104,7 +109,7 @@ void HdssScheduler::update_weight(rt::UnitId u) {
   for (std::size_t i = 0; i < units_n_; ++i)
     adaptive_total += adaptive_grains_[i];
   if (static_cast<double>(adaptive_total) >=
-      options_.adaptive_cap * static_cast<double>(work_.total_grains))
+      kAdaptiveCap * static_cast<double>(work_.total_grains))
     for (std::size_t i = 0; i < units_n_; ++i) converged_[i] = true;
 }
 
@@ -119,20 +124,19 @@ std::size_t HdssScheduler::next_block(rt::UnitId unit, double /*now*/) {
     // used to estimate the computational capabilities" the PLB-HeC paper
     // identifies as HDSS's main source of idleness (Fig. 7): slow units
     // grind through the same probe sizes as fast ones.
-    const double size = static_cast<double>(initial_) *
-                        std::pow(options_.growth,
-                                 static_cast<double>(phase_index_[unit]));
+    const double size =
+        static_cast<double>(initial_) *
+        std::pow(kGrowth, static_cast<double>(phase_index_[unit]));
     block = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround(size)));
   } else {
     // Fixed allocation, decreasing blocks within it. Once the unit's own
     // quota is exhausted it only nibbles at leftover pool grains.
-    const double size =
-        allocation_[unit] > 1.0
-            ? options_.completion_factor * allocation_[unit]
-            : static_cast<double>(options_.min_block);
+    const double size = allocation_[unit] > 1.0
+                            ? kCompletionFactor * allocation_[unit]
+                            : 1.0;
     block = std::max<std::size_t>(
-        options_.min_block, static_cast<std::size_t>(std::llround(size)));
+        1, static_cast<std::size_t>(std::llround(size)));
     allocation_[unit] -= static_cast<double>(block);
   }
   issued_ += block;

@@ -30,20 +30,8 @@
 
 namespace plbhec::baselines {
 
-struct HdssOptions {
-  std::size_t initial_block = 0;   ///< 0 = engine hint
-  double growth = 2.0;             ///< adaptive-phase block growth factor
-  double convergence = 0.05;       ///< relative weight change to converge
-  std::size_t min_samples = 3;     ///< samples before testing convergence
-  double adaptive_cap = 0.15;      ///< max fraction of input for phase 1
-  double completion_factor = 0.5;  ///< share of remaining handed per task
-  std::size_t min_block = 1;
-};
-
 class HdssScheduler final : public rt::Scheduler {
  public:
-  explicit HdssScheduler(HdssOptions options = {});
-
   [[nodiscard]] std::string name() const override { return "HDSS"; }
 
   void start(const std::vector<rt::UnitInfo>& units,
@@ -65,7 +53,6 @@ class HdssScheduler final : public rt::Scheduler {
   void update_weight(rt::UnitId u);
   [[nodiscard]] bool all_converged() const;
 
-  HdssOptions options_;
   rt::WorkInfo work_;
   std::size_t units_n_ = 0;
   std::size_t initial_ = 1;

@@ -5,6 +5,12 @@
 #include "plbhec/common/contracts.hpp"
 
 namespace plbhec::chaos {
+namespace {
+
+/// How often ScriptPlayer polls its `armed` predicate.
+constexpr std::chrono::milliseconds kArmPoll{1};
+
+}  // namespace
 
 void NetFaultTarget::deliver(const FaultEvent& event) {
   PLBHEC_EXPECTS(event.unit < daemons_.size());
@@ -33,7 +39,6 @@ ScriptPlayer::ScriptPlayer(FaultScript script, FaultTarget& target,
     : script_(std::move(script)), target_(target),
       options_(std::move(options)) {
   PLBHEC_EXPECTS(validate(script_, target_));
-  PLBHEC_EXPECTS(options_.time_scale > 0.0);
 }
 
 ScriptPlayer::~ScriptPlayer() { join(); }
@@ -57,15 +62,13 @@ void ScriptPlayer::run() {
         dropped_ = script_.events.size();
         return;
       }
-      std::this_thread::sleep_for(options_.poll);
+      std::this_thread::sleep_for(kArmPoll);
     }
   }
   const auto t0 = Clock::now();
   for (const auto& event : script_.sorted()) {
-    const auto due =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(event.time_s *
-                                               options_.time_scale));
+    const auto due = t0 + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(event.time_s));
     std::this_thread::sleep_until(due);
     target_.deliver(event);
     ++delivered_;

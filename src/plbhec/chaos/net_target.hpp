@@ -57,20 +57,16 @@ class NetFaultTarget final : public FaultTarget {
 };
 
 /// Replays a FaultScript against a wall-clock target from a background
-/// thread. Virtual script times become wall offsets (scaled by
-/// `time_scale`) from the moment the `armed` predicate first returns true
-/// — typically "the run is demonstrably in flight" (first block served),
-/// the same anchor the hand-written failover tests use, so fault delivery
-/// cannot race run startup.
+/// thread. Script seconds become wall seconds from the moment the `armed`
+/// predicate (polled every millisecond) first returns true — typically
+/// "the run is demonstrably in flight" (first block served), the same
+/// anchor the hand-written failover tests use, so fault delivery cannot
+/// race run startup.
 class ScriptPlayer {
  public:
   struct Options {
     /// Polled until true before the clock starts. Default: armed at once.
     std::function<bool()> armed;
-    /// Wall seconds per script second (scripts are usually written in
-    /// virtual time much shorter than real runs).
-    double time_scale = 1.0;
-    std::chrono::milliseconds poll{1};
     /// Give up arming after this long (the run finished too fast); the
     /// remaining events are dropped and dropped_events() reports them.
     std::chrono::milliseconds arm_timeout{10'000};

@@ -632,10 +632,8 @@ void PlbHecScheduler::fit_and_select() {
   // simplex right-hand side equal to one execution window): with nonlinear
   // curves, equal E at full shares does not imply equal E for the blocks
   // actually issued, and window-level shares stay within the probed range.
-  solver::BlockSelectionOptions sel_opt;
-  sel_opt.total_fraction = options_.step_fraction;
   const solver::BlockSelection sel =
-      solver::select_block_sizes(alive_models, sel_opt);
+      solver::select_block_sizes(alive_models, options_.step_fraction);
   ++stats_.solves;
   PLBHEC_OBS_RECORD(sink_, {last_now_, obs::EventKind::kSolve, obs::kNoUnit,
                             sel.solve_seconds, sel.predicted_time, 0, 0});

@@ -47,6 +47,15 @@ void ThreadPool::worker_loop() {
     wake_.wait(lock, [this] { return stop_ || !open_.empty(); });
     if (stop_) return;
     Region& region = *open_.front();
+    // Its caller has claimed every chunk (or one threw) but not yet
+    // withdrawn it: joining would find nothing and make the caller wait
+    // for this worker, so retire it here and the caller skips the erase.
+    if (region.next.load(std::memory_order_relaxed) >= region.nchunks ||
+        region.cancelled.load(std::memory_order_relaxed)) {
+      region.seats = 0;
+      open_.pop_front();
+      continue;
+    }
     if (--region.seats == 0) open_.pop_front();
     ++region.inside;
     lock.unlock();

@@ -10,7 +10,8 @@
 ///  - a region lives on its caller's stack; the caller and the workers that
 ///    join it claim chunks through one atomic cursor;
 ///  - at most min(workers, chunks - 1) workers join a region, oldest open
-///    region first;
+///    region first; a worker that finds the oldest region's cursor
+///    exhausted (or the region cancelled) dequeues it instead of joining;
 ///  - once the cursor is exhausted the caller withdraws the region from the
 ///    queue and waits only until no worker is still inside. It never waits
 ///    for a worker to start, so a busy or 0-worker pool cannot stall it and

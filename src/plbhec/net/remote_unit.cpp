@@ -12,6 +12,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Smallest chunk worth a frame of its own; blocks shorter than two
+/// minimum chunks (probing blocks, tail blocks) always take the
+/// synchronous path, keeping modeling-phase samples pipeline-free.
+constexpr std::size_t kMinChunkGrains = 4;
+
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
@@ -172,11 +177,9 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
 
   const std::size_t depth = options_.pipeline_depth;
   const std::size_t grains = end - begin;
-  const std::size_t min_chunk =
-      std::max<std::size_t>(1, options_.min_chunk_grains);
   // Up to two chunks per window slot, so a refill is always ready the
   // moment a result frees a slot; execute() guarantees >= 2 chunks fit.
-  const std::size_t chunks = std::min(2 * depth, grains / min_chunk);
+  const std::size_t chunks = std::min(2 * depth, grains / kMinChunkGrains);
 
   struct Chunk {
     std::size_t begin = 0;
@@ -382,10 +385,8 @@ bool RemoteUnit::reconnect() {
 
 bool RemoteUnit::execute(rt::Workload& workload, std::size_t begin,
                          std::size_t end, rt::BlockTiming& timing) {
-  const std::size_t min_chunk =
-      std::max<std::size_t>(1, options_.min_chunk_grains);
   const bool pipelined =
-      options_.pipeline_depth > 1 && (end - begin) / min_chunk >= 2;
+      options_.pipeline_depth > 1 && (end - begin) / kMinChunkGrains >= 2;
   while (true) {
     if (demoted()) return false;
     switch (pipelined ? try_pipelined(workload, begin, end, timing)
@@ -453,28 +454,6 @@ void RemoteUnit::heartbeat_loop() {
       return;
     }
   }
-}
-
-bool RemoteUnit::sync_profiles(svc::ProfileStore& store) {
-  std::unique_ptr<TcpConn> conn = dial(options_.control_timeout_seconds);
-  if (conn == nullptr) return false;
-  ProfileSyncMsg msg;
-  msg.store_image = store.encode();
-  if (!write_frame(*conn, MsgType::kProfileSync, msg.encode())) return false;
-  Frame frame;
-  if (read_frame(*conn, &frame, options_.control_timeout_seconds) !=
-          FrameStatus::kOk ||
-      frame.type != MsgType::kProfileSyncAck)
-    return false;
-  const auto ack = ProfileSyncMsg::decode(frame.payload);
-  if (!ack) return false;
-  svc::ProfileStore remote;
-  if (svc::ProfileStore::decode(ack->store_image, remote) !=
-      svc::StoreLoadStatus::kOk)
-    return false;
-  store.merge(remote);
-  (void)write_frame(*conn, MsgType::kShutdown, {});
-  return true;
 }
 
 }  // namespace plbhec::net

@@ -27,7 +27,6 @@
 #include "plbhec/net/socket.hpp"
 #include "plbhec/obs/sink.hpp"
 #include "plbhec/rt/exec_unit.hpp"
-#include "plbhec/svc/profile_store.hpp"
 
 namespace plbhec::obs {
 class CounterRegistry;
@@ -58,17 +57,16 @@ struct RemoteUnitOptions {
   /// Data-plane pipelining: how many chunk frames the unit keeps in
   /// flight on the data connection. 1 = the synchronous protocol (one
   /// AssignBlock/BlockResult round-trip per engine block). N > 1 splits
-  /// every large enough block into up to 2N sequence-numbered chunks and
-  /// streams them through a windowed in-flight queue, so the wire time
-  /// of one chunk overlaps the daemon's kernel on another. Chunk results
-  /// are buffered and applied to the workload only once the whole block
-  /// completed — a failed block leaves the workload untouched and the
-  /// engine requeues the full range, exactly as in the sync protocol.
+  /// every block of at least 8 grains into up to 2N sequence-numbered
+  /// chunks of at least 4 grains and streams them through a windowed
+  /// in-flight queue, so the wire time of one chunk overlaps the daemon's
+  /// kernel on another. Shorter blocks (probing blocks, tail blocks)
+  /// take the synchronous path, keeping modeling-phase samples
+  /// pipeline-free. Chunk results are buffered and applied to the
+  /// workload only once the whole block completed — a failed block
+  /// leaves the workload untouched and the engine requeues the full
+  /// range, exactly as in the sync protocol.
   std::size_t pipeline_depth = 1;
-  /// Smallest chunk worth a frame of its own; blocks shorter than two
-  /// minimum chunks (probing blocks, tail blocks) always take the
-  /// synchronous path, keeping modeling-phase samples pipeline-free.
-  std::size_t min_chunk_grains = 4;
 };
 
 class RemoteUnit final : public rt::ExecUnit {
@@ -82,11 +80,6 @@ class RemoteUnit final : public rt::ExecUnit {
                              std::size_t end,
                              rt::BlockTiming& timing) override;
   void end_run() override;
-
-  /// Bidirectional profile sync over a fresh connection: pushes `store`
-  /// to the daemon, merges the daemon's store image back into `store`.
-  /// Usable outside runs; false on any transport failure.
-  [[nodiscard]] bool sync_profiles(svc::ProfileStore& store);
 
   /// Permanently out of service (heartbeat timeout or exhausted
   /// reconnects).

@@ -34,8 +34,6 @@ const char* to_string(MsgType type) {
     case MsgType::kBlockResult: return "block_result";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kHeartbeatAck: return "heartbeat_ack";
-    case MsgType::kProfileSync: return "profile_sync";
-    case MsgType::kProfileSyncAck: return "profile_sync_ack";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kBlockResultBatch: return "block_result_batch";
   }
@@ -380,30 +378,6 @@ std::optional<HeartbeatAckMsg> HeartbeatAckMsg::decode(
   HeartbeatAckMsg m;
   m.sequence = r.u64();
   if (!r.ok || r.remaining() != 0) return std::nullopt;
-  return m;
-}
-
-std::vector<std::uint8_t> ProfileSyncMsg::encode() const {
-  std::vector<std::uint8_t> out;
-  ByteWriter w{out};
-  w.u64(store_image.size());
-  w.bytes(store_image.data(), store_image.size());
-  return out;
-}
-
-std::optional<ProfileSyncMsg> ProfileSyncMsg::decode(
-    std::span<const std::uint8_t> payload) {
-  ByteReader r{payload};
-  ProfileSyncMsg m;
-  const std::uint64_t len = r.u64();
-  if (!r.ok || len > kMaxPayloadBytes || r.remaining() < len)
-    return std::nullopt;
-  m.store_image.assign(
-      payload.begin() + static_cast<std::ptrdiff_t>(r.pos),
-      payload.begin() +
-          static_cast<std::ptrdiff_t>(r.pos + static_cast<std::size_t>(len)));
-  r.pos += static_cast<std::size_t>(len);
-  if (r.remaining() != 0) return std::nullopt;
   return m;
 }
 

@@ -28,9 +28,11 @@
 namespace plbhec::net {
 
 /// v2 added kBlockResultBatch (coalesced small results from the daemon's
-/// pipelined sender). Framing rejects version skew outright, so both
-/// ends must upgrade together — acceptable for a research transport.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// pipelined sender); v3 dropped the profile-sync pair, which renumbered
+/// kShutdown and kBlockResultBatch. Framing rejects version skew before
+/// it reads the type byte, so both ends must upgrade together —
+/// acceptable for a research transport.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 8 + 4 + 1 + 8;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Caps a frame's payload; a block of 4096 matmul rows at n=4096 is
@@ -47,8 +49,6 @@ enum class MsgType : std::uint8_t {
   kBlockResult,      ///< daemon -> coordinator: timings + result bytes
   kHeartbeat,        ///< coordinator -> daemon: liveness probe
   kHeartbeatAck,     ///< daemon -> coordinator: liveness echo
-  kProfileSync,      ///< coordinator -> daemon: merge this profile store
-  kProfileSyncAck,   ///< daemon -> coordinator: daemon's store image back
   kShutdown,         ///< either side: close the connection cleanly
   kBlockResultBatch, ///< daemon -> coordinator: several small results (v2)
 };
@@ -219,15 +219,6 @@ struct HeartbeatAckMsg {
   std::uint64_t sequence = 0;
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static std::optional<HeartbeatAckMsg> decode(
-      std::span<const std::uint8_t> payload);
-};
-
-/// Carries a svc::ProfileStore image (already versioned and checksummed
-/// by the store's own format) in either direction.
-struct ProfileSyncMsg {
-  std::vector<std::uint8_t> store_image;
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static std::optional<ProfileSyncMsg> decode(
       std::span<const std::uint8_t> payload);
 };
 

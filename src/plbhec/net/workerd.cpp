@@ -178,11 +178,6 @@ void WorkerDaemon::unfreeze() {
   wake();
 }
 
-svc::ProfileStore WorkerDaemon::profiles() const {
-  std::lock_guard lock(mutex_);
-  return profiles_;
-}
-
 // ---- reactor -------------------------------------------------------------
 
 void WorkerDaemon::reactor_loop() {
@@ -412,23 +407,6 @@ bool WorkerDaemon::process_frame(const std::shared_ptr<ConnState>& state,
       HeartbeatAckMsg ack;
       ack.sequence = msg->sequence;
       enqueue_frame(state, MsgType::kHeartbeatAck, ack.encode());
-      return true;
-    }
-    case MsgType::kProfileSync: {
-      const auto msg = ProfileSyncMsg::decode(frame.payload);
-      if (!msg) return false;
-      ProfileSyncMsg ack;
-      {
-        std::lock_guard lock(mutex_);
-        svc::ProfileStore incoming;
-        // A corrupt image is rejected wholesale; the ack still carries
-        // this daemon's (unchanged) store.
-        if (svc::ProfileStore::decode(msg->store_image, incoming) ==
-            svc::StoreLoadStatus::kOk)
-          profiles_.merge(incoming);
-        ack.store_image = profiles_.encode();
-      }
-      enqueue_frame(state, MsgType::kProfileSyncAck, ack.encode());
       return true;
     }
     case MsgType::kShutdown:

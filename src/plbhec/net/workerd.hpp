@@ -10,9 +10,9 @@
 /// incremental frame decode on the inbound side, a per-connection outbox
 /// of encoded frames flushed via non-blocking writes (EPOLLOUT armed only
 /// while a partial frame is pending) on the outbound side — and answers
-/// pure control traffic (handshakes, heartbeats, profile sync) inline, so
-/// liveness probes are never queued behind kernels. Workload construction
-/// and block execution run on a small shared executor pool with strict
+/// pure control traffic (handshakes, heartbeats) inline, so liveness
+/// probes are never queued behind kernels. Workload construction and
+/// block execution run on a small shared executor pool with strict
 /// per-connection FIFO ordering (at most one in-flight task per
 /// connection); finished results come back to the reactor through a
 /// completion queue + eventfd wake, where small ones are coalesced into
@@ -40,7 +40,6 @@
 
 #include "plbhec/net/socket.hpp"
 #include "plbhec/net/wire.hpp"
-#include "plbhec/svc/profile_store.hpp"
 
 namespace plbhec::obs {
 class CounterRegistry;
@@ -98,9 +97,6 @@ class WorkerDaemon {
   [[nodiscard]] double slowdown() const {
     return slowdown_.load(std::memory_order_relaxed);
   }
-
-  /// Profiles pushed by coordinators via ProfileSync, merged.
-  [[nodiscard]] svc::ProfileStore profiles() const;
 
   /// Lifetime counters (for tests/bench).
   [[nodiscard]] std::uint64_t blocks_served() const {
@@ -187,9 +183,8 @@ class WorkerDaemon {
   std::mutex done_mutex_;
   std::vector<Done> done_;
 
-  mutable std::mutex mutex_;  ///< guards conns_ and profiles_
+  std::mutex mutex_;  ///< guards conns_
   std::vector<TcpConn*> conns_;  ///< live sockets, for kill() cancellation
-  svc::ProfileStore profiles_;
 };
 
 }  // namespace plbhec::net

@@ -8,12 +8,6 @@
 
 namespace plbhec::sim {
 
-double DeviceModel::execution_seconds(const WorkloadProfile& w, double grains,
-                                      double speed_factor) const {
-  PLBHEC_EXPECTS(speed_factor > 0.0);
-  return execution_seconds(w, grains) / speed_factor;
-}
-
 GpuModel::GpuModel(Params p) : params_(std::move(p)) {
   PLBHEC_EXPECTS(params_.cores > 0);
   PLBHEC_EXPECTS(params_.sm_count > 0);

@@ -32,12 +32,9 @@ class DeviceModel {
   /// the arithmetic and overhead terms but NOT the memory roof: halving a
   /// unit's compute speed does not halve its memory bus, and a
   /// bandwidth-bound family (spmv, stencil) must not speed up or slow down
-  /// as if it did. The base implementation keeps the legacy
-  /// whole-time-divided-by-speed approximation for external models; the
-  /// built-in models override it with the term-exact form.
-  [[nodiscard]] virtual double execution_seconds(const WorkloadProfile& w,
-                                                 double grains,
-                                                 double speed_factor) const;
+  /// as if it did. Requires speed_factor > 0.
+  [[nodiscard]] virtual double execution_seconds(
+      const WorkloadProfile& w, double grains, double speed_factor) const = 0;
 
   /// Peak flop rate (for reporting only).
   [[nodiscard]] virtual double peak_flops() const = 0;

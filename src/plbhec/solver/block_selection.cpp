@@ -29,11 +29,10 @@ double finish_time_slack(const fit::PerfModel& m, double x) {
 }  // namespace
 
 BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
-                                  const BlockSelectionOptions& opt) {
+                                  double window) {
   BlockSelection out;
   const auto t_begin = std::chrono::steady_clock::now();
   const std::size_t n = models.size();
-  const double window = opt.total_fraction;
   PLBHEC_EXPECTS(window > 0.0 && window <= 1.0);
   if (n == 0) return out;
   for (const auto& m : models) PLBHEC_EXPECTS(m.valid());
@@ -46,7 +45,7 @@ BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
   std::vector<std::size_t> informative;
   for (std::size_t g = 0; g < n; ++g) {
     const double span =
-        models[g].total_time(window) - models[g].total_time(opt.x_min);
+        models[g].total_time(window) - models[g].total_time(kMinFraction);
     const double scale =
         std::max(std::fabs(models[g].total_time(window)), 1e-12);
     if (span > 1e-3 * scale) informative.push_back(g);
@@ -60,15 +59,11 @@ BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
     std::vector<fit::PerfModel> subset;
     if (informative.size() < n)
       for (std::size_t g : informative) subset.push_back(models[g]);
-    EqualTimeOptions eq_opt;
-    eq_opt.x_min = opt.x_min;
-    eq_opt.target =
-        window - opt.x_min * static_cast<double>(n - informative.size());
     eq = solve_equal_time(
         subset.empty() ? models : std::span<const fit::PerfModel>(subset),
-        eq_opt);
+        window - kMinFraction * static_cast<double>(n - informative.size()));
     PLBHEC_ASSERT(eq.ok);
-    out.fractions.assign(n, opt.x_min);
+    out.fractions.assign(n, kMinFraction);
     for (std::size_t i = 0; i < informative.size(); ++i)
       out.fractions[informative[i]] = eq.fractions[i];
   }
@@ -81,7 +76,7 @@ BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
   double sum = 0.0;
   for (std::size_t g = 0; g < n; ++g) {
     const double f = out.fractions[g];
-    PLBHEC_ENSURES(f >= opt.x_min && f <= window);
+    PLBHEC_ENSURES(f >= kMinFraction && f <= window);
     sum += f;
     out.predicted_time = std::max(out.predicted_time, models[g].total_time(f));
   }
@@ -89,7 +84,7 @@ BlockSelection select_block_sizes(std::span<const fit::PerfModel> models,
   std::size_t off_time = 0;
   for (std::size_t g : informative) {
     const double f = out.fractions[g];
-    if (f <= opt.x_min || f >= window) continue;
+    if (f <= kMinFraction || f >= window) continue;
     const double miss = std::fabs(models[g].total_time(f) - eq.common_time) -
                         1e-9 * std::fabs(eq.common_time);
     if (miss > 0.0 && miss > finish_time_slack(models[g], f)) ++off_time;

@@ -13,32 +13,26 @@
 
 namespace plbhec::solver {
 
-struct BlockSelectionOptions {
-  double x_min = 1e-6;   ///< lower bound on each fraction (keeps ln-terms finite)
-  /// The fractions sum to this input share (1 = the whole input). PLB-HeC
-  /// solves per execution window: equal E_g(x_g) at window-level shares is
-  /// what actually equalizes the issued blocks when the curves are
-  /// nonlinear, and it keeps x_g within the block sizes the modeling phase
-  /// actually probed.
-  double total_fraction = 1.0;
-};
-
 struct BlockSelection {
   bool ok = false;
-  std::vector<double> fractions;  ///< x_g, sums to total_fraction
+  std::vector<double> fractions;  ///< x_g, sums to the window
   double predicted_time = 0.0;    ///< max_g E_g(x_g) under the models
   double solve_seconds = 0.0;     ///< wall-clock time of the selection
 };
 
 /// Computes the fraction of the remaining input assigned to each processing
-/// unit. `models` must all be valid (fitted). Postconditions, checked in
-/// every build: the fractions sum to total_fraction within 1e-12 relative,
-/// each lies in [x_min, total_fraction], and every solved unit strictly
-/// inside those bounds finishes at the common time within 1e-9 relative
-/// (plus the slack of evaluating its curve), except at most one that ends
-/// inside a dip of its curve.
+/// unit; the fractions sum to `window`, the input share being solved (1 =
+/// the whole input). PLB-HeC solves per execution window: equal E_g(x_g)
+/// at window-level shares is what actually equalizes the issued blocks
+/// when the curves are nonlinear, and it keeps x_g within the block sizes
+/// the modeling phase actually probed. `models` must all be valid
+/// (fitted). Postconditions, checked in every build: the fractions sum to
+/// `window` within 1e-12 relative, each lies in [kMinFraction, window]
+/// (equal_time.hpp), and every solved unit strictly inside those bounds
+/// finishes at the common time within 1e-9 relative (plus the slack of
+/// evaluating its curve), except at most one that ends inside a dip of
+/// its curve.
 [[nodiscard]] BlockSelection select_block_sizes(
-    std::span<const fit::PerfModel> models,
-    const BlockSelectionOptions& options = {});
+    std::span<const fit::PerfModel> models, double window = 1.0);
 
 }  // namespace plbhec::solver

@@ -88,10 +88,9 @@ class Crossings {
 }  // namespace
 
 EqualTimeResult solve_equal_time(std::span<const fit::PerfModel> models,
-                                 const EqualTimeOptions& opt) {
+                                 double target) {
   EqualTimeResult result;
   const std::size_t n = models.size();
-  const double target = opt.target;
   PLBHEC_EXPECTS(target > 0.0 && target <= 1.0);
   if (n == 0) return result;
   for (const auto& m : models)
@@ -102,15 +101,15 @@ EqualTimeResult solve_equal_time(std::span<const fit::PerfModel> models,
     result.common_time = models[0].total_time(target);
     return result;
   }
-  PLBHEC_EXPECTS(opt.x_min > 0.0 &&
-                 opt.x_min * static_cast<double>(n) < target);
+  PLBHEC_EXPECTS(kMinFraction * static_cast<double>(n) < target);
 
-  // Below every curve's start each unit keeps x_min (sum n x_min < target);
-  // above every curve's peak each takes the whole window (sum >= target).
-  const Crossings curves(models, opt.x_min, target);
+  // Below every curve's start each unit keeps kMinFraction (their sum is
+  // below target); above every curve's peak each takes the whole window
+  // (sum >= target).
+  const Crossings curves(models, kMinFraction, target);
   double t_lo = curves.lowest();
   double t_hi = curves.highest();
-  std::vector<double> x_lo(n, opt.x_min);
+  std::vector<double> x_lo(n, kMinFraction);
   std::vector<double> x_hi(n, target);
   std::vector<double> x(n, target / static_cast<double>(n));
 

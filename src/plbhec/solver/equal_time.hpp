@@ -6,9 +6,10 @@
 /// functional-performance-model partitioning of Lastovetsky et al.
 ///
 /// A unit's share at finish time T is the *first crossing* of its curve
-/// above T, x_g(T) = the smallest x with E_g(x) > T on [x_min, target]: the
-/// inverse of the curve's running maximum, so the small dips the physical
-/// filter tolerates never move a unit onto a later branch of its curve. A
+/// above T, x_g(T) = the smallest x with E_g(x) > T on [kMinFraction,
+/// target]: the inverse of the curve's running maximum, so the small dips
+/// the physical filter tolerates never move a unit onto a later branch of
+/// its curve. A
 /// per-solve scan of each curve brackets the crossing and a safeguarded
 /// Newton iteration on the real curve finishes it. sum_g x_g(T) is
 /// non-decreasing in T, and a safeguarded Newton/bisection on T brackets
@@ -33,13 +34,9 @@ namespace plbhec::solver {
 /// too steep or too cancelling to get there, x pinned to within tol x.
 inline constexpr double kCrossingTolerance = 1e-11;
 
-struct EqualTimeOptions {
-  double x_min = 1e-6;  ///< smallest admissible fraction per unit
-  /// The fractions sum to this (1 = the whole input; PLB-HeC solves per
-  /// execution window, e.g. 0.25). Shares stay within [x_min, target],
-  /// which keeps the crossings inside the probed range.
-  double target = 1.0;
-};
+/// Smallest admissible fraction per unit: keeps the ln-terms of the
+/// fitted curves finite.
+inline constexpr double kMinFraction = 1e-6;
 
 struct EqualTimeResult {
   bool ok = false;
@@ -47,8 +44,10 @@ struct EqualTimeResult {
   double common_time = 0.0;       ///< the equalized finish time T
 };
 
+/// Fractions in [kMinFraction, target] summing to `target` (1 = the whole
+/// input; PLB-HeC solves per execution window, e.g. 0.25, which keeps the
+/// crossings inside the probed range).
 [[nodiscard]] EqualTimeResult solve_equal_time(
-    std::span<const fit::PerfModel> models,
-    const EqualTimeOptions& options = {});
+    std::span<const fit::PerfModel> models, double target = 1.0);
 
 }  // namespace plbhec::solver

@@ -10,6 +10,22 @@
 namespace plbhec::solver {
 namespace {
 
+// The solver runs at IPOPT's defaults; nothing varies them.
+constexpr double kTolerance = 1e-8;     // KKT error for successful exit
+constexpr double kMuInitial = 1e-1;     // initial barrier parameter
+constexpr double kMuMin = 1e-12;        // barrier floor
+constexpr double kKappaMu = 0.2;        // linear mu-reduction factor
+constexpr double kThetaMu = 1.5;        // superlinear mu-reduction exponent
+constexpr double kKappaEpsilon = 10.0;  // inner-loop KKT tolerance = k_eps * mu
+constexpr std::size_t kMaxIterations = 300;
+constexpr double kTauMin = 0.99;        // fraction-to-boundary minimum
+constexpr double kBoundPush = 1e-2;     // initial point push-in (kappa_1)
+constexpr double kGammaTheta = 1e-5;    // filter margins
+constexpr double kGammaPhi = 1e-5;
+constexpr double kMinStep = 1e-12;      // alpha below which line search fails
+constexpr double kDeltaWInit = 1e-8;    // first inertia-correction weight
+constexpr double kDeltaWMax = 1e10;     // give up past this regularization
+
 constexpr double kSPhi = 2.3;    // switching-condition exponents (IPOPT)
 constexpr double kSTheta = 1.1;
 constexpr double kDelta = 1.0;
@@ -67,11 +83,10 @@ struct Filter {
   }
 
   /// A trial point is acceptable if it is not dominated by any entry.
-  [[nodiscard]] bool acceptable(double theta, double phi, double gamma_theta,
-                                double gamma_phi) const {
+  [[nodiscard]] bool acceptable(double theta, double phi) const {
     for (const Entry& e : entries) {
-      const bool improves_theta = theta <= (1.0 - gamma_theta) * e.theta;
-      const bool improves_phi = phi <= e.phi - gamma_phi * e.theta;
+      const bool improves_theta = theta <= (1.0 - kGammaTheta) * e.theta;
+      const bool improves_phi = phi <= e.phi - kGammaPhi * e.theta;
       if (!improves_theta && !improves_phi) return false;
     }
     return true;
@@ -112,8 +127,7 @@ std::string to_string(IpStatus s) {
 }
 
 IpResult solve_interior_point(const NlpProblem& problem,
-                              std::span<const double> x0,
-                              const IpOptions& opt) {
+                              std::span<const double> x0) {
   IpResult result;
   const std::size_t n = problem.num_vars();
   const std::size_t m = problem.num_constraints();
@@ -133,9 +147,9 @@ IpResult solve_interior_point(const NlpProblem& problem,
     }
 
   std::vector<double> x(x0.begin(), x0.end());
-  project_interior(x, bounds, opt.bound_push);
+  project_interior(x, bounds, kBoundPush);
 
-  double mu = opt.mu_initial;
+  double mu = kMuInitial;
   std::vector<double> lambda(m, 0.0);
   std::vector<double> zl(n, 0.0);
   std::vector<double> zu(n, 0.0);
@@ -221,18 +235,17 @@ IpResult solve_interior_point(const NlpProblem& problem,
 
   double delta_w_last = 0.0;
 
-  for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
 
     // ---- Termination / barrier update -----------------------------------
     const double err0 = kkt_error(0.0);
-    if (err0 <= opt.tolerance) {
+    if (err0 <= kTolerance) {
       result.status = IpStatus::kSolved;
       break;
     }
-    while (mu > opt.mu_min && kkt_error(mu) <= opt.kappa_epsilon * mu) {
-      mu = std::max(opt.mu_min,
-                    std::min(opt.kappa_mu * mu, std::pow(mu, opt.theta_mu)));
+    while (mu > kMuMin && kkt_error(mu) <= kKappaEpsilon * mu) {
+      mu = std::max(kMuMin, std::min(kKappaMu * mu, std::pow(mu, kThetaMu)));
       filter.clear();  // barrier changed; old filter entries are stale
     }
 
@@ -301,14 +314,14 @@ IpResult solve_interior_point(const NlpProblem& problem,
       // Inertia correction: grow the primal regularization; add a tiny dual
       // regularization the first time the factorization itself fails.
       if (delta_w == 0.0) {
-        delta_w = delta_w_last > 0.0 ? std::max(opt.delta_w_init,
-                                                delta_w_last / 3.0)
-                                     : opt.delta_w_init;
+        delta_w = delta_w_last > 0.0
+                      ? std::max(kDeltaWInit, delta_w_last / 3.0)
+                      : kDeltaWInit;
       } else {
         delta_w *= 10.0;
       }
       if (!lu && delta_c == 0.0) delta_c = 1e-10;
-      if (delta_w > opt.delta_w_max) {
+      if (delta_w > kDeltaWMax) {
         result.status = IpStatus::kSingularSystem;
         result.x = x;
         result.lambda = lambda;
@@ -337,7 +350,7 @@ IpResult solve_interior_point(const NlpProblem& problem,
     }
 
     // ---- Fraction-to-boundary step limits --------------------------------
-    const double tau = std::max(opt.tau_min, 1.0 - mu);
+    const double tau = std::max(kTauMin, 1.0 - mu);
     double alpha_max = 1.0;
     for (std::size_t i = 0; i < n; ++i) {
       if (bounds.has_lower(i) && dx[i] < 0.0)
@@ -370,7 +383,7 @@ IpResult solve_interior_point(const NlpProblem& problem,
     bool accepted = false;
     bool augment_filter = false;
     std::vector<double> x_trial(n);
-    while (alpha >= opt.min_step) {
+    while (alpha >= kMinStep) {
       for (std::size_t i = 0; i < n; ++i) x_trial[i] = x[i] + alpha * dx[i];
       const double theta_t = constraint_theta(x_trial);
       const double phi_t = barrier_phi(x_trial);
@@ -385,19 +398,15 @@ IpResult solve_interior_point(const NlpProblem& problem,
       if (f_type) {
         // Armijo condition on the barrier objective.
         if (phi_t <= phi_k + kEta * alpha * dphi &&
-            filter.acceptable(theta_t, phi_t, opt.filter_gamma_theta,
-                              opt.filter_gamma_phi)) {
+            filter.acceptable(theta_t, phi_t)) {
           accepted = true;
           augment_filter = false;
           break;
         }
       } else {
-        const bool sufficient =
-            theta_t <= (1.0 - opt.filter_gamma_theta) * theta_k ||
-            phi_t <= phi_k - opt.filter_gamma_phi * theta_k;
-        if (sufficient && filter.acceptable(theta_t, phi_t,
-                                            opt.filter_gamma_theta,
-                                            opt.filter_gamma_phi)) {
+        const bool sufficient = theta_t <= (1.0 - kGammaTheta) * theta_k ||
+                                phi_t <= phi_k - kGammaPhi * theta_k;
+        if (sufficient && filter.acceptable(theta_t, phi_t)) {
           accepted = true;
           augment_filter = true;
           break;
@@ -428,7 +437,7 @@ IpResult solve_interior_point(const NlpProblem& problem,
           for (int tries = 0; tries < 30; ++tries) {
             for (std::size_t i = 0; i < n; ++i)
               x_trial[i] = x[i] + beta * (*d)[i];
-            project_interior(x_trial, bounds, opt.bound_push * 1e-2);
+            project_interior(x_trial, bounds, kBoundPush * 1e-2);
             if (constraint_theta(x_trial) < 0.9 * theta_k) {
               restored = true;
               break;
@@ -448,8 +457,7 @@ IpResult solve_interior_point(const NlpProblem& problem,
     }
 
     if (augment_filter)
-      filter.add((1.0 - opt.filter_gamma_theta) * theta_k,
-                 phi_k - opt.filter_gamma_phi * theta_k);
+      filter.add((1.0 - kGammaTheta) * theta_k, phi_k - kGammaPhi * theta_k);
 
     // ---- Apply the step ---------------------------------------------------
     for (std::size_t i = 0; i < n; ++i) x[i] += alpha * dx[i];
@@ -475,19 +483,11 @@ IpResult solve_interior_point(const NlpProblem& problem,
     }
 
     eval_all(x);
-
-    if (opt.verbose) {
-      std::fprintf(stderr,
-                   "ip iter %3zu  f=%.6e  theta=%.3e  mu=%.1e  alpha=%.3f  "
-                   "dw=%.1e\n",
-                   iter, problem.objective(x), theta_of(ws.c), mu, alpha,
-                   delta_w_last);
-    }
   }
 
   if (result.status != IpStatus::kSolved &&
       result.status != IpStatus::kLineSearchFailure)
-    result.status = result.iterations >= opt.max_iterations
+    result.status = result.iterations >= kMaxIterations
                         ? IpStatus::kMaxIterations
                         : result.status;
 

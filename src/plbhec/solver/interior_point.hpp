@@ -22,24 +22,6 @@
 
 namespace plbhec::solver {
 
-struct IpOptions {
-  double tolerance = 1e-8;         ///< KKT error for successful exit
-  double mu_initial = 1e-1;        ///< initial barrier parameter
-  double mu_min = 1e-12;           ///< barrier floor
-  double kappa_mu = 0.2;           ///< linear mu-reduction factor
-  double theta_mu = 1.5;           ///< superlinear mu-reduction exponent
-  double kappa_epsilon = 10.0;     ///< inner-loop KKT tolerance = k_eps * mu
-  std::size_t max_iterations = 300;
-  double tau_min = 0.99;           ///< fraction-to-boundary minimum
-  double bound_push = 1e-2;        ///< initial point push-in (kappa_1)
-  double filter_gamma_theta = 1e-5;
-  double filter_gamma_phi = 1e-5;
-  double min_step = 1e-12;         ///< alpha below which line search fails
-  double delta_w_init = 1e-8;      ///< first inertia-correction weight
-  double delta_w_max = 1e10;       ///< give up past this regularization
-  bool verbose = false;
-};
-
 enum class IpStatus {
   kSolved,             ///< KKT error below tolerance
   kMaxIterations,      ///< iteration budget exhausted (best iterate kept)
@@ -64,9 +46,9 @@ struct IpResult {
 };
 
 /// Solves the NLP from the given starting point (projected into the strict
-/// interior of the bounds automatically).
+/// interior of the bounds automatically), with IPOPT's default settings
+/// (KKT tolerance 1e-8, at most 300 iterations; see interior_point.cpp).
 [[nodiscard]] IpResult solve_interior_point(const NlpProblem& problem,
-                                            std::span<const double> x0,
-                                            const IpOptions& options = {});
+                                            std::span<const double> x0);
 
 }  // namespace plbhec::solver

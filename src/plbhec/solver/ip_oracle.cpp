@@ -11,12 +11,11 @@ namespace {
 ///   objective  E_1(x_1),
 ///   c_0        sum_g x_g - target = 0,
 ///   c_g        E_1(x_1) - E_{g+1}(x_{g+1}) = 0   for g = 1..n-1,
-///   bounds     x_min <= x_g <= target.
+///   bounds     kMinFraction <= x_g <= target.
 class EqualTimeNlp final : public NlpProblem {
  public:
-  EqualTimeNlp(std::span<const fit::PerfModel> models, double x_min,
-               double target)
-      : models_(models), x_min_(x_min), target_(target) {}
+  EqualTimeNlp(std::span<const fit::PerfModel> models, double target)
+      : models_(models), target_(target) {}
 
   [[nodiscard]] std::size_t num_vars() const override {
     return models_.size();
@@ -75,25 +74,23 @@ class EqualTimeNlp final : public NlpProblem {
   }
 
   void bounds(std::span<double> lower, std::span<double> upper) const override {
-    std::fill(lower.begin(), lower.end(), x_min_);
+    std::fill(lower.begin(), lower.end(), kMinFraction);
     std::fill(upper.begin(), upper.end(), target_);
   }
 
  private:
   std::span<const fit::PerfModel> models_;
-  double x_min_;
   double target_;
 };
 
 }  // namespace
 
 IpResult solve_equal_time_ip(std::span<const fit::PerfModel> models,
-                             const EqualTimeOptions& options,
-                             const IpOptions& ip) {
-  const EqualTimeNlp nlp(models, options.x_min, options.target);
-  const std::vector<double> x0(
-      models.size(), options.target / static_cast<double>(models.size()));
-  return solve_interior_point(nlp, x0, ip);
+                             double window) {
+  const EqualTimeNlp nlp(models, window);
+  const std::vector<double> x0(models.size(),
+                               window / static_cast<double>(models.size()));
+  return solve_interior_point(nlp, x0);
 }
 
 }  // namespace plbhec::solver

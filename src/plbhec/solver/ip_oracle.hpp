@@ -14,11 +14,10 @@
 
 namespace plbhec::solver {
 
-/// Solves Eq. (3)-(5) for fractions in [x_min, target] summing to target,
-/// started from the uniform split (independent of the production
+/// Solves Eq. (3)-(5) for fractions in [kMinFraction, window] summing to
+/// `window`, started from the uniform split (independent of the production
 /// selector).
 [[nodiscard]] IpResult solve_equal_time_ip(
-    std::span<const fit::PerfModel> models, const EqualTimeOptions& options,
-    const IpOptions& ip = {});
+    std::span<const fit::PerfModel> models, double window);
 
 }  // namespace plbhec::solver

@@ -15,6 +15,11 @@
 namespace plbhec::svc {
 namespace {
 
+/// Bounded preemption latency: the block cap each epoch's PLB-HeC gets,
+/// in execution windows of its job on the cluster's best unit (see
+/// job_manager.hpp and best_window_seconds).
+constexpr double kPreemptWindows = 16.0;
+
 /// A unit's lease; its dispatch state lives in the rt::SimDispatcher.
 struct UnitRt {
   bool leased = false;
@@ -39,8 +44,7 @@ struct JobRt {
   std::size_t target = 0;  ///< lease policy's current unit entitlement
   std::vector<rt::UnitId> held;     ///< sorted global ids (incl. pending)
   std::vector<rt::UnitId> pending;  ///< granted but not yet integrated
-  std::unique_ptr<rt::Scheduler> scheduler;
-  core::PlbHecScheduler* plb = nullptr;  ///< stats view; null once harvested
+  std::unique_ptr<core::PlbHecScheduler> scheduler;
   /// Service-side observation log in the *job* fraction domain (x =
   /// grains / total), per global unit — the warm seed for epoch restarts
   /// and the job's store entries. Held from admission until the entries
@@ -188,17 +192,11 @@ struct ServiceSim {
   }
 
   /// Accumulates the scheduler's warm/probing statistics into the job
-  /// outcome (once per scheduler instance).
-  void harvest(JobId id) {
-    JobRt& job = jobs[id];
-    if (job.plb == nullptr) return;
-    res.jobs[id] += job.plb->stats();
-    job.plb = nullptr;
-  }
+  /// outcome; called once per scheduler instance, before it is replaced.
+  void harvest(JobId id) { res.jobs[id] += jobs[id].scheduler->stats(); }
 
   [[nodiscard]] rt::WarmProfile warm_for(const JobRt& job, JobId id,
                                          rt::UnitId g) const {
-    if (!options.warm_start) return {};
     // Prefer the job's own observations (same workload instance, same
     // unit) over the cross-job store; they exist from the second epoch on.
     // Having them means grains completed, so the new epoch's total is below
@@ -268,21 +266,12 @@ struct ServiceSim {
     PLBHEC_ASSERT(remaining > 0);
     const rt::WorkInfo work = rt::sim_work_info(*job.workload, remaining);
 
-    if (options.make_scheduler) {
-      job.scheduler =
-          options.make_scheduler(specs[id], infos, work, std::move(warm));
-      job.plb = dynamic_cast<core::PlbHecScheduler*>(job.scheduler.get());
-    } else {
-      core::PlbHecOptions opt = options.scheduler;
-      opt.warm = std::move(warm);
-      if (opt.max_block_seconds <= 0.0 && options.preempt_windows > 0.0) {
-        opt.max_block_seconds =
-            options.preempt_windows * best_window_seconds(job, now());
-      }
-      auto plb = std::make_unique<core::PlbHecScheduler>(std::move(opt));
-      job.plb = plb.get();
-      job.scheduler = std::move(plb);
+    core::PlbHecOptions opt = options.scheduler;
+    opt.warm = std::move(warm);
+    if (opt.max_block_seconds <= 0.0) {
+      opt.max_block_seconds = kPreemptWindows * best_window_seconds(job, now());
     }
+    job.scheduler = std::make_unique<core::PlbHecScheduler>(std::move(opt));
     job.sim.scheduler = job.scheduler.get();
     job.scheduler->set_event_sink(options.sink);
     job.scheduler->start(infos, work);
@@ -291,16 +280,13 @@ struct ServiceSim {
 
   // ---- admission & lease renegotiation --------------------------------
 
-  /// Admits queued jobs up to the concurrency cap, then recomputes every
+  /// Admits queued jobs up to one per live unit, then recomputes every
   /// active job's unit target and moves leases toward the targets. Called
   /// whenever the active-job set or the live unit count changes.
   void renegotiate() {
     const std::size_t supply = alive_units();
 
-    std::size_t cap = options.lease.max_active_jobs == 0
-                          ? supply
-                          : std::min(options.lease.max_active_jobs, supply);
-    while (!queue.empty() && active.size() < cap) {
+    while (!queue.empty() && active.size() < supply) {
       const JobId id = queue.top();
       queue.pop();
       jobs[id].phase = JobPhase::kForming;
@@ -333,8 +319,7 @@ struct ServiceSim {
       for (JobId id : entitled) {
         views.push_back({id, specs[id].priority});
       }
-      const std::vector<std::size_t> targets =
-          lease_targets(views, supply, options.lease);
+      const std::vector<std::size_t> targets = lease_targets(views, supply);
       for (std::size_t i = 0; i < entitled.size(); ++i) {
         jobs[entitled[i]].target = targets[i];
       }

@@ -2,10 +2,10 @@
 /// \file job_manager.hpp
 /// Multi-tenant scheduling service on top of the single-job runtime: jobs
 /// arrive over virtual time into an admission queue (FIFO within priority
-/// class), each admitted job runs its own scheduler instance (PLB-HeC by
-/// default) against a *leased* subset of the cluster's processing units,
-/// and the lease policy (lease.hpp) rebalances unit targets whenever the
-/// active-job set changes.
+/// class), up to one admitted job per live unit, each admitted job runs its
+/// own PLB-HeC instance against a *leased* subset of the cluster's
+/// processing units, and the lease policy (lease.hpp) rebalances unit
+/// targets whenever the active-job set changes.
 ///
 /// Leasing protocol: schedulers are never told about tenancy — each sees a
 /// dense local unit-id space the service remaps to global units.
@@ -23,8 +23,18 @@
 /// profiles loaded from the ProfileStore are handed to PLB-HeC, which
 /// replaces the exponential probing schedule with a single validation
 /// block when the stored fit still holds (see PlbHecOptions::warm). On
-/// completion the job's samples are merged back and persisted; a failed
+/// completion the job's samples are put back and persisted; a failed
 /// write bumps the svc.store.save_failed counter.
+///
+/// Bounded preemption latency: unless the base options set their own
+/// PlbHecOptions::max_block_seconds, each epoch's scheduler gets 16
+/// execution windows of this job on the cluster's best unit, so block
+/// boundaries — the only points where leases can be revoked or grown —
+/// arrive at the rate the *cluster* could serve the job, not the rate of
+/// whichever slow unit its current lease happens to hold. Without it, a
+/// job admitted on a one-unit lease skipped the probing ramp and issued a
+/// quarter of its grains as a single unpreemptible block (see
+/// EXPERIMENTS.md).
 ///
 /// One event loop: arrivals, block completions and unit failures fire in
 /// virtual-time order. Each job's lease is dispatched by rt::SimDispatcher,
@@ -40,7 +50,6 @@
 #include "plbhec/core/plb_hec.hpp"
 #include "plbhec/obs/counters.hpp"
 #include "plbhec/obs/sink.hpp"
-#include "plbhec/rt/scheduler.hpp"
 #include "plbhec/rt/workload.hpp"
 #include "plbhec/sim/cluster.hpp"
 #include "plbhec/svc/lease.hpp"
@@ -98,38 +107,17 @@ struct ServiceResult : core::ProbeStats {
 struct ServiceOptions {
   sim::NoiseModel noise;
   std::uint64_t seed = 42;
-  LeasePolicyOptions lease;
   /// Base options for every per-job PLB-HeC instance; the service fills in
-  /// the `warm` vector per epoch.
+  /// the `warm` vector per epoch, and max_block_seconds when it is 0 (see
+  /// "Bounded preemption latency" above).
   core::PlbHecOptions scheduler;
-  /// On-disk ProfileStore path; empty = in-memory only (still merges
+  /// On-disk ProfileStore path; empty = in-memory only (still carries
   /// profiles across jobs within this service instance).
   std::string store_path;
-  /// Master switch for warm-starting schedulers from stored profiles.
-  bool warm_start = true;
-  /// Bounded preemption latency, in units of "execution windows on the
-  /// cluster's best unit": each epoch's scheduler gets
-  /// PlbHecOptions::max_block_seconds = preempt_windows * (exec time of
-  /// one step_fraction window of this job on the fastest alive unit).
-  /// This keeps block boundaries — the only points where leases can be
-  /// revoked or grown — arriving at the rate the *cluster* could serve
-  /// the job, not the rate of whichever slow unit its current lease
-  /// happens to hold. Fixes the warm-start regression where a job
-  /// admitted on a one-unit lease skipped the probing ramp and issued a
-  /// quarter of its grains as a single unpreemptible block (see
-  /// EXPERIMENTS.md). 0 disables the cap (pre-fix behavior).
-  double preempt_windows = 16.0;
   /// Must be 1: the service runs one event loop, and the JobManager
   /// constructor rejects any other value. Kept only for callers that
   /// still set it; it will be removed with them.
   std::size_t shards = 1;
-  /// Optional scheduler factory for non-PLB-HeC tenants; null = PLB-HeC
-  /// with the options above. Warm statistics are harvested only from
-  /// schedulers that are PlbHecScheduler instances.
-  std::function<std::unique_ptr<rt::Scheduler>(
-      const JobSpec& spec, const std::vector<rt::UnitInfo>& units,
-      const rt::WorkInfo& work, std::vector<rt::WarmProfile> warm)>
-      make_scheduler;
   obs::EventSink* sink = nullptr;             ///< not owned; may be null
   obs::CounterRegistry* counters = nullptr;   ///< not owned; may be null
 };

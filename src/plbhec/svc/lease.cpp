@@ -16,18 +16,20 @@ const char* to_string(PriorityClass priority) {
   return "unknown";
 }
 
-double weight(PriorityClass priority, const LeasePolicyOptions& options) {
+double weight(PriorityClass priority) {
+  constexpr double kHighWeight = 2.0;
+  constexpr double kNormalWeight = 1.0;
+  constexpr double kLowWeight = 0.5;
   switch (priority) {
-    case PriorityClass::kHigh: return options.high_weight;
-    case PriorityClass::kNormal: return options.normal_weight;
-    case PriorityClass::kLow: return options.low_weight;
+    case PriorityClass::kHigh: return kHighWeight;
+    case PriorityClass::kNormal: return kNormalWeight;
+    case PriorityClass::kLow: return kLowWeight;
   }
-  return options.normal_weight;
+  return kNormalWeight;
 }
 
 std::vector<std::size_t> lease_targets(std::span<const ActiveJobView> jobs,
-                                       std::size_t units,
-                                       const LeasePolicyOptions& options) {
+                                       std::size_t units) {
   const std::size_t k = jobs.size();
   PLBHEC_EXPECTS(k >= 1);
   PLBHEC_EXPECTS(k <= units);
@@ -38,19 +40,13 @@ std::vector<std::size_t> lease_targets(std::span<const ActiveJobView> jobs,
   if (rest == 0) return targets;
 
   double total_weight = 0.0;
-  for (const ActiveJobView& job : jobs) {
-    const double w = weight(job.priority, options);
-    total_weight += w > 0.0 ? w : 0.0;
-  }
+  for (const ActiveJobView& job : jobs) total_weight += weight(job.priority);
 
-  // Largest-remainder apportionment of the remainder units by weight; with
-  // all weights zero (degenerate config) everything falls to the remainder
-  // stage with equal quotas, which then fills in index order.
+  // Largest-remainder apportionment of the remainder units by weight.
   std::vector<double> remainder(k, 0.0);
   const double rest_units = static_cast<double>(rest);
-  for (std::size_t i = 0; i < k && total_weight > 0.0; ++i) {
-    const double w = std::max(weight(jobs[i].priority, options), 0.0);
-    const double quota = rest_units * w / total_weight;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double quota = rest_units * weight(jobs[i].priority) / total_weight;
     const double whole = std::floor(quota);
     const auto grant = std::min(rest, static_cast<std::size_t>(whole));
     targets[i] += grant;

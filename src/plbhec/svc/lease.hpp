@@ -7,11 +7,11 @@
 ///
 /// Fairness invariant: with k active jobs on n units, every job — whatever
 /// its priority class — holds at least floor(n / k) units. Priority
-/// weights bias only the distribution of the n mod k remainder units.
-/// Because admission caps k at min(max_active_jobs, n), the floor is at
-/// least 1, which bounds any job's makespan stretch against running alone:
-/// it always commands at least a floor(n/k)/n share of the cluster (see
-/// stretch_bound()).
+/// weights (high 2, normal 1, low 0.5) bias only the distribution of the
+/// n mod k remainder units. Because admission caps k at n (one job per
+/// live unit), the floor is at least 1, which bounds any job's makespan
+/// stretch against running alone: it always commands at least a
+/// floor(n/k)/n share of the cluster (see stretch_bound()).
 
 #include <cstddef>
 #include <cstdint>
@@ -30,18 +30,8 @@ enum class PriorityClass : std::uint8_t {
 
 [[nodiscard]] const char* to_string(PriorityClass priority);
 
-struct LeasePolicyOptions {
-  double high_weight = 2.0;
-  double normal_weight = 1.0;
-  double low_weight = 0.5;
-  /// Concurrency cap on admitted jobs; 0 = one job per processing unit.
-  /// The effective cap is always additionally clamped to the unit count so
-  /// the fairness floor stays >= 1.
-  std::size_t max_active_jobs = 0;
-};
-
-[[nodiscard]] double weight(PriorityClass priority,
-                            const LeasePolicyOptions& options);
+/// The remainder-apportionment weight of a priority class.
+[[nodiscard]] double weight(PriorityClass priority);
 
 /// An active job as the lease policy sees it.
 struct ActiveJobView {
@@ -55,8 +45,7 @@ struct ActiveJobView {
 /// rule, ties broken toward the lower JobId — fully deterministic. The
 /// targets always sum to `units`.
 [[nodiscard]] std::vector<std::size_t> lease_targets(
-    std::span<const ActiveJobView> jobs, std::size_t units,
-    const LeasePolicyOptions& options);
+    std::span<const ActiveJobView> jobs, std::size_t units);
 
 /// Unit-count stretch bound the fairness floor guarantees with k concurrent
 /// jobs on n units: n / floor(n / k). (A capacity bound, not a makespan

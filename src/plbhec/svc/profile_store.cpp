@@ -149,10 +149,6 @@ void ProfileStore::put(ProfileEntry entry) {
   entries_.insert(it, std::move(entry));
 }
 
-void ProfileStore::merge(const ProfileStore& other) {
-  for (const ProfileEntry& e : other.entries_) put(e);
-}
-
 rt::WarmProfile ProfileStore::warm_profile(
     std::string_view app_kind, std::string_view device_kind) const {
   const ProfileEntry* entry = find(app_kind, device_kind);

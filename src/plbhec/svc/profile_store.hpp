@@ -28,8 +28,8 @@
 /// structurally corrupt payloads; the service then falls back to cold
 /// probing. Entries are kept sorted by key so lookup and iteration order
 /// are a pure function of the contents. (Staleness stamps record local
-/// write order, so two stores merged in different orders hold the same
-/// profiles but may encode different stamps.)
+/// write order, so two stores given the same entries in different orders
+/// hold the same profiles but encode different stamps.)
 
 #include <cstdint>
 #include <span>
@@ -84,8 +84,9 @@ struct ProfileEntry : rt::SampledProfile {
 class ProfileStore {
  public:
   static constexpr std::uint32_t kFormatVersion = 4;
-  /// Per-curve sample cap; bounds file size under repeated merging. No
-  /// writer exceeds it, so a longer curve in an image decodes as corrupt.
+  /// Per-curve sample cap; bounds file size however often a key is
+  /// refreshed. No writer exceeds it, so a longer curve in an image
+  /// decodes as corrupt.
   static constexpr std::size_t kMaxSamplesPerCurve = 64;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -105,11 +106,6 @@ class ProfileStore {
   /// superseded entry's update count and stamping the new entry with the
   /// advanced write sequence. Entries stay sorted by key.
   void put(ProfileEntry entry);
-
-  /// Merges every entry of `other` into this store (put() per entry, so
-  /// update counts of superseded keys are preserved). Used by the network
-  /// profile-sync message to fold a coordinator's store into a worker's.
-  void merge(const ProfileStore& other);
 
   /// Warm-start profile for (app, device); a default-constructed (unusable)
   /// profile when the key is absent.

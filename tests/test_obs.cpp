@@ -342,13 +342,6 @@ TEST(Exporters, ServiceEventArgsCarryTheirExportedNames) {
   options.noise = sim::NoiseModel::none();
   options.seed = 7;
   options.sink = &sink;
-  // Acosta tenants synchronise at a barrier every iteration.
-  options.make_scheduler = [](const svc::JobSpec&,
-                              const std::vector<rt::UnitInfo>&,
-                              const rt::WorkInfo&,
-                              std::vector<rt::WarmProfile>) {
-    return std::make_unique<baselines::AcostaScheduler>();
-  };
   svc::JobManager manager(cluster, options);
   // The second arrival shrinks the first job's lease (revocations).
   for (const double arrival : {0.0, 0.01}) {
@@ -370,10 +363,8 @@ TEST(Exporters, ServiceEventArgsCarryTheirExportedNames) {
   }
   const std::string json = obs::chrome_trace_json(rt::RunResult{}, events);
   // Replay the lease stream: a revocation's j is its job's remaining
-  // held-unit count, a barrier's i the service-wide barrier count and j
-  // its job.
+  // held-unit count.
   std::vector<std::uint64_t> held(result.jobs.size(), 0);
-  std::uint64_t barriers = 0;
   std::size_t revoked = 0;
   char args[96];
   for (const obs::Event& e : events) {
@@ -388,15 +379,46 @@ TEST(Exporters, ServiceEventArgsCarryTheirExportedNames) {
       std::snprintf(args, sizeof args,
                     "\"args\":{\"from_job\":%llu,\"held\":%llu}", i, j);
       EXPECT_NE(json.find(args), std::string::npos) << args;
-    } else if (e.kind == obs::EventKind::kBarrier) {
-      EXPECT_EQ(e.i, ++barriers);
-      EXPECT_LT(e.j, result.jobs.size());
-      std::snprintf(args, sizeof args,
-                    "\"args\":{\"count\":%llu,\"job\":%llu}", i, j);
-      EXPECT_NE(json.find(args), std::string::npos) << args;
     }
   }
   EXPECT_GT(revoked, 0u);
+}
+
+TEST(Exporters, BarrierEventArgsCarryTheirExportedNames) {
+  // Acosta synchronises at a barrier every iteration; the dispatcher
+  // records each with the running barrier count as i and its job as j,
+  // which is 0 in the engine.
+  sim::SimCluster cluster(sim::scenario(2));
+  obs::EventSink sink;
+  rt::EngineOptions options;
+  options.noise = sim::NoiseModel::none();
+  options.seed = 7;
+  options.sink = &sink;
+  rt::SimEngine engine(cluster, options);
+  apps::SyntheticWorkload::Config config;
+  config.grains = 8'000;
+  config.flops_per_grain = 2e7;
+  config.bytes_per_grain = 2048;
+  apps::SyntheticWorkload workload(config);
+  baselines::AcostaScheduler acosta;
+  const rt::RunResult run = engine.run(workload, acosta);
+  ASSERT_TRUE(run.ok) << run.error;
+  const std::vector<obs::Event> events = sink.drain();
+  if (!obs::kCompiledIn) {
+    EXPECT_TRUE(events.empty());
+    return;
+  }
+  const std::string json = obs::chrome_trace_json(run, events);
+  std::uint64_t barriers = 0;
+  char args[96];
+  for (const obs::Event& e : events) {
+    if (e.kind != obs::EventKind::kBarrier) continue;
+    EXPECT_EQ(e.i, ++barriers);
+    EXPECT_EQ(e.j, 0u);
+    std::snprintf(args, sizeof args, "\"args\":{\"count\":%llu,\"job\":0}",
+                  static_cast<unsigned long long>(e.i));
+    EXPECT_NE(json.find(args), std::string::npos) << args;
+  }
   EXPECT_GT(barriers, 0u);
 }
 

@@ -177,9 +177,7 @@ class Rosenbrock final : public NlpProblem {
 TEST(InteriorPoint, RosenbrockConverges) {
   Rosenbrock prob;
   std::vector<double> x0{0.2, 1.8};
-  IpOptions opts;
-  opts.max_iterations = 500;
-  const IpResult r = solve_interior_point(prob, x0, opts);
+  const IpResult r = solve_interior_point(prob, x0);
   ASSERT_TRUE(r.ok()) << to_string(r.status);
   EXPECT_NEAR(r.x[0], 1.0, 1e-4);
   EXPECT_NEAR(r.x[1], 1.0, 1e-4);
@@ -234,9 +232,7 @@ TEST(EqualTime, SumsToTarget) {
   std::vector<fit::PerfModel> models{affine_model(0.1, 2.0),
                                      affine_model(0.05, 1.0),
                                      affine_model(0.2, 4.0)};
-  EqualTimeOptions opts;
-  opts.target = 0.25;
-  const EqualTimeResult r = solve_equal_time(models, opts);
+  const EqualTimeResult r = solve_equal_time(models, 0.25);
   ASSERT_TRUE(r.ok);
   const double sum =
       std::accumulate(r.fractions.begin(), r.fractions.end(), 0.0);
@@ -302,7 +298,7 @@ TEST(BlockSelection, MatchesAnalyticOnAffineCurves) {
                                      affine_model(0.005, 9.0, 0.3, 0.001)};
   const BlockSelection sel = select_block_sizes(models);
   ASSERT_TRUE(sel.ok);
-  const IpResult ip = solve_equal_time_ip(models, EqualTimeOptions{});
+  const IpResult ip = solve_equal_time_ip(models, 1.0);
   ASSERT_EQ(ip.status, IpStatus::kSolved);
   for (std::size_t g = 0; g < models.size(); ++g)
     EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6) << "unit " << g;
@@ -313,9 +309,7 @@ TEST(BlockSelection, FractionsSumToTarget) {
                                      affine_model(0.0, 2.0),
                                      affine_model(0.0, 3.0),
                                      affine_model(0.0, 4.0)};
-  BlockSelectionOptions opts;
-  opts.total_fraction = 0.25;
-  const BlockSelection sel = select_block_sizes(models, opts);
+  const BlockSelection sel = select_block_sizes(models, 0.25);
   ASSERT_TRUE(sel.ok);
   const double sum =
       std::accumulate(sel.fractions.begin(), sel.fractions.end(), 0.0);
@@ -555,8 +549,9 @@ std::vector<fit::PerfModel> fitted_system(std::size_t n, bool overlap,
   return models;
 }
 
-bool non_decreasing(const std::vector<fit::PerfModel>& models, double x_min,
+bool non_decreasing(const std::vector<fit::PerfModel>& models,
                     double window) {
+  constexpr double x_min = kMinFraction;
   for (const fit::PerfModel& m : models) {
     double prev = m.total_time(x_min);
     for (int i = 1; i <= 2000; ++i) {
@@ -570,17 +565,17 @@ bool non_decreasing(const std::vector<fit::PerfModel>& models, double x_min,
 
 /// select_block_sizes's postconditions, restated by the test.
 void expect_postconditions(const std::vector<fit::PerfModel>& models,
-                           const BlockSelection& sel, double x_min,
-                           double window) {
+                           const BlockSelection& sel, double window) {
   ASSERT_TRUE(sel.ok);
   double sum = 0.0;
   std::vector<double> inside;
   for (std::size_t g = 0; g < models.size(); ++g) {
     const double f = sel.fractions[g];
-    EXPECT_GE(f, x_min);
+    EXPECT_GE(f, kMinFraction);
     EXPECT_LE(f, window);
     sum += f;
-    if (f > x_min && f < window) inside.push_back(models[g].total_time(f));
+    if (f > kMinFraction && f < window)
+      inside.push_back(models[g].total_time(f));
   }
   EXPECT_NEAR(sum, window, 1e-12 * window);
   std::sort(inside.begin(), inside.end());
@@ -594,7 +589,6 @@ void expect_postconditions(const std::vector<fit::PerfModel>& models,
 }
 
 TEST(EqualTimeOracle, RootFindMatchesInteriorPointOnFittedSystems) {
-  constexpr double kXMin = 1e-6;
   constexpr double kWindow = 0.25;
   Rng rng(2015);
   std::size_t agreed = 0;
@@ -604,17 +598,15 @@ TEST(EqualTimeOracle, RootFindMatchesInteriorPointOnFittedSystems) {
       const std::size_t systems = n >= 64 ? 2 : 6;
       for (std::size_t s = 0; s < systems; ++s) {
         const auto models = fitted_system(n, overlap, rng);
-        BlockSelectionOptions opts;
-        opts.total_fraction = kWindow;
-        const BlockSelection sel = select_block_sizes(models, opts);
-        expect_postconditions(models, sel, kXMin, kWindow);
+        const BlockSelection sel = select_block_sizes(models, kWindow);
+        expect_postconditions(models, sel, kWindow);
 
-        const IpResult ip = solve_equal_time_ip(models, {kXMin, kWindow});
+        const IpResult ip = solve_equal_time_ip(models, kWindow);
         if (ip.status != IpStatus::kSolved) {
           ++oracle_failed;
           continue;
         }
-        if (!non_decreasing(models, kXMin, kWindow)) continue;
+        if (!non_decreasing(models, kWindow)) continue;
         double ip_makespan = 0.0;
         for (std::size_t g = 0; g < n; ++g) {
           EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6)
@@ -745,14 +737,11 @@ TEST(EqualTimeOracle, MatchesOnAGridSystemTheOldHotPathFailedOn) {
     m.overlap = u.overlap;
     models.push_back(std::move(m));
   }
-  constexpr double kXMin = 1e-6;
   constexpr double kWindow = 0.25;
-  ASSERT_TRUE(non_decreasing(models, kXMin, kWindow));
-  BlockSelectionOptions opts;
-  opts.total_fraction = kWindow;
-  const BlockSelection sel = select_block_sizes(models, opts);
-  expect_postconditions(models, sel, kXMin, kWindow);
-  const IpResult ip = solve_equal_time_ip(models, {kXMin, kWindow});
+  ASSERT_TRUE(non_decreasing(models, kWindow));
+  const BlockSelection sel = select_block_sizes(models, kWindow);
+  expect_postconditions(models, sel, kWindow);
+  const IpResult ip = solve_equal_time_ip(models, kWindow);
   ASSERT_EQ(ip.status, IpStatus::kSolved);
   double ip_makespan = 0.0;
   for (std::size_t g = 0; g < models.size(); ++g) {
@@ -809,10 +798,7 @@ TEST(EqualTimeOracle, KinkedSumStillConverges) {
     models.push_back(std::move(m));
   }
   constexpr double kWindow = 0.81888764067583109;
-  BlockSelectionOptions opts;
-  opts.total_fraction = kWindow;
-  expect_postconditions(models, select_block_sizes(models, opts), opts.x_min,
-                        kWindow);
+  expect_postconditions(models, select_block_sizes(models, kWindow), kWindow);
 }
 
 }  // namespace

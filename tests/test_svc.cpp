@@ -415,14 +415,13 @@ TEST(ProfileStore, TrimsToSampleCapWithConsistentMoments) {
 // ---- lease policy ---------------------------------------------------------
 
 TEST(LeasePolicy, TargetsSumToUnitsAndRespectFloor) {
-  const LeasePolicyOptions options;
   for (std::size_t n : {3u, 7u, 10u, 16u}) {
     for (std::size_t k = 1; k <= n; ++k) {
       std::vector<ActiveJobView> jobs;
       for (std::size_t i = 0; i < k; ++i) {
         jobs.push_back({i, static_cast<PriorityClass>(i % 3)});
       }
-      const std::vector<std::size_t> targets = lease_targets(jobs, n, options);
+      const std::vector<std::size_t> targets = lease_targets(jobs, n);
       std::size_t sum = 0;
       for (std::size_t t : targets) {
         EXPECT_GE(t, n / k);  // the fairness floor, regardless of priority
@@ -434,11 +433,10 @@ TEST(LeasePolicy, TargetsSumToUnitsAndRespectFloor) {
 }
 
 TEST(LeasePolicy, PriorityBiasesOnlyTheRemainder) {
-  const LeasePolicyOptions options;
   const std::vector<ActiveJobView> jobs = {{0, PriorityClass::kLow},
                                            {1, PriorityClass::kHigh},
                                            {2, PriorityClass::kNormal}};
-  const std::vector<std::size_t> targets = lease_targets(jobs, 11, options);
+  const std::vector<std::size_t> targets = lease_targets(jobs, 11);
   // floor = 3 each; the 2 remainder units go to the heaviest weights.
   EXPECT_EQ(targets[0], 3u);
   EXPECT_GE(targets[1], 4u);
@@ -448,12 +446,11 @@ TEST(LeasePolicy, PriorityBiasesOnlyTheRemainder) {
 }
 
 TEST(LeasePolicy, DeterministicAcrossCalls) {
-  const LeasePolicyOptions options;
   std::vector<ActiveJobView> jobs = {{0, PriorityClass::kNormal},
                                      {1, PriorityClass::kNormal},
                                      {2, PriorityClass::kNormal}};
-  const auto a = lease_targets(jobs, 10, options);
-  const auto b = lease_targets(jobs, 10, options);
+  const auto a = lease_targets(jobs, 10);
+  const auto b = lease_targets(jobs, 10);
   EXPECT_EQ(a, b);
 }
 
@@ -568,10 +565,11 @@ TEST(JobManagerShard, ShardedReplayIsDeterministic) {
 }
 
 TEST(JobManager, AdmissionQueueHonorsPriorityThenFifo) {
-  sim::SimCluster cluster(sim::scenario(1));
-  ServiceOptions options = quiet_options();
-  options.lease.max_active_jobs = 1;  // serialize: queue order observable
-  JobManager manager(cluster, options);
+  // One unit admits one job at a time, so the queue order is observable.
+  sim::MachineConfig machine = sim::machine_a();
+  machine.units.erase(machine.units.begin() + 1, machine.units.end());
+  sim::SimCluster cluster(std::vector<sim::MachineConfig>{machine});
+  JobManager manager(cluster, quiet_options());
   manager.submit(synthetic_job("first", "syn", PriorityClass::kLow, 0.0,
                                10'000));
   manager.submit(synthetic_job("normal", "syn", PriorityClass::kNormal, 0.001,
@@ -738,8 +736,9 @@ struct EngineAndService {
 
 /// Runs one job alone through a bare SimEngine and through JobManager on
 /// the same scenario(2) cluster under `faults`. Both sides get a fresh
-/// PlbHecScheduler, no noise and seed 7, and the service neither
-/// warm-starts nor caps block length, so the two runs must be one run.
+/// PlbHecScheduler with the same one-second block cap, no noise and seed
+/// 7, and the service's store starts empty, so the two runs must be one
+/// run.
 EngineAndService engine_and_service(const JobSpec& spec,
                                     const chaos::FaultScript& faults) {
   sim::SimCluster cluster(sim::scenario(2));
@@ -753,7 +752,9 @@ EngineAndService engine_and_service(const JobSpec& spec,
   engine_options.seed = 7;
   engine_options.sink = &engine_sink;
   rt::SimEngine engine(cluster, engine_options);
-  core::PlbHecScheduler plb;
+  core::PlbHecOptions plb_options;
+  plb_options.max_block_seconds = 1.0;
+  core::PlbHecScheduler plb(plb_options);
   const std::unique_ptr<rt::Workload> workload = spec.make_workload();
   const rt::RunResult run = engine.run(*workload, plb);
   EXPECT_TRUE(run.ok) << run.error;
@@ -765,8 +766,7 @@ EngineAndService engine_and_service(const JobSpec& spec,
 
   obs::EventSink service_sink;
   ServiceOptions options = quiet_options(7);
-  options.preempt_windows = 0.0;
-  options.warm_start = false;
+  options.scheduler = plb_options;
   options.sink = &service_sink;
   JobManager manager(cluster, options);
   manager.submit(spec);
