@@ -16,8 +16,8 @@
 /// window — and prints the two makespans side by side with the measured
 /// wire/kernel overlap fraction. (The scheduler-driven run above it also
 /// honors the depth, but at demo sizes PLB-HeC hands the slowed-down
-/// remotes mostly probing blocks under 8 rows, which always take the sync
-/// path; the direct drive is what isolates the wire layer.)
+/// remotes mostly probing blocks under 8 rows, which always go out as one
+/// chunk; the direct drive is what isolates the wire layer.)
 ///
 /// Usage: distributed_matmul [--n 384] [--workers 2] [--pipeline-depth 1]
 

@@ -44,11 +44,6 @@ class HdssScheduler final : public rt::Scheduler {
   /// Normalized weights (Fig. 6 comparison data).
   [[nodiscard]] std::vector<double> weight_fractions() const;
   [[nodiscard]] bool in_completion_phase() const { return completion_; }
-  /// Speed samples recorded during the adaptive phase (for diagnostics and
-  /// tests): x = block fraction, time = observed grains/s.
-  [[nodiscard]] const fit::SampleSet& speed_samples(rt::UnitId u) const {
-    return speed_samples_.at(u);
-  }
  private:
   void update_weight(rt::UnitId u);
   [[nodiscard]] bool all_converged() const;

@@ -4,30 +4,9 @@
 #include <cmath>
 
 #include "plbhec/common/contracts.hpp"
-#include "plbhec/obs/counters.hpp"
 #include "plbhec/obs/sink.hpp"
 
 namespace plbhec::core {
-
-void publish_transfer_models(obs::CounterRegistry& registry,
-                             const std::vector<fit::PerfModel>& models) {
-  const auto micros = [](double seconds) {
-    return static_cast<std::uint64_t>(std::max(0.0, seconds) * 1e6 + 0.5);
-  };
-  const auto milli = [](double ratio) {
-    return static_cast<std::uint64_t>(std::clamp(ratio, 0.0, 1.0) * 1000.0 +
-                                      0.5);
-  };
-  registry.set("plbhec.overlap.smoothing_milli", milli(kOverlapSmoothing));
-  for (std::size_t u = 0; u < models.size(); ++u) {
-    const std::string prefix = "plbhec.unit" + std::to_string(u) + ".";
-    registry.set(prefix + "transfer_slope_us", micros(models[u].transfer.slope));
-    registry.set(prefix + "transfer_latency_us",
-                 micros(models[u].transfer.latency));
-    registry.set(prefix + "transfer_r2_milli", milli(models[u].transfer.r2));
-    registry.set(prefix + "overlap_milli", milli(models[u].overlap));
-  }
-}
 
 PlbHecScheduler::PlbHecScheduler(PlbHecOptions options)
     : options_(std::move(options)) {}
@@ -50,7 +29,6 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
   prev_probe_grains_.assign(units.size(), 0.0);
   prev_probe_time_.assign(units.size(), 0.0);
   modeling_issued_ = 0;
-  overlap_ewma_.assign(units.size(), 0.0);
   monitor_.configure(options_.adapt, units.size());
   reprobing_.assign(units.size(), 0);
   censored_.assign(units.size(), 0);
@@ -296,26 +274,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   profiles_.record(obs);
   grains_consumed_ += static_cast<double>(obs.grains);
 
-  // Observed overlap of this block: a synchronous unit's span equals
-  // transfer + exec (fraction 0); a pipelined remote unit reports a
-  // shorter span, and the hidden share of the smaller phase is the
-  // overlap. The per-unit EWMA drives the cost-regime selection (see
-  // kOverlapActivation).
-  const double serial = obs.transfer_seconds + obs.exec_seconds;
-  const double span = obs.finish_time - obs.start_time;
-  const double overlap_floor =
-      std::min(obs.transfer_seconds, obs.exec_seconds);
-  if (obs.grains > 0 && overlap_floor > 0.0 && span > 0.0) {
-    const double rho = std::clamp((serial - span) / overlap_floor, 0.0, 1.0);
-    overlap_ewma_[obs.unit] +=
-        kOverlapSmoothing * (rho - overlap_ewma_[obs.unit]);
-  }
-  // The duration every consumer below sees: the true span when this unit
-  // runs the overlap regime (its blocks really finish in max-like time),
-  // the additive sum otherwise — identical to the pre-pipeline scheduler.
-  const bool overlapped = overlap_ewma_[obs.unit] >= kOverlapActivation;
-  const double duration =
-      overlapped && span > 0.0 ? std::min(serial, span) : serial;
+  const double duration = obs.transfer_seconds + obs.exec_seconds;
   if (obs.grains > 0)
     per_grain_[obs.unit] = duration / static_cast<double>(obs.grains);
 
@@ -599,17 +558,6 @@ void PlbHecScheduler::fit_and_select() {
       models_[u].exec = exec_override_[u];
       exec_override_[u] = fit::CurveModel{};
     }
-  }
-
-  // Attach the cost regime each unit actually runs: above the activation
-  // the fitted model blends toward the steady-state max(F, G) a pipelined
-  // transport exhibits; below it (every unit in sync mode) the model stays
-  // the paper's additive Eq. (1) bit for bit.
-  stats_.overlap_units = 0;
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    models_[u].overlap =
-        overlap_ewma_[u] >= kOverlapActivation ? overlap_ewma_[u] : 0.0;
-    if (!failed_[u] && models_[u].overlap > 0.0) ++stats_.overlap_units;
   }
 
   // Build the model list over alive units only.

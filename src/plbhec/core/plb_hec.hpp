@@ -32,10 +32,6 @@
 #include "plbhec/rt/scheduler.hpp"
 #include "plbhec/solver/block_selection.hpp"
 
-namespace plbhec::obs {
-class CounterRegistry;
-}
-
 namespace plbhec::core {
 
 /// Minimum number of probe blocks per unit before the first fit attempt
@@ -59,21 +55,6 @@ inline constexpr double kWarmAgeTightening = 0.01;
 /// probing instead of spending a validation block on a curve that long
 /// predates the cluster's current behavior).
 inline constexpr std::uint64_t kWarmMaxAge = 1024;
-/// Cost-regime selection for pipelined transports. Each completed block
-/// yields an observed overlap fraction — (transfer + exec - span) /
-/// min(transfer, exec), clamped to [0, 1], where span is the block's wall
-/// time from the engine's observation. Under a synchronous unit span =
-/// transfer + exec and the fraction is 0; a pipelined net::RemoteUnit
-/// hides part of the smaller phase and reports span < transfer + exec. The
-/// per-unit EWMA of this fraction (weight kOverlapSmoothing) is attached to
-/// the unit's fitted model once it reaches kOverlapActivation, switching
-/// that unit's cost from the paper's additive E = F + G to the
-/// steady-state blend toward max(F, G) (fit::PerfModel::overlap). Units
-/// below the activation keep the additive model bit for bit, so sync-mode
-/// schedules are unchanged.
-inline constexpr double kOverlapSmoothing = 0.4;
-inline constexpr double kOverlapActivation = 0.2;
-
 struct PlbHecOptions {
   /// Probe block of the first round, in grains. 0 = use the engine hint
   /// (WorkInfo::initial_block).
@@ -168,23 +149,10 @@ struct PlbHecStats : rt::FitStats, ProbeStats {
   std::vector<double> solve_seconds;  ///< wall time per selection
   double modeling_grains = 0.0;    ///< grains consumed by the modeling phase
   std::vector<std::vector<double>> fraction_history;  ///< per selection
-  std::size_t overlap_units = 0;   ///< units on the max(F, G) regime at the
-                                   ///< most recent selection
   /// Ladder blocks per unit; re-probe is targeted, so drift on one unit
   /// must leave every other unit's counter at zero (gated in bench_adapt).
   std::vector<std::size_t> reprobe_blocks_per_unit;
 };
-
-/// Publishes each unit's fitted transfer-model coefficients (Eq. 2 slope
-/// a1, latency a2, R²) and its cost-regime overlap under
-/// "plbhec.unit<N>.*", so run summaries and trace exports show wire
-/// health per remote unit without rerunning bench_net, plus the overlap
-/// EWMA decay constant kOverlapSmoothing under
-/// "plbhec.overlap.smoothing_milli" (the time constant the estimates were
-/// smoothed with). Times are scaled to integer microseconds, ratios to
-/// milli-units (the registry holds u64 counters).
-void publish_transfer_models(obs::CounterRegistry& registry,
-                             const std::vector<fit::PerfModel>& models);
 
 class PlbHecScheduler final : public rt::Scheduler {
  public:
@@ -211,11 +179,6 @@ class PlbHecScheduler final : public rt::Scheduler {
   [[nodiscard]] const PlbHecStats& stats() const { return stats_; }
   /// Raw profiling samples (Fig. 1 reproduction data).
   [[nodiscard]] const rt::ProfileDb& profiles() const { return profiles_; }
-  /// Smoothed per-unit observed-overlap fractions driving the cost-regime
-  /// selection (see kOverlapActivation).
-  [[nodiscard]] const std::vector<double>& overlap_estimates() const {
-    return overlap_ewma_;
-  }
 
  private:
   enum class Phase { kModeling, kExecuting };
@@ -273,7 +236,6 @@ class PlbHecScheduler final : public rt::Scheduler {
   std::vector<WarmState> warm_state_;        ///< per-unit warm lifecycle
   std::vector<std::uint64_t> warm_age_;      ///< staleness of the seeded
                                              ///< profile, in store writes
-  std::vector<double> overlap_ewma_;         ///< smoothed observed overlap
   std::vector<bool> failed_;
 
   adapt::DriftMonitor monitor_;              ///< per-unit windows + CUSUMs

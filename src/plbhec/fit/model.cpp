@@ -1,74 +1,10 @@
 #include "plbhec/fit/model.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "plbhec/common/contracts.hpp"
 
 namespace plbhec::fit {
-namespace {
-
-/// Relative smoothing width of the softmin corner: the C^2 blend departs
-/// from the exact min(F, G) by at most ~beta/2 of F + G, enough to keep
-/// the interior-point Hessian bounded near F = G without visibly biasing
-/// the equalized solve.
-constexpr double kSoftminBeta = 0.05;
-
-/// softmin(F, G) = (F + G - s) / 2 with s = sqrt(d^2 + (beta sum)^2),
-/// plus first and second derivatives in x. The 1e-30 guard keeps s > 0
-/// (and the quotient rule finite) when both curves vanish.
-struct Softmin {
-  double value = 0.0;
-  double d1 = 0.0;
-  double d2 = 0.0;
-};
-
-Softmin softmin_eval(double f, double g, double df, double dg, double d2f,
-                     double d2g) {
-  const double d = f - g;
-  const double sum = f + g;
-  const double dd = df - dg;
-  const double dsum = df + dg;
-  const double b2 = kSoftminBeta * kSoftminBeta;
-  const double s = std::sqrt(d * d + b2 * sum * sum + 1e-30);
-  const double ds = (d * dd + b2 * sum * dsum) / s;
-  const double d2d = d2f - d2g;
-  const double d2sum = d2f + d2g;
-  const double d2s = (dd * dd + d * d2d + b2 * (dsum * dsum + sum * d2sum)) / s
-                     - ds * ds / s;
-  Softmin out;
-  out.value = 0.5 * (sum - s);
-  out.d1 = 0.5 * (dsum - ds);
-  out.d2 = 0.5 * (d2sum - d2s);
-  return out;
-}
-
-}  // namespace
-
-double PerfModel::total_time(double x) const {
-  const double f = exec(x);
-  const double g = transfer(x);
-  if (overlap <= 0.0) return f + g;
-  const Softmin sm = softmin_eval(f, g, 0.0, 0.0, 0.0, 0.0);
-  return f + g - overlap * sm.value;
-}
-
-double PerfModel::total_derivative(double x) const {
-  const double df = exec.derivative(x);
-  const double dg = transfer.derivative(x);
-  if (overlap <= 0.0) return df + dg;
-  const Softmin sm =
-      softmin_eval(exec(x), transfer(x), df, dg, 0.0, 0.0);
-  return df + dg - overlap * sm.d1;
-}
-
-double PerfModel::total_second_derivative(double x) const {
-  const double d2f = exec.second_derivative(x);
-  if (overlap <= 0.0) return d2f;
-  const Softmin sm = softmin_eval(exec(x), transfer(x), exec.derivative(x),
-                                  transfer.derivative(x), d2f, 0.0);
-  return d2f - overlap * sm.d2;
-}
 
 double CurveModel::operator()(double x) const {
   PLBHEC_EXPECTS(valid());

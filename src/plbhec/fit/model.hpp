@@ -1,10 +1,11 @@
 #pragma once
 /// \file model.hpp
 /// Fitted performance models: F_p(x) (execution time), G_p(x) (transfer
-/// time) and their sum E_p(x), with first and second derivatives for the
-/// interior-point solver.
+/// time) and their sum E_p(x) = F_p(x) + G_p(x) (the paper's Eq. 1), with
+/// first and second derivatives for the block-size solvers. This is the
+/// one cost model: a pipelined transport measures its own overlap
+/// (net::RemoteUnit::overlap_fraction), but every block is priced F + G.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,37 +43,20 @@ struct TransferModel {
   [[nodiscard]] double derivative(double) const { return slope; }
 };
 
-/// Cost regime a PerfModel is evaluated under (see PerfModel::overlap).
-enum class CostRegime : std::uint8_t {
-  kAdditive,  ///< synchronous transport: E = F + G (paper Eq. 1)
-  kOverlap,   ///< pipelined transport: E blends toward max(F, G)
-};
-
-/// Complete per-processing-unit model. With a synchronous transport the
-/// paper's additive cost E_p(x) = F_p(x) + G_p(x) (Eq. 1) is the truth;
-/// once the data plane pipelines blocks, transfer overlaps execution and
-/// the steady-state cost per block approaches max(F, G). `overlap` in
-/// [0, 1] blends the regimes from the scheduler's observed overlap
-/// fraction:
-///
-///   E(x) = F + G - overlap * softmin(F, G)
-///
-/// where softmin(F, G) = (F + G - sqrt((F-G)^2 + (beta (F+G))^2)) / 2 is
-/// a C^2 smooth minimum, so the interior-point solver keeps exact first
-/// and second derivatives in both regimes. overlap = 0 reproduces the
-/// additive model bit for bit; overlap = 1 approaches max(F, G) to
-/// within beta/2 of the smaller term.
+/// Complete per-processing-unit model: the paper's additive cost
+/// E_p(x) = F_p(x) + G_p(x) (Eq. 1).
 struct PerfModel {
   CurveModel exec;
   TransferModel transfer;
-  double overlap = 0.0;  ///< observed pipelining overlap fraction, [0, 1]
 
-  [[nodiscard]] double execution_time(double x) const { return exec(x); }
-  [[nodiscard]] double total_time(double x) const;
-  [[nodiscard]] double total_derivative(double x) const;
-  [[nodiscard]] double total_second_derivative(double x) const;
-  [[nodiscard]] CostRegime regime() const {
-    return overlap > 0.0 ? CostRegime::kOverlap : CostRegime::kAdditive;
+  [[nodiscard]] double total_time(double x) const {
+    return exec(x) + transfer(x);
+  }
+  [[nodiscard]] double total_derivative(double x) const {
+    return exec.derivative(x) + transfer.derivative(x);
+  }
+  [[nodiscard]] double total_second_derivative(double x) const {
+    return exec.second_derivative(x);
   }
   [[nodiscard]] bool valid() const { return exec.valid(); }
 };

@@ -76,13 +76,6 @@ double Lu::determinant() const {
   return det;
 }
 
-std::size_t Lu::negative_pivots() const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < lu_.rows(); ++i)
-    if (lu_(i, i) < 0.0) ++count;
-  return count;
-}
-
 std::optional<Vector> solve(const Matrix& a, std::span<const double> b) {
   auto lu = Lu::factor(a);
   if (!lu) return std::nullopt;

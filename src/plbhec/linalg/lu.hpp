@@ -27,11 +27,6 @@ class Lu {
   /// det(A) (product of pivots with sign of the permutation).
   [[nodiscard]] double determinant() const;
 
-  /// Number of negative pivots in U. For a *symmetric* input this estimates
-  /// the count of negative eigenvalues (matrix inertia), which the
-  /// interior-point method uses to decide when to regularize the KKT system.
-  [[nodiscard]] std::size_t negative_pivots() const;
-
   [[nodiscard]] std::size_t size() const { return lu_.rows(); }
 
  private:

@@ -13,8 +13,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Smallest chunk worth a frame of its own; blocks shorter than two
-/// minimum chunks (probing blocks, tail blocks) always take the
-/// synchronous path, keeping modeling-phase samples pipeline-free.
+/// minimum chunks (probing blocks, tail blocks) go out as one chunk,
+/// keeping modeling-phase samples pipeline-free.
 constexpr std::size_t kMinChunkGrains = 4;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
@@ -114,72 +114,16 @@ RemoteUnit::BlockOutcome RemoteUnit::try_block(rt::Workload& workload,
   }
   if (conn == nullptr || conn->cancelled()) return BlockOutcome::kIoError;
 
-  AssignBlockMsg assign;
-  assign.run_id = run_id_;
-  assign.sequence = ++next_sequence_;
-  assign.begin = begin;
-  assign.end = end;
-  const std::vector<std::uint8_t> payload = assign.encode();
-
-  const Clock::time_point t_send = Clock::now();
-  if (!write_frame(*conn, MsgType::kAssignBlock, payload))
-    return BlockOutcome::kIoError;
-  PLBHEC_OBS_RECORD(
-      options_.sink,
-      {seconds_between(t_send, Clock::now()), obs::EventKind::kMsgSent,
-       options_.event_unit, 0.0, 0.0,
-       kFrameHeaderBytes + payload.size() + kFrameTrailerBytes,
-       static_cast<std::uint64_t>(MsgType::kAssignBlock)});
-
-  // Block execution has no deadline of its own — the heartbeat monitor
-  // cancels the connection if the daemon dies mid-block.
-  Frame frame;
-  if (read_frame(*conn, &frame) != FrameStatus::kOk)
-    return BlockOutcome::kIoError;
-  const Clock::time_point t_recv = Clock::now();
-  if (frame.type != MsgType::kBlockResult) return BlockOutcome::kFatal;
-  const auto result = BlockResultMsg::decode(frame.payload);
-  if (!result) return BlockOutcome::kFatal;
-  PLBHEC_OBS_RECORD(
-      options_.sink,
-      {seconds_between(t_send, t_recv), obs::EventKind::kMsgReceived,
-       options_.event_unit, 0.0, 0.0,
-       kFrameHeaderBytes + frame.payload.size() + kFrameTrailerBytes,
-       static_cast<std::uint64_t>(MsgType::kBlockResult)});
-
-  // A daemon-side refusal (bad spec, bad range) is a configuration error
-  // a reconnect cannot fix.
-  if (!result->ok || result->sequence != assign.sequence ||
-      result->begin != begin || result->end != end)
-    return BlockOutcome::kFatal;
-  if (result->results.size() != workload.result_bytes(begin, end))
-    return BlockOutcome::kFatal;
-  workload.read_results(begin, end, result->results.data());
-
-  // The wall time of the round-trip minus the daemon's kernel time is
-  // the transfer cost the scheduler's G_p(x) fit learns from.
-  const double wall = seconds_between(t_send, t_recv);
-  timing.exec_seconds = std::min(result->exec_seconds, wall);
-  timing.transfer_seconds = std::max(0.0, wall - timing.exec_seconds);
-  return BlockOutcome::kOk;
-}
-
-RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
-                                                   std::size_t begin,
-                                                   std::size_t end,
-                                                   rt::BlockTiming& timing) {
-  std::shared_ptr<TcpConn> conn;
-  {
-    std::lock_guard lock(conn_mutex_);
-    conn = data_conn_;
-  }
-  if (conn == nullptr || conn->cancelled()) return BlockOutcome::kIoError;
-
   const std::size_t depth = options_.pipeline_depth;
   const std::size_t grains = end - begin;
-  // Up to two chunks per window slot, so a refill is always ready the
-  // moment a result frees a slot; execute() guarantees >= 2 chunks fit.
-  const std::size_t chunks = std::min(2 * depth, grains / kMinChunkGrains);
+  // One chunk (the synchronous round-trip) at depth 1 and for blocks
+  // shorter than two minimum chunks; otherwise up to two chunks per
+  // window slot, so a refill is always ready the moment a result frees a
+  // slot.
+  const std::size_t chunks = depth > 1 && grains >= 2 * kMinChunkGrains
+                                 ? std::min(2 * depth, grains / kMinChunkGrains)
+                                 : 1;
+  const bool pipelined = chunks > 1;
 
   struct Chunk {
     std::size_t begin = 0;
@@ -207,7 +151,9 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
   bool fatal = false;
   // Buffers one chunk result; nothing touches `workload` until every
   // chunk arrived, so any failure exit leaves it untouched and the
-  // engine can requeue the whole [begin, end) range.
+  // engine can requeue the whole [begin, end) range. A daemon-side
+  // refusal (bad spec, bad range) is a configuration error a reconnect
+  // cannot fix.
   const auto accept = [&](BlockResultMsg&& entry, double wire_share) {
     if (entry.run_id != run_id_ || entry.sequence < base_seq ||
         entry.sequence >= base_seq + chunks) {
@@ -228,7 +174,6 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
     --in_flight;
   };
 
-  const Clock::time_point t_start = Clock::now();
   // Double-buffered serialization: the frame body of chunk k+1 is
   // encoded before chunk k hits the wire, so encode overlaps send.
   std::vector<std::uint8_t> bodies[2];
@@ -243,6 +188,10 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
     assign.end = plan[i].end;
     assign.encode_into(bodies[i & 1]);
   };
+  // The block's wall runs from its first send to the receipt of its last
+  // result frame, before any result is decoded or applied.
+  Clock::time_point t_first_send;
+  Clock::time_point t_last_recv;
 
   while (completed < chunks) {
     while (in_flight < depth && next_send < chunks) {
@@ -251,6 +200,7 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
         encode_chunk(encoded++);
       const std::vector<std::uint8_t>& body = bodies[next_send & 1];
       const Clock::time_point t_send = Clock::now();
+      if (next_send == 0) t_first_send = t_send;
       if (!write_frame(*conn, MsgType::kAssignBlock, body, scratch))
         return BlockOutcome::kIoError;
       plan[next_send].wire_seconds += seconds_between(t_send, Clock::now());
@@ -262,9 +212,11 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
            static_cast<std::uint64_t>(MsgType::kAssignBlock)});
       ++next_send;
       ++in_flight;
-      wire_stats_.chunks_pipelined += 1;
-      wire_stats_.inflight_peak =
-          std::max<std::uint64_t>(wire_stats_.inflight_peak, in_flight);
+      if (pipelined) {
+        wire_stats_.chunks_pipelined += 1;
+        wire_stats_.inflight_peak =
+            std::max<std::uint64_t>(wire_stats_.inflight_peak, in_flight);
+      }
     }
 
     // One result frame — a single chunk or a batch, in any order. No
@@ -274,6 +226,7 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
     FrameReadTiming io;
     if (read_frame(*conn, &frame, -1.0, &io) != FrameStatus::kOk)
       return BlockOutcome::kIoError;
+    t_last_recv = Clock::now();
     PLBHEC_OBS_RECORD(
         options_.sink,
         {io.wait_seconds + io.drain_seconds, obs::EventKind::kMsgReceived,
@@ -314,11 +267,16 @@ RemoteUnit::BlockOutcome RemoteUnit::try_pipelined(rt::Workload& workload,
     exec_total += c.exec_seconds;
     wire_total += c.wire_seconds;
   }
-  const double wall = seconds_between(t_start, Clock::now());
-  // Unlike the sync path, transfer is measured per chunk (send + result
-  // drain), not inferred as wall - exec: under overlap that difference
-  // no longer equals the wire cost.
+  const double wall = seconds_between(t_first_send, t_last_recv);
   timing.exec_seconds = std::min(exec_total, wall);
+  if (!pipelined) {
+    // One round-trip: its wall minus the daemon's kernel time is the
+    // transfer cost the scheduler's G_p(x) fit learns from.
+    timing.transfer_seconds = std::max(0.0, wall - timing.exec_seconds);
+    return BlockOutcome::kOk;
+  }
+  // Under overlap wall - exec no longer equals the wire cost, so transfer
+  // is measured per chunk (send + result drain).
   timing.transfer_seconds = std::clamp(wire_total, 0.0, wall);
   timing.wall_seconds = wall;
 
@@ -385,12 +343,9 @@ bool RemoteUnit::reconnect() {
 
 bool RemoteUnit::execute(rt::Workload& workload, std::size_t begin,
                          std::size_t end, rt::BlockTiming& timing) {
-  const bool pipelined =
-      options_.pipeline_depth > 1 && (end - begin) / kMinChunkGrains >= 2;
   while (true) {
     if (demoted()) return false;
-    switch (pipelined ? try_pipelined(workload, begin, end, timing)
-                      : try_block(workload, begin, end, timing)) {
+    switch (try_block(workload, begin, end, timing)) {
       case BlockOutcome::kOk:
         return true;
       case BlockOutcome::kFatal:

@@ -55,17 +55,17 @@ struct RemoteUnitOptions {
   /// construction order, so the caller knows it).
   std::uint32_t event_unit = 0xffff'ffffu;
   /// Data-plane pipelining: how many chunk frames the unit keeps in
-  /// flight on the data connection. 1 = the synchronous protocol (one
-  /// AssignBlock/BlockResult round-trip per engine block). N > 1 splits
-  /// every block of at least 8 grains into up to 2N sequence-numbered
-  /// chunks of at least 4 grains and streams them through a windowed
-  /// in-flight queue, so the wire time of one chunk overlaps the daemon's
-  /// kernel on another. Shorter blocks (probing blocks, tail blocks)
-  /// take the synchronous path, keeping modeling-phase samples
+  /// flight on the data connection. Every block runs through one windowed
+  /// loop. At 1 a block is one chunk: one AssignBlock/BlockResult
+  /// round-trip, with transfer = wall - kernel time. N > 1 splits every
+  /// block of at least 8 grains into up to 2N sequence-numbered chunks of
+  /// at least 4 grains, so the wire time of one chunk overlaps the
+  /// daemon's kernel on another; shorter blocks (probing blocks, tail
+  /// blocks) stay one chunk, keeping modeling-phase samples
   /// pipeline-free. Chunk results are buffered and applied to the
   /// workload only once the whole block completed — a failed block
   /// leaves the workload untouched and the engine requeues the full
-  /// range, exactly as in the sync protocol.
+  /// range.
   std::size_t pipeline_depth = 1;
 };
 
@@ -106,7 +106,8 @@ class RemoteUnit final : public rt::ExecUnit {
   };
   [[nodiscard]] const WireStats& wire_stats() const { return wire_stats_; }
   /// Measured overlap fraction in [0, 1]: the share of the smaller phase
-  /// (wire vs kernel) the pipeline hid. 0 under the sync protocol.
+  /// (wire vs kernel) the pipeline hid. 0 when every block ran as one
+  /// chunk.
   [[nodiscard]] double overlap_fraction() const;
   /// Publishes this link's wire-health counters ("net.<name>.*").
   void publish_counters(obs::CounterRegistry& registry) const;
@@ -121,14 +122,12 @@ class RemoteUnit final : public rt::ExecUnit {
   [[nodiscard]] std::unique_ptr<TcpConn> dial(double timeout_seconds);
   /// Sends BeginRun on `conn` and waits for a positive RunAck.
   [[nodiscard]] bool start_run_on(TcpConn& conn);
+  /// Runs one engine block through the windowed data plane: one chunk
+  /// (a synchronous round-trip) or several pipelined ones; see
+  /// RemoteUnitOptions::pipeline_depth.
   [[nodiscard]] BlockOutcome try_block(rt::Workload& workload,
                                        std::size_t begin, std::size_t end,
                                        rt::BlockTiming& timing);
-  /// Windowed multi-chunk execution of one engine block (the pipelined
-  /// data plane); see RemoteUnitOptions::pipeline_depth.
-  [[nodiscard]] BlockOutcome try_pipelined(rt::Workload& workload,
-                                           std::size_t begin, std::size_t end,
-                                           rt::BlockTiming& timing);
   /// Bounded-backoff re-dial + re-BeginRun; false when exhausted.
   [[nodiscard]] bool reconnect();
   void heartbeat_loop();

@@ -84,23 +84,6 @@ std::unique_ptr<TcpConn> TcpConn::connect(const std::string& host,
   return std::make_unique<TcpConn>(fd);
 }
 
-bool TcpConn::send_all(const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::size_t sent = 0;
-  while (sent < size) {
-    if (cancelled()) return false;
-    const ssize_t n =
-        ::send(fd_, p + sent, size - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 bool TcpConn::send_vectors(const iovec* iov, std::size_t count) {
   // Mutable copy so partial progress can advance base/len without
   // touching the caller's vectors. Frames are at most header + payload +

@@ -32,9 +32,6 @@ class TcpConn {
   [[nodiscard]] static std::unique_ptr<TcpConn> connect(
       const std::string& host, std::uint16_t port, double timeout_seconds);
 
-  /// Sends exactly `size` bytes; false on error or cancellation.
-  [[nodiscard]] bool send_all(const void* data, std::size_t size);
-
   /// Scatter-gather send: transmits the concatenation of `iov[0..count)`
   /// in order without first copying the pieces into one contiguous
   /// buffer (the framed-write hot path relies on this to ship

@@ -2,13 +2,12 @@
 /// \file counters.hpp
 /// Named monotonic counter registry: one home for run-level integers. Its
 /// writers are the service's end-of-run totals and store failures
-/// (`svc.*`), the kernel-dispatch registry (`kdisp.*`), RemoteUnit wire
-/// statistics and the worker daemons' reactor counters (`net.<name>.*`),
-/// and PLB-HeC's per-unit transfer models (core::publish_transfer_models,
-/// `plbhec.*`). Registration is mutex-guarded and returns a stable
-/// Counter reference; increments are relaxed atomic adds, so hot paths
-/// cache the reference and pay one fetch_add. snapshot() returns a
-/// name-sorted copy for the exporters and run summaries.
+/// (`svc.*`), the kernel-dispatch registry (`kdisp.*`), and RemoteUnit wire
+/// statistics and the worker daemons' reactor counters (`net.<name>.*`).
+/// Registration is mutex-guarded and returns a stable Counter reference;
+/// increments are relaxed atomic adds, so hot paths cache the reference
+/// and pay one fetch_add. snapshot() returns a name-sorted copy for the
+/// exporters and run summaries.
 
 #include <atomic>
 #include <cstdint>

@@ -136,10 +136,6 @@ std::string events_csv(std::span<const Event> events) {
   return out;
 }
 
-bool write_events_csv(std::span<const Event> events, const std::string& path) {
-  return write_string(events_csv(events), path);
-}
-
 std::string run_summary(const rt::RunResult& run,
                         std::span<const Event> events,
                         const CounterRegistry* counters) {

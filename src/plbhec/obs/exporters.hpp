@@ -35,8 +35,6 @@ bool write_chrome_trace(const rt::RunResult& run, std::span<const Event> events,
 /// time,kind,unit,a,b,i,j (header included; unit empty for kNoUnit).
 [[nodiscard]] std::string events_csv(std::span<const Event> events);
 
-bool write_events_csv(std::span<const Event> events, const std::string& path);
-
 /// Human-readable run digest: makespan, per-unit busy/idle/grain shares,
 /// per-kind decision counts, and (when given) the counter snapshot.
 [[nodiscard]] std::string run_summary(const rt::RunResult& run,

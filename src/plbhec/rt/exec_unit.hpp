@@ -26,7 +26,7 @@ struct BlockTiming {
   /// with execution (a pipelined remote unit reports wall <
   /// transfer + exec). 0 means the phases ran serially and wall is
   /// transfer + exec. The engine clips trace segments with it; schedulers
-  /// read the overlap off the observation's start/finish span.
+  /// price every block as transfer + exec (the paper's Eq. 1).
   double wall_seconds = 0.0;
 };
 

@@ -6,10 +6,10 @@
 // heartbeat-timeout demotion with zero lost grains, reconnect after a
 // daemon restart, the engine's detach_unit contract (including its death
 // conditions), and the pipelined data plane: chunked blocks bit-identical
-// to sync, out-of-order and batched result frames, all-or-nothing
-// application on chunk failure, mid-pipeline freeze with zero lost
-// grains, partial send/recv through shrunken kernel socket buffers, and
-// the batch codec's bounds.
+// to sync, a one-chunk block as one synchronous round-trip, out-of-order
+// and batched result frames, all-or-nothing application on chunk failure,
+// mid-pipeline freeze with zero lost grains, partial send/recv through
+// shrunken kernel socket buffers, and the batch codec's bounds.
 
 #include <gtest/gtest.h>
 
@@ -653,12 +653,16 @@ TEST(Pipeline, ChunkedMatMulIsBitIdenticalToLocal) {
 }
 
 // The fake-server tests drive a RemoteUnit against a scripted peer, so
-// frame ordering is fully controlled. Both share this setup: 24 grains in
-// chunks of at least 4 with a window deeper than the chunk count puts all
-// 6 chunks in flight before the first reply.
+// frame ordering is fully controlled. By default they share this setup: 24
+// grains in chunks of at least 4 with a window deeper than the chunk count
+// puts all 6 chunks in flight before the first reply.
 struct FakeServerRig {
   std::unique_ptr<TcpListener> listener = TcpListener::bind_loopback(0);
   apps::SyntheticWorkload::Config cfg;
+  std::size_t window = 6;  ///< AssignBlock frames read before the reply
+  /// Type of the first data-connection frame after the reply (kShutdown
+  /// once the unit's run ends with nothing more to send).
+  std::optional<MsgType> after_reply;
   FakeServerRig() {
     cfg.grains = 24;
     cfg.spin_iters_per_grain = 50;
@@ -701,7 +705,7 @@ struct FakeServerRig {
     if (!write_frame(*conn, MsgType::kRunAck, run_ack.encode())) return false;
 
     std::vector<AssignBlockMsg> assigns;
-    while (assigns.size() < 6) {
+    while (assigns.size() < window) {
       if (read_frame(*conn, &f, 5.0) != FrameStatus::kOk) return false;
       if (f.type != MsgType::kAssignBlock) return false;
       const auto assign = AssignBlockMsg::decode(f.payload);
@@ -725,7 +729,7 @@ struct FakeServerRig {
     };
     if (!reply(*conn, assigns, make_result)) return false;
     // Drain until the coordinator's Shutdown (or the link drops).
-    (void)read_frame(*conn, &f, 1.0);
+    if (read_frame(*conn, &f, 1.0) == FrameStatus::kOk) after_reply = f.type;
     return true;
   }
 };
@@ -805,6 +809,77 @@ TEST(Pipeline, FailedChunkLeavesWorkloadUntouched) {
   // requeue the whole range on another unit without double execution.
   EXPECT_EQ(coordinator_side.executed_grains(), 0u);
   EXPECT_EQ(coordinator_side.checksum(), 0.0);
+}
+
+// A block that fits one chunk (any block at depth 1, or one shorter than
+// two minimum chunks at a deeper window) is the synchronous round-trip:
+// one AssignBlock frame for the whole range, no pipeline statistics, and
+// a timing split that charges the wall minus the daemon's kernel time to
+// transfer.
+TEST(Pipeline, OneChunkBlockIsASingleSynchronousRoundTrip) {
+  struct Case {
+    std::size_t depth;
+    std::size_t grains;
+  };
+  for (const Case c : {Case{4, 7}, Case{1, 64}}) {
+    SCOPED_TRACE(c.depth);
+    FakeServerRig rig;
+    ASSERT_NE(rig.listener, nullptr);
+    rig.cfg.grains = 64;
+    rig.window = 1;
+    apps::SyntheticWorkload coordinator_side(rig.cfg);
+
+    // The reply waits well past the reported kernel time, so the wall
+    // (at least the wait) must exceed exec, and exec must be the
+    // daemon's figure, not the wall.
+    constexpr double kKernelSeconds = 0.005;
+    constexpr auto kReplyDelay = std::chrono::milliseconds(20);
+    std::vector<AssignBlockMsg> seen;
+    std::atomic<bool> served{false};
+    std::thread server([&] {
+      served = rig.serve_one_window([&](TcpConn& conn, const auto& assigns,
+                                        const auto& make_result) {
+        seen = assigns;
+        BlockResultMsg r = make_result(assigns[0]);
+        r.exec_seconds = kKernelSeconds;
+        std::this_thread::sleep_for(kReplyDelay);
+        return write_frame(conn, MsgType::kBlockResult, r.encode());
+      });
+    });
+
+    RemoteUnitOptions ro = rig.unit_options();
+    ro.pipeline_depth = c.depth;
+    RemoteUnit unit(ro);
+    ASSERT_TRUE(unit.begin_run(coordinator_side));
+    rt::BlockTiming timing;
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(unit.execute(coordinator_side, 0, c.grains, timing));
+    const double outer = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    unit.end_run();
+    server.join();
+    ASSERT_TRUE(served.load());
+
+    // Exactly one AssignBlock for the whole range; the next frame on the
+    // data connection is the run's Shutdown.
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].run_id, 1u);
+    EXPECT_EQ(seen[0].sequence, 1u);
+    EXPECT_EQ(seen[0].begin, 0u);
+    EXPECT_EQ(seen[0].end, c.grains);
+    EXPECT_EQ(rig.after_reply, MsgType::kShutdown);
+    EXPECT_EQ(unit.wire_stats().chunks_pipelined, 0u);
+    EXPECT_EQ(unit.wire_stats().inflight_peak, 0u);
+    EXPECT_EQ(unit.wire_stats().overlap_floor_seconds, 0.0);
+
+    EXPECT_EQ(timing.wall_seconds, 0.0);
+    EXPECT_EQ(timing.exec_seconds, kKernelSeconds);
+    const double wall = timing.transfer_seconds + timing.exec_seconds;
+    EXPECT_GE(wall, std::chrono::duration<double>(kReplyDelay).count());
+    EXPECT_LE(wall, outer);
+    EXPECT_EQ(coordinator_side.executed_grains(), c.grains);
+  }
 }
 
 TEST(Pipeline, FrozenDaemonMidPipelineLosesZeroGrains) {
@@ -887,26 +962,19 @@ TEST(Pipeline, EngineRunPublishesWireAndOverlapCounters) {
     EXPECT_GE(p->overlap_fraction(), 0.0);
     EXPECT_LE(p->overlap_fraction(), 1.0);
   }
-  // ...the scheduler tracked a per-unit overlap EWMA...
-  ASSERT_EQ(plb.overlap_estimates().size(), 2u);
-  for (double rho : plb.overlap_estimates()) {
-    EXPECT_GE(rho, 0.0);
-    EXPECT_LE(rho, 1.0);
-  }
-  // ...and both the unit wire stats and the fitted transfer models
-  // publish into one registry for run summaries.
+  // ...and the unit wire stats, the transport's measured overlap among
+  // them, publish into one registry for run summaries.
   obs::CounterRegistry reg;
   p1->publish_counters(reg);
   p2->publish_counters(reg);
-  core::publish_transfer_models(reg, plb.models());
   EXPECT_EQ(reg.value("net.wd1.chunks_pipelined"),
             p1->wire_stats().chunks_pipelined);
   EXPECT_EQ(reg.value("net.wd2.chunks_pipelined"),
             p2->wire_stats().chunks_pipelined);
-  std::size_t model_keys = 0;
-  for (const auto& [name, value] : reg.snapshot())
-    if (name.rfind("plbhec.unit", 0) == 0) ++model_keys;
-  EXPECT_GE(model_keys, 2u * 4u);  // slope, latency, r2, overlap per unit
+  EXPECT_EQ(reg.value("net.wd1.overlap_milli"),
+            static_cast<std::uint64_t>(p1->overlap_fraction() * 1000.0 + 0.5));
+  EXPECT_EQ(reg.value("net.wd2.overlap_milli"),
+            static_cast<std::uint64_t>(p2->overlap_fraction() * 1000.0 + 0.5));
 }
 
 TEST(Pipeline, PartialSendRecvSurvivesTinySocketBuffers) {

@@ -299,7 +299,7 @@ TEST(ProfileDb, RecordsAndFits) {
   const fit::PerfModel m = db.fit_unit(0);
   ASSERT_TRUE(m.valid());
   // exec(x) = 0.01 + 2.0 * x with x = grains/1000.
-  EXPECT_NEAR(m.execution_time(0.1), 0.21, 0.02);
+  EXPECT_NEAR(m.exec(0.1), 0.21, 0.02);
   EXPECT_NEAR(m.transfer(0.1), 0.1, 0.01);
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "plbhec/apps/matmul.hpp"
@@ -138,6 +139,66 @@ TEST(PlbHec, MaxBlockSecondsCapsExecutionBlocks) {
   }
   ASSERT_GE(uncapped.stats().solves, 1u);
   EXPECT_GT(uncapped.next_block(0, now), 1'000u);
+}
+
+TEST(PlbHec, PricesBlocksAsTransferPlusExecWhateverTheirSpan) {
+  // A pipelined transport finishes a block sooner than transfer + exec.
+  // The scheduler prices every block by the paper's Eq. 1 all the same,
+  // so one observation stream must drive the same decisions whether each
+  // block's span hid its smaller phase entirely or ran the phases end to
+  // end. Completions arrive round-robin, so the order is the same too.
+  struct Pass {
+    std::vector<std::size_t> blocks;
+    std::vector<std::vector<double>> fractions;
+  };
+  const auto drive = [](bool overlapped) {
+    std::vector<rt::UnitInfo> units(2);
+    units[0].name = "fast";
+    units[1].id = 1;
+    units[1].name = "slow";
+    rt::WorkInfo work;
+    work.name = "synthetic";
+    work.total_grains = 20'000;
+    work.initial_block = 16;
+    core::PlbHecScheduler plb;
+    plb.start(units, work);
+
+    // Per-grain kernel and wire costs; the wire is comparable to the
+    // kernel, so an overlapped span is well below the serial sum.
+    constexpr double kExec[2] = {1e-3, 3e-3};
+    constexpr double kWire[2] = {0.8e-3, 2e-3};
+    double clock[2] = {0.0, 0.0};
+    std::size_t remaining = work.total_grains;
+    Pass pass;
+    while (remaining > 0) {
+      for (rt::UnitId u = 0; u < 2 && remaining > 0; ++u) {
+        const std::size_t g = std::min(plb.next_block(u, clock[u]), remaining);
+        EXPECT_GT(g, 0u);
+        if (g == 0) return pass;
+        remaining -= g;
+        pass.blocks.push_back(g);
+        rt::TaskObservation obs;
+        obs.unit = u;
+        obs.grains = g;
+        obs.exec_seconds = 1e-4 + kExec[u] * static_cast<double>(g);
+        obs.transfer_seconds = 2e-4 + kWire[u] * static_cast<double>(g);
+        obs.start_time = clock[u];
+        obs.finish_time =
+            clock[u] + (overlapped
+                            ? std::max(obs.exec_seconds, obs.transfer_seconds)
+                            : obs.exec_seconds + obs.transfer_seconds);
+        clock[u] = obs.finish_time;
+        plb.on_complete(obs);
+      }
+    }
+    pass.fractions = plb.stats().fraction_history;
+    return pass;
+  };
+  const Pass pipelined = drive(/*overlapped=*/true);
+  const Pass serial = drive(/*overlapped=*/false);
+  ASSERT_FALSE(serial.fractions.empty());
+  EXPECT_EQ(pipelined.fractions, serial.fractions);
+  EXPECT_EQ(pipelined.blocks, serial.blocks);
 }
 
 TEST(PlbHec, GpuGetsLargerShareThanCpuOnComputeBoundWork) {

@@ -425,107 +425,13 @@ TEST(BlockSelection, ReportsSolveTime) {
   EXPECT_LT(sel.solve_seconds, 5.0);
 }
 
-// ---- Overlap cost regime ---------------------------------------------------
-
-fit::PerfModel with_overlap(fit::PerfModel m, double overlap) {
-  m.overlap = overlap;
-  return m;
-}
-
-TEST(OverlapModel, ZeroOverlapIsBitIdenticalToAdditive) {
-  const fit::PerfModel m = affine_model(0.01, 2.0, 0.7, 0.003);
-  ASSERT_EQ(m.regime(), fit::CostRegime::kAdditive);
-  for (double x : {1e-4, 0.01, 0.3, 1.0}) {
-    // Exact equality on purpose: sync-mode schedules must reproduce the
-    // pre-pipelining behavior bit for bit.
-    EXPECT_EQ(m.total_time(x), m.execution_time(x) + m.transfer(x)) << x;
-    EXPECT_EQ(m.total_derivative(x),
-              m.exec.derivative(x) + m.transfer.derivative(x))
-        << x;
-  }
-}
-
-TEST(OverlapModel, FullOverlapApproachesMaxFromAbove) {
-  const fit::PerfModel m =
-      with_overlap(affine_model(0.01, 2.0, 0.7, 0.003), 1.0);
-  ASSERT_EQ(m.regime(), fit::CostRegime::kOverlap);
-  for (double x : {0.05, 0.2, 0.8}) {
-    const double f = m.execution_time(x);
-    const double g = m.transfer(x);
-    const double t = m.total_time(x);
-    // Steady state can never beat the larger phase, and the softmin
-    // smoothing overshoots max(F, G) by at most beta * (F + G) / 2.
-    EXPECT_GE(t, std::max(f, g) - 1e-12) << x;
-    EXPECT_LE(t, std::max(f, g) + 0.05 * (f + g) / 2.0 + 1e-12) << x;
-    EXPECT_LT(t, f + g) << x;
-  }
-}
-
-TEST(OverlapModel, DerivativesMatchFiniteDifferences) {
-  fit::PerfModel m;
-  m.exec.terms = {fit::BasisFn::kOne, fit::BasisFn::kX, fit::BasisFn::kXLnX};
-  m.exec.coefficients = {0.01, 1.2, 0.15};
-  m.transfer = {0.8, 0.002};
-  m.overlap = 0.6;
-  const double h = 1e-6;
-  for (double x : {0.05, 0.2, 0.5, 0.9}) {
-    const double d_fd = (m.total_time(x + h) - m.total_time(x - h)) / (2 * h);
-    EXPECT_NEAR(m.total_derivative(x), d_fd,
-                1e-5 * std::max(1.0, std::abs(d_fd)))
-        << x;
-    const double d2_fd =
-        (m.total_derivative(x + h) - m.total_derivative(x - h)) / (2 * h);
-    EXPECT_NEAR(m.total_second_derivative(x), d2_fd,
-                1e-4 * std::max(1.0, std::abs(d2_fd)))
-        << x;
-  }
-}
-
-TEST(OverlapModel, EqualTimesAchievedUnderMixedRegimes) {
-  // A heavily pipelined unit, a partially overlapped one, and a sync one:
-  // the selection must still equalize finish times, now measured under
-  // each unit's own regime.
-  std::vector<fit::PerfModel> models{
-      with_overlap(affine_model(0.02, 2.0, 1.5, 0.01), 0.9),
-      with_overlap(affine_model(0.01, 5.0, 0.8, 0.02), 0.4),
-      affine_model(0.0, 7.0, 0.5, 0.0)};
-  const BlockSelection sel = select_block_sizes(models);
-  ASSERT_TRUE(sel.ok);
-  const double t0 = models[0].total_time(sel.fractions[0]);
-  for (std::size_t g = 1; g < models.size(); ++g)
-    EXPECT_NEAR(models[g].total_time(sel.fractions[g]), t0, 1e-9 * t0)
-        << "unit " << g;
-
-  // Pipelining hides most of unit 0's wire time, so it must earn a
-  // larger share than the identical curves would under the additive
-  // regime.
-  std::vector<fit::PerfModel> additive = models;
-  for (fit::PerfModel& m : additive) m.overlap = 0.0;
-  const BlockSelection sync_sel = select_block_sizes(additive);
-  ASSERT_TRUE(sync_sel.ok);
-  EXPECT_GT(sel.fractions[0], sync_sel.fractions[0]);
-}
-
-TEST(OverlapModel, AnalyticSolverConvergesUnderOverlapToo) {
-  std::vector<fit::PerfModel> models{
-      with_overlap(affine_model(0.01, 3.0, 2.0, 0.005), 1.0),
-      with_overlap(affine_model(0.02, 4.0, 1.0, 0.01), 0.7)};
-  const EqualTimeResult r = solve_equal_time(models);
-  ASSERT_TRUE(r.ok);
-  EXPECT_NEAR(r.fractions[0] + r.fractions[1], 1.0, 1e-9);
-  const double t0 = models[0].total_time(r.fractions[0]);
-  const double t1 = models[1].total_time(r.fractions[1]);
-  EXPECT_NEAR(t1, t0, 0.05 * std::max(t0, t1));
-}
-
 // ---- Root find against the interior-point oracle -------------------------
 
 /// A fitted system as PLB-HeC's modeling phase builds one: each unit's
 /// execution curve is selected from six noisy doubling probes of a
 /// synthetic device (launch latency, rate, and a mildly saturating or
 /// superlinear term), its transfer line from noisy wire timings.
-std::vector<fit::PerfModel> fitted_system(std::size_t n, bool overlap,
-                                          Rng& rng) {
+std::vector<fit::PerfModel> fitted_system(std::size_t n, Rng& rng) {
   std::vector<fit::PerfModel> models;
   for (std::size_t u = 0; u < n; ++u) {
     const double latency = rng.uniform(1e-4, 5e-3);
@@ -543,7 +449,6 @@ std::vector<fit::PerfModel> fitted_system(std::size_t n, bool overlap,
     fit::PerfModel m;
     m.exec = fit::select_model(exec).model;
     m.transfer = fit::fit_transfer(wire_samples);
-    if (overlap) m.overlap = rng.uniform(0.3, 1.0);
     models.push_back(std::move(m));
   }
   return models;
@@ -593,29 +498,27 @@ TEST(EqualTimeOracle, RootFindMatchesInteriorPointOnFittedSystems) {
   Rng rng(2015);
   std::size_t agreed = 0;
   std::size_t oracle_failed = 0;
-  for (const bool overlap : {false, true}) {
-    for (const std::size_t n : {2u, 4u, 16u, 64u, 256u}) {
-      const std::size_t systems = n >= 64 ? 2 : 6;
-      for (std::size_t s = 0; s < systems; ++s) {
-        const auto models = fitted_system(n, overlap, rng);
-        const BlockSelection sel = select_block_sizes(models, kWindow);
-        expect_postconditions(models, sel, kWindow);
+  for (const std::size_t n : {2u, 4u, 16u, 64u, 256u}) {
+    const std::size_t systems = n >= 64 ? 4 : 16;
+    for (std::size_t s = 0; s < systems; ++s) {
+      const auto models = fitted_system(n, rng);
+      const BlockSelection sel = select_block_sizes(models, kWindow);
+      expect_postconditions(models, sel, kWindow);
 
-        const IpResult ip = solve_equal_time_ip(models, kWindow);
-        if (ip.status != IpStatus::kSolved) {
-          ++oracle_failed;
-          continue;
-        }
-        if (!non_decreasing(models, kWindow)) continue;
-        double ip_makespan = 0.0;
-        for (std::size_t g = 0; g < n; ++g) {
-          EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6)
-              << n << " units, overlap " << overlap << ", unit " << g;
-          ip_makespan = std::max(ip_makespan, models[g].total_time(ip.x[g]));
-        }
-        EXPECT_NEAR(sel.predicted_time, ip_makespan, 1e-6 * ip_makespan);
-        ++agreed;
+      const IpResult ip = solve_equal_time_ip(models, kWindow);
+      if (ip.status != IpStatus::kSolved) {
+        ++oracle_failed;
+        continue;
       }
+      if (!non_decreasing(models, kWindow)) continue;
+      double ip_makespan = 0.0;
+      for (std::size_t g = 0; g < n; ++g) {
+        EXPECT_NEAR(sel.fractions[g], ip.x[g], 1e-6)
+            << n << " units, unit " << g;
+        ip_makespan = std::max(ip_makespan, models[g].total_time(ip.x[g]));
+      }
+      EXPECT_NEAR(sel.predicted_time, ip_makespan, 1e-6 * ip_makespan);
+      ++agreed;
     }
   }
   // The comparison must not be vacuous, and the postconditions must have
@@ -633,100 +536,100 @@ TEST(EqualTimeOracle, MatchesOnAGridSystemTheOldHotPathFailedOn) {
   struct Unit {
     std::vector<int> terms;
     std::vector<double> coefficients;
-    double slope, latency, overlap;
+    double slope, latency;
   };
   const std::vector<Unit> units{
       {{0, 7, 4, 6},
        {-0.0029608648875991046, -98.919904342294373, 57508282.706505284,
         -646.24197468113891},
-       0.012647580650585031, 7.0754982148012584e-05, 0},
+       0.012647580650585031, 7.0754982148012584e-05},
       {{0, 2, 7, 3},
        {-0.00065327750211632331, 433.2734961857002, -31.107512563834696,
         93095.828438607714},
-       0, 6.9274614860171473e-05, 0},
+       0, 6.9274614860171473e-05},
       {{0, 7, 4},
        {-0.0048716462638592126, -166.97782433350653, 551903233.20494509},
-       0.15508133525593606, 7.3545993320697669e-05, 0},
+       0.15508133525593606, 7.3545993320697669e-05},
       {{0, 2, 7, 1},
        {-0.010286885548698081, 379.32529296663182, -9.9268062916384956,
         -0.00085709722365625608},
-       0.098942972488073294, 7.1043373293191785e-05, 0},
+       0.098942972488073294, 7.1043373293191785e-05},
       {{0, 7, 1, 3},
        {-0.029608630728189856, -67.119356251755804, -0.0023779555276688714,
         109596.83413935268},
-       0.0012725607173014479, 7.1554173594223522e-05, 0},
+       0.0012725607173014479, 7.1554173594223522e-05},
       {{0, 5},
        {-113.10474240396216, 113.10476875615225},
-       0.18705038873592431, 7.1671978312041944e-05, 0},
+       0.18705038873592431, 7.1671978312041944e-05},
       {{0, 2, 4},
        {2.8792437940410995e-05, 81.109014551172109, 93585.312847830748},
-       0.063576216611191297, 7.1550648811773721e-05, 0},
+       0.063576216611191297, 7.1550648811773721e-05},
       {{0, 2},
        {0.0074278850087797776, 4702.6103874360824},
-       0.034776332746664099, 7.266167871235982e-05, 0},
+       0.034776332746664099, 7.266167871235982e-05},
       {{0, 2, 7, 1},
        {-0.0046675029583696324, 177.44363806951353, -5.8615282823611627,
         -0.00038425686032874778},
-       0.024388363313132284, 7.2172181850995267e-05, 0},
+       0.024388363313132284, 7.2172181850995267e-05},
       {{0, 2, 3, 6},
        {9.3463844405598306e-06, -18447474.695437878, -18474547.371525861,
         18447756.616627574},
-       0.042972399484354697, 8.0967658279335487e-05, 0},
+       0.042972399484354697, 8.0967658279335487e-05},
       {{0, 2, 3, 6},
        {-6.0287779038221594e-05, -81515452.505140111, -81562756.054529071,
         81515977.684493452},
-       0.043420192601107271, 6.9856156307842446e-05, 0},
+       0.043420192601107271, 6.9856156307842446e-05},
       {{0, 2, 7, 1},
        {-0.0011744160934441593, 97.071233145693014, -3.4726267895030363,
         -9.6677685791660137e-05},
-       0.13134311422754724, 8.0310685307212693e-05, 0},
+       0.13134311422754724, 8.0310685307212693e-05},
       {{0, 7, 1, 6},
        {0.024513348954126518, 32.377286126180778, 0.0019989939771508617,
         939.8658224804276},
-       0.25114644851327883, 7.1004305374879246e-05, 0},
+       0.25114644851327883, 7.1004305374879246e-05},
       {{0, 2, 7, 1},
        {-0.014252699286062237, 104.97094453149478, -17.402553313024619,
         -0.0011753942054302281},
-       0.19255359892698271, 8.0245037034928362e-05, 0},
+       0.19255359892698271, 8.0245037034928362e-05},
       {{0, 7, 4},
        {-0.0086589926595843792, -239.81274278484875, 39811163.277041122},
-       0, 7.0244127259721004e-05, 0},
+       0, 7.0244127259721004e-05},
       {{0, 4, 5, 6},
        {-2425.3203341253356, 25275.044541675925, 2425.3203930313057,
         -2360.4491963940472},
-       0.099089834053670875, 7.8658121578580948e-05, 0},
+       0.099089834053670875, 7.8658121578580948e-05},
       {{0, 7, 1, 6},
        {0.007498533424009691, 6.2381886258930663, 0.00061820826320749484,
         480.10430127906363},
-       0.011399404361130154, 7.0556705999327989e-05, 0},
+       0.011399404361130154, 7.0556705999327989e-05},
       {{0, 2, 5, 6},
        {66661.801115155613, 33630.233208444581, -66661.801056174285,
         33046.95874573863},
-       0.0048679789638454794, 7.9873336514195171e-05, 0},
+       0.0048679789638454794, 7.9873336514195171e-05},
       {{0, 2, 4, 5},
        {112622.77610209252, 113145.34153296716, 40289123.736962669,
         -112622.77615769058},
-       0.029622289948486879, 7.0445249017142986e-05, 0},
+       0.029622289948486879, 7.0445249017142986e-05},
       {{0, 2, 3, 6},
        {5.0010259964717122e-05, -275507.26005074097, -277473.19959519856,
         275585.28858166432},
-       0.015412724656094163, 8.0600808501364268e-05, 0},
+       0.015412724656094163, 8.0600808501364268e-05},
       {{0, 2, 7, 1},
        {-0.0008447176893083292, 122.9628464351092, -0.54154915320865116,
         -7.3674357438311777e-05},
-       0.23299142316580321, 7.0960914599551718e-05, 0},
+       0.23299142316580321, 7.0960914599551718e-05},
       {{0, 2, 5, 6},
        {638415.27156866179, 320527.90756866493, -638415.27151080454,
         317936.650788575},
-       0.0078437901325685063, 7.9886282635310203e-05, 0},
+       0.0078437901325685063, 7.9886282635310203e-05},
       {{0, 2, 3, 6},
        {-1.2252991858889789e-06, -5371410.3865345977, -5381678.9175778273,
         5371556.7987674549},
-       0.0069055980997929254, 7.0131888613734838e-05, 0},
+       0.0069055980997929254, 7.0131888613734838e-05},
       {{0, 7, 1, 6},
        {-0.0075070809472924426, -14.921218665531697, -0.00060871694258777934,
         300.68537028091902},
-       0.086400084278303896, 8.0140751262000812e-05, 0},
+       0.086400084278303896, 8.0140751262000812e-05},
   };
   std::vector<fit::PerfModel> models;
   for (const Unit& u : units) {
@@ -734,7 +637,6 @@ TEST(EqualTimeOracle, MatchesOnAGridSystemTheOldHotPathFailedOn) {
     for (const int t : u.terms) m.exec.terms.push_back(fit::BasisFn(t));
     m.exec.coefficients = u.coefficients;
     m.transfer = {u.slope, u.latency};
-    m.overlap = u.overlap;
     models.push_back(std::move(m));
   }
   constexpr double kWindow = 0.25;
@@ -755,38 +657,39 @@ TEST(EqualTimeOracle, KinkedSumStillConverges) {
   // Unphysical fits (negative, decreasing and cancelling curves) whose
   // summed shares are so kinked that plain Newton steps on T bounce
   // between the bracket ends for the whole iteration budget. The root
-  // find must still close its bracket and meet the postconditions.
+  // find must still close its bracket and meet the postconditions; a root
+  // find that does not bisect after a Newton step overshoots the root
+  // without halving the miss fails them here. A seeded random search over
+  // such systems (2-8 units of 1-4 random terms, signed log-uniform
+  // coefficients in [1e-3, 1e8]) turned this one up.
   struct Unit {
     std::vector<int> terms;
     std::vector<double> coefficients;
-    double slope, latency, overlap;
+    double slope, latency;
   };
   const std::vector<Unit> units{
-      {{0, 6},
-       {0.039248378302982251, 26.467687001045771},
-       26.956419449042265, 0.037770504602480201, 0.18820984680636921},
-      {{4, 0, 7},
-       {-2.1866422481693655, -0.0014588027615024986, -0.80729232463361367},
-       4.8357580470793602, 0.0034105094529811777, 0},
-      {{1, 0, 1},
-       {-0.022395123963272021, -0.033926634953711197, 37.639253597959211},
-       0.29987183446783083, 0.0095506841573847548, 0},
-      {{3, 3, 6, 2},
-       {85.51021830970636, 84132505.947116345, -83.229849912562017,
-        3080568.5967018791},
-       3.5614773978992837, 0.0093107517882275743, 0},
-      {{7, 4, 3},
-       {4.4251401366705698, 1.1411067045850343, -1.9595378898000464},
-       2.6811080590241003, 0.0032724107132383849, 0},
-      {{2, 5, 0},
-       {-0.24747755812378389, 31693766.476076949, 0.41720807301920543},
-       4.032822806121005, 0.0071523602525028034, 0},
-      {{0},
-       {0.078976986659163917},
-       60.90096389716394, 0, 0.078550361281086278},
-      {{0, 4, 6},
-       {0.0013999877562022949, 325.09630768720854, 45.852784055078821},
-       60.078189794342144, 0, 0.49958987026113122},
+      {{4}, {-13673069.046878567}, 56.465240698824161, 0.013198102822063245},
+      {{7, 7, 0, 1},
+       {1.0619364081644465, -2559.3343646947105, -507916.25657626381,
+        -152373.75162017153},
+       57.139061184183177, 0.013168410656734351},
+      {{5, 4, 6, 4},
+       {1774.2130881959692, 519.53212131000123, -1.3663959494796221,
+        -1549.690082260686},
+       12.867477797358806, 0.028244791112536943},
+      {{7}, {0.015866125101455936}, 2.3698099951092813, 0.022131528110562279},
+      {{7, 3, 4, 2},
+       {-6.7007947982388476, -0.008031906015701815, -62.135358699790991,
+        1519.8938937693626},
+       52.044950824183651, 0.011112087716162962},
+      {{2}, {0.00257461680957757}, 52.225468365787648, 0.030683395398439166},
+      {{6, 0, 1, 4},
+       {-0.058462728486828063, -50.650868119545294, 44.50036312665825,
+        -0.0011879606325719651},
+       56.997432765940786, 0.036993749519607419},
+      {{4, 1},
+       {15585765.679223368, 4.5647667276014321},
+       31.835170180776355, 0.0023633416939101695},
   };
   std::vector<fit::PerfModel> models;
   for (const Unit& u : units) {
@@ -794,10 +697,9 @@ TEST(EqualTimeOracle, KinkedSumStillConverges) {
     for (const int t : u.terms) m.exec.terms.push_back(fit::BasisFn(t));
     m.exec.coefficients = u.coefficients;
     m.transfer = {u.slope, u.latency};
-    m.overlap = u.overlap;
     models.push_back(std::move(m));
   }
-  constexpr double kWindow = 0.81888764067583109;
+  constexpr double kWindow = 0.81867903860309199;
   expect_postconditions(models, select_block_sizes(models, kWindow), kWindow);
 }
 
