@@ -1,7 +1,9 @@
 #include "plbhec/core/plb_hec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "plbhec/common/contracts.hpp"
 #include "plbhec/obs/sink.hpp"
@@ -14,7 +16,6 @@ PlbHecScheduler::PlbHecScheduler(PlbHecOptions options)
 void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
                             const rt::WorkInfo& work) {
   PLBHEC_EXPECTS(!units.empty());
-  units_ = units;
   work_ = work;
   profiles_.reset(units.size(), work.total_grains, options_.fit);
 
@@ -22,22 +23,11 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
                                           : std::max<std::size_t>(
                                                 1, work.initial_block);
   phase_ = Phase::kModeling;
-  probe_count_.assign(units.size(), 0);
-  per_grain_.assign(units.size(), 0.0);
-  last_probe_grains_.assign(units.size(), 0.0);
-  last_probe_time_.assign(units.size(), 0.0);
-  prev_probe_grains_.assign(units.size(), 0.0);
-  prev_probe_time_.assign(units.size(), 0.0);
+  state_.assign(units.size(), UnitState{});
+  alive_ = under_slope_ = under_rounds_ = unsampled_ = units.size();
+  fastest_.reset(units.size());
   modeling_issued_ = 0;
   monitor_.configure(options_.adapt, units.size());
-  reprobing_.assign(units.size(), 0);
-  censored_.assign(units.size(), 0);
-  reprobe_round_.assign(units.size(), 0);
-  inflight_issue_.assign(units.size(), -1.0);
-  inflight_predicted_.assign(units.size(), 0.0);
-  exec_override_.assign(units.size(), fit::CurveModel{});
-  warm_state_.assign(units.size(), WarmState::kCold);
-  warm_age_.assign(units.size(), 0);
   stats_ = {};
   stats_.reprobe_blocks_per_unit.assign(units.size(), 0);
   for (rt::UnitId u = 0; u < units.size() && u < options_.warm.size(); ++u) {
@@ -57,28 +47,78 @@ void PlbHecScheduler::start(const std::vector<rt::UnitInfo>& units,
       profiles_.clear_unit(u);
       continue;
     }
-    warm_state_[u] = WarmState::kPending;
-    warm_age_[u] = warm.age;
+    state_[u].warm = WarmState::kPending;
+    state_[u].warm_age = warm.age;
   }
-  failed_.assign(units.size(), false);
   models_.clear();
   fractions_.clear();
-  last_duration_.assign(units.size(), 0.0);
-  gen_samples_.assign(units.size(), 0);
   refine_budget_ = options_.refinements;
-  threshold_strikes_.assign(units.size(), 0);
   issued_grains_ = 0;
   generation_ = 0;
-  issue_gen_.assign(units.size(), 0);
   grains_consumed_ = 0.0;
   last_now_ = 0.0;
 }
 
-std::size_t PlbHecScheduler::alive_count() const {
-  std::size_t n = 0;
-  for (bool f : failed_)
-    if (!f) ++n;
-  return n;
+double PlbHecScheduler::UnitState::marginal_tau() const {
+  if (last_probe_grains <= 0.0 || last_probe_time <= 0.0) return 0.0;
+  const double avg = last_probe_time / last_probe_grains;
+  if (prev_probe_grains > 0.0 && last_probe_grains != prev_probe_grains) {
+    const double marg = (last_probe_time - prev_probe_time) /
+                        (last_probe_grains - prev_probe_grains);
+    return std::clamp(marg, avg / 16.0, avg * 16.0);
+  }
+  return avg;
+}
+
+void PlbHecScheduler::MinTree::reset(std::size_t slots) {
+  leaves_ = std::bit_ceil(std::max<std::size_t>(slots, 1));
+  node_.assign(2 * leaves_, std::numeric_limits<double>::infinity());
+}
+
+void PlbHecScheduler::MinTree::set(std::size_t slot, double value) {
+  std::size_t i = leaves_ + slot;
+  node_[i] = value;
+  for (i /= 2; i > 0; i /= 2)
+    node_[i] = std::min(node_[2 * i], node_[2 * i + 1]);
+}
+
+void PlbHecScheduler::set_probe_count(rt::UnitId u, std::size_t count) {
+  UnitState& s = state_[u];
+  if (!s.failed) {
+    if (s.probe_count < kMinSlopeProbes) --under_slope_;
+    if (s.probe_count < kMinProbeRounds) --under_rounds_;
+    if (count < kMinSlopeProbes) ++under_slope_;
+    if (count < kMinProbeRounds) ++under_rounds_;
+  }
+  s.probe_count = count;
+}
+
+void PlbHecScheduler::note_probe(rt::UnitId u, double grains,
+                                 double duration) {
+  UnitState& s = state_[u];
+  s.prev_probe_grains = s.last_probe_grains;
+  s.prev_probe_time = s.last_probe_time;
+  s.last_probe_grains = grains;
+  s.last_probe_time = duration;
+  const double tau = s.marginal_tau();
+  if (!s.failed)
+    fastest_.set(u, tau > 0.0 ? tau : std::numeric_limits<double>::infinity());
+}
+
+void PlbHecScheduler::mark_failed(rt::UnitId u) {
+  UnitState& s = state_[u];
+  s.failed = true;
+  --alive_;
+  if (s.probe_count < kMinSlopeProbes) --under_slope_;
+  if (s.probe_count < kMinProbeRounds) --under_rounds_;
+  if (s.gen_samples == 0) --unsampled_;
+  fastest_.set(u, std::numeric_limits<double>::infinity());
+}
+
+void PlbHecScheduler::count_gen_sample(rt::UnitId u) {
+  UnitState& s = state_[u];
+  if (!s.failed && s.gen_samples == 0) --unsampled_;
+  ++s.gen_samples;
 }
 
 std::size_t PlbHecScheduler::plan_probe_block(rt::UnitId unit) const {
@@ -92,35 +132,20 @@ std::size_t PlbHecScheduler::plan_probe_block(rt::UnitId unit) const {
   // nearly free here".
   // A pending warm-start unit issues a single validation block of the
   // initial size: cheap, and well inside the stored curve's probed range.
-  const std::size_t k = probe_count_[unit];  // probes already done
+  const UnitState& self = state_[unit];
+  const std::size_t k = self.probe_count;  // probes already done
   const double multiplier =
-      warm_state_[unit] == WarmState::kPending
+      self.warm == WarmState::kPending
           ? 1.0
           : std::min(std::pow(2.0, static_cast<double>(k)),
                      static_cast<double>(kMaxProbeMultiplier));
 
-  auto marginal_tau = [&](rt::UnitId u) -> double {
-    if (last_probe_grains_[u] <= 0.0 || last_probe_time_[u] <= 0.0)
-      return 0.0;
-    const double avg = last_probe_time_[u] / last_probe_grains_[u];
-    if (prev_probe_grains_[u] > 0.0 &&
-        last_probe_grains_[u] != prev_probe_grains_[u]) {
-      const double marg = (last_probe_time_[u] - prev_probe_time_[u]) /
-                          (last_probe_grains_[u] - prev_probe_grains_[u]);
-      return std::clamp(marg, avg / 16.0, avg * 16.0);
-    }
-    return avg;
-  };
-
-  double tau_f = 0.0;
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (failed_[u]) continue;
-    const double tau = marginal_tau(u);
-    if (tau <= 0.0) continue;
-    if (tau_f == 0.0 || tau < tau_f) tau_f = tau;
-  }
+  // The fastest alive unit's marginal cost, kept current by note_probe and
+  // mark_failed.
+  const double fastest = fastest_.min();
+  const double tau_f = std::isinf(fastest) ? 0.0 : fastest;
   double scale = 1.0;
-  const double tau_self = marginal_tau(unit);
+  const double tau_self = self.marginal_tau();
   if (tau_f > 0.0 && tau_self > 0.0)
     scale = std::clamp(tau_f / tau_self, 1.0 / 1024.0, 8.0);
 
@@ -137,18 +162,19 @@ std::size_t PlbHecScheduler::plan_probe_block(rt::UnitId unit) const {
 }
 
 std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
-  PLBHEC_EXPECTS(unit < units_.size());
+  PLBHEC_EXPECTS(unit < state_.size());
   last_now_ = now;
-  if (failed_[unit]) return 0;
+  UnitState& s = state_[unit];
+  if (s.failed) return 0;
 
   if (phase_ == Phase::kModeling) {
     const std::size_t block = plan_probe_block(unit);
     issued_grains_ += block;
     modeling_issued_ += block;
-    issue_gen_[unit] = generation_;
+    s.issue_gen = generation_;
     PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kProbeIssued,
                               static_cast<std::uint32_t>(unit), 0.0, 0.0,
-                              block, probe_count_[unit] + 1});
+                              block, s.probe_count + 1});
     return block;
   }
 
@@ -163,23 +189,23 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
   // Targeted re-probe: a tripped unit runs a short geometric ladder
   // (initial, 2x, 4x, ...) exactly like a modeling-phase probe schedule,
   // while every other unit keeps executing from the current selection.
-  if (reprobing_[unit] != 0) {
+  if (s.reprobing) {
     const double multiplier =
-        std::min(std::pow(2.0, static_cast<double>(reprobe_round_[unit])),
+        std::min(std::pow(2.0, static_cast<double>(s.reprobe_round)),
                  static_cast<double>(kMaxProbeMultiplier));
     double size = multiplier * static_cast<double>(initial_block_);
-    if (options_.max_block_seconds > 0.0 && per_grain_[unit] > 0.0)
-      size = std::min(size, options_.max_block_seconds / per_grain_[unit]);
+    if (options_.max_block_seconds > 0.0 && s.per_grain > 0.0)
+      size = std::min(size, options_.max_block_seconds / s.per_grain);
     size = std::min(size, static_cast<double>(remaining));
     const std::size_t block = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround(size)));
     issued_grains_ += block;
-    issue_gen_[unit] = generation_;
+    s.issue_gen = generation_;
     ++stats_.reprobe_blocks;
     ++stats_.reprobe_blocks_per_unit[unit];
     PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kProbeIssued,
                               static_cast<std::uint32_t>(unit), 0.0, 0.0,
-                              block, reprobe_round_[unit] + 1});
+                              block, s.reprobe_round + 1});
     return block;
   }
 
@@ -193,13 +219,13 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
   // longer than max_block_seconds, so revocations and lease growth (which
   // only act at block boundaries) stay responsive even when one slow unit
   // holds the whole window.
-  if (options_.max_block_seconds > 0.0 && per_grain_[unit] > 0.0) {
-    const double cap = options_.max_block_seconds / per_grain_[unit];
+  if (options_.max_block_seconds > 0.0 && s.per_grain > 0.0) {
+    const double cap = options_.max_block_seconds / s.per_grain;
     block = std::min(block,
                      std::max<std::size_t>(1, static_cast<std::size_t>(cap)));
   }
   issued_grains_ += block;
-  issue_gen_[unit] = generation_;
+  s.issue_gen = generation_;
   track_inflight(unit, now, block);
   return block;
 }
@@ -207,8 +233,8 @@ std::size_t PlbHecScheduler::next_block(rt::UnitId unit, double now) {
 void PlbHecScheduler::track_inflight(rt::UnitId unit, double now,
                                      std::size_t block) {
   if (!monitor_.enabled() || options_.adapt.overdue_factor <= 1.0) return;
-  inflight_issue_[unit] = now;
-  inflight_predicted_[unit] =
+  state_[unit].inflight_issue = now;
+  state_[unit].inflight_predicted =
       unit < models_.size() && models_[unit].valid() && block > 0
           ? models_[unit].total_time(profiles_.grains_to_fraction(block))
           : 0.0;
@@ -217,27 +243,22 @@ void PlbHecScheduler::track_inflight(rt::UnitId unit, double now,
 void PlbHecScheduler::maybe_finish_modeling() {
   const double cap = options_.modeling_data_cap *
                      static_cast<double>(work_.total_grains);
-  bool data_cap_hit =
-      stats_.modeling_grains + static_cast<double>(alive_count()) >= cap;
-
-  bool enough_samples = true;
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (failed_[u]) continue;
-    if (probe_count_[u] < kMinProbeRounds) enough_samples = false;
-    // A unit with fewer than three samples has no reliable slope: exact
-    // 2-point fits tie across curve families and extrapolate arbitrarily.
-    // Keep probing (the budget clamp shrinks everyone else's probes to a
-    // single grain meanwhile).
-    if (probe_count_[u] < 3) data_cap_hit = false;
-  }
+  // A unit with fewer than three samples has no reliable slope: exact
+  // 2-point fits tie across curve families and extrapolate arbitrarily.
+  // Keep probing (the budget clamp shrinks everyone else's probes to a
+  // single grain meanwhile).
+  const bool data_cap_hit =
+      stats_.modeling_grains + static_cast<double>(alive_) >= cap &&
+      under_slope_ == 0;
+  const bool enough_samples = under_rounds_ == 0;
 
   bool fits_acceptable = false;
   if (enough_samples && !data_cap_hit) {
     // Served from the ProfileDb fit cache: the fit_and_select that follows
     // an all-acceptable sweep reuses these selections instead of refitting.
     fits_acceptable = true;
-    for (rt::UnitId u = 0; u < units_.size(); ++u) {
-      if (failed_[u]) continue;
+    for (rt::UnitId u = 0; u < state_.size(); ++u) {
+      if (state_[u].failed) continue;
       if (!profiles_.exec_fit(u).acceptable) {
         fits_acceptable = false;
         break;
@@ -257,14 +278,15 @@ void PlbHecScheduler::maybe_finish_modeling() {
 }
 
 void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
-  PLBHEC_EXPECTS(obs.unit < units_.size());
+  PLBHEC_EXPECTS(obs.unit < state_.size());
   last_now_ = obs.finish_time;
+  UnitState& s = state_[obs.unit];
 
   // Warm validation predicts the block from the *seeded* fit, so the
   // prediction must be taken before the observation is folded in.
   double warm_predicted = -1.0;
-  if (phase_ == Phase::kModeling &&
-      warm_state_[obs.unit] == WarmState::kPending && obs.grains > 0) {
+  if (phase_ == Phase::kModeling && s.warm == WarmState::kPending &&
+      obs.grains > 0) {
     const fit::PerfModel seeded = profiles_.fit_unit(obs.unit);
     if (seeded.valid())
       warm_predicted =
@@ -276,42 +298,38 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
 
   const double duration = obs.transfer_seconds + obs.exec_seconds;
   if (obs.grains > 0)
-    per_grain_[obs.unit] = duration / static_cast<double>(obs.grains);
+    s.per_grain = duration / static_cast<double>(obs.grains);
 
   if (phase_ == Phase::kModeling) {
     ++stats_.probe_blocks;
     stats_.modeling_grains += static_cast<double>(obs.grains);
-    prev_probe_grains_[obs.unit] = last_probe_grains_[obs.unit];
-    prev_probe_time_[obs.unit] = last_probe_time_[obs.unit];
-    last_probe_grains_[obs.unit] = static_cast<double>(obs.grains);
-    last_probe_time_[obs.unit] = duration;
+    note_probe(obs.unit, static_cast<double>(obs.grains), duration);
     bool counted = false;
-    if (warm_state_[obs.unit] == WarmState::kPending)
+    if (s.warm == WarmState::kPending)
       counted = resolve_warm_validation(obs, warm_predicted);
     if (!counted) {
-      ++probe_count_[obs.unit];
-      stats_.probe_rounds =
-          std::max(stats_.probe_rounds, probe_count_[obs.unit]);
+      set_probe_count(obs.unit, s.probe_count + 1);
+      stats_.probe_rounds = std::max(stats_.probe_rounds, s.probe_count);
     }
     maybe_finish_modeling();
     return;
   }
 
   // Execution phase.
-  inflight_issue_[obs.unit] = -1.0;
+  s.inflight_issue = -1.0;
   if (monitor_.enabled()) check_overdue(obs.finish_time);
 
   // A tripped unit's completions are ladder observations: they feed the
   // recent window (the refreshed fit is selected from exactly these) and
   // advance the ladder, but take no part in refinement or threshold
   // bookkeeping — those reason about the current selection's blocks.
-  if (reprobing_[obs.unit] != 0) {
+  if (s.reprobing) {
     // The overdue block behind a censored trip: profiles_.record above
     // already stored it as the first post-change sample (the unit's
     // history was dropped at the trip); it seeds the window but does not
     // advance the ladder — the ladder's multi-size schedule starts now.
-    if (censored_[obs.unit] != 0) {
-      censored_[obs.unit] = 0;
+    if (s.censored) {
+      s.censored = false;
       if (obs.grains > 0)
         monitor_.ingest(obs.unit, profiles_.grains_to_fraction(obs.grains),
                         obs.exec_seconds);
@@ -320,24 +338,21 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
     if (obs.grains > 0)
       monitor_.ingest(obs.unit, profiles_.grains_to_fraction(obs.grains),
                       obs.exec_seconds);
-    if (++reprobe_round_[obs.unit] >= options_.adapt.reprobe_rounds)
+    if (++s.reprobe_round >= options_.adapt.reprobe_rounds)
       finish_reprobe(obs.unit, obs.finish_time);
     return;
   }
 
-  if (issue_gen_[obs.unit] == generation_) {
-    last_duration_[obs.unit] = duration;
-    ++gen_samples_[obs.unit];
+  if (s.issue_gen == generation_) {
+    s.last_duration = duration;
+    count_gen_sample(obs.unit);
   }
 
   // Progressive refinement (§II): once every unit has produced one
   // large-block sample under the current selection, re-fit and update the
   // fractions for future blocks. No drain — only future requests change.
   if (refine_budget_ > 0) {
-    bool all_sampled = true;
-    for (rt::UnitId u = 0; u < units_.size(); ++u)
-      if (!failed_[u] && gen_samples_[u] == 0) all_sampled = false;
-    if (all_sampled) {
+    if (unsampled_ == 0) {
       --refine_budget_;
       ++stats_.refinements;
       PLBHEC_OBS_RECORD(sink_, {obs.finish_time, obs::EventKind::kRefinement,
@@ -397,8 +412,8 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
   // A declared rebalance re-solves in place, like a refinement: blocks in
   // flight keep their size, every block issued from here on gets new shares.
   if (deviation > options_.rebalance_threshold) {
-    if (++threshold_strikes_[obs.unit] >= kRebalanceStrikes) {
-      threshold_strikes_.assign(units_.size(), 0);
+    if (++s.threshold_strikes >= kRebalanceStrikes) {
+      for (UnitState& other : state_) other.threshold_strikes = 0;
       ++stats_.rebalances;
       PLBHEC_OBS_RECORD(sink_,
                         {obs.finish_time, obs::EventKind::kRebalanceTriggered,
@@ -407,7 +422,7 @@ void PlbHecScheduler::on_complete(const rt::TaskObservation& obs) {
       fit_and_select();
     }
   } else {
-    threshold_strikes_[obs.unit] = 0;
+    s.threshold_strikes = 0;
   }
 }
 
@@ -423,16 +438,17 @@ bool PlbHecScheduler::resolve_warm_validation(const rt::TaskObservation& obs,
   // Staleness tightening: the older the stored profile (in store writes
   // since it was refreshed), the more precisely it must predict the
   // validation block. A freshly written profile keeps the full bound.
+  UnitState& s = state_[obs.unit];
   const double bound =
       kWarmRelError /
-      (1.0 + kWarmAgeTightening * static_cast<double>(warm_age_[obs.unit]));
+      (1.0 + kWarmAgeTightening * static_cast<double>(s.warm_age));
   if (refit.acceptable && rel_error <= bound) {
-    warm_state_[obs.unit] = WarmState::kValidated;
+    s.warm = WarmState::kValidated;
     // The stored curve stands in for the probe schedule: mark the unit
     // fully probed so modeling can finish after this single block. The
     // real block count lives in stats_.probe_blocks.
     stats_.probe_blocks_saved += kMinProbeRounds - 1;
-    probe_count_[obs.unit] = kMinProbeRounds;
+    set_probe_count(obs.unit, kMinProbeRounds);
     ++stats_.warm_hits;
     PLBHEC_OBS_RECORD(sink_, {obs.finish_time, obs::EventKind::kWarmStartHit,
                               static_cast<std::uint32_t>(obs.unit), rel_error,
@@ -445,7 +461,7 @@ bool PlbHecScheduler::resolve_warm_validation(const rt::TaskObservation& obs,
   // first sample of a cold probing schedule.
   profiles_.clear_unit(obs.unit);
   profiles_.record(obs);
-  warm_state_[obs.unit] = WarmState::kCold;
+  s.warm = WarmState::kCold;
   ++stats_.warm_misses;
   PLBHEC_OBS_RECORD(sink_, {obs.finish_time, obs::EventKind::kWarmStartMiss,
                             static_cast<std::uint32_t>(obs.unit), rel_error,
@@ -473,23 +489,25 @@ void PlbHecScheduler::begin_reprobe(const rt::TaskObservation& obs,
   if (obs.grains > 0)
     monitor_.ingest(u, profiles_.grains_to_fraction(obs.grains),
                     obs.exec_seconds);
-  reprobing_[u] = 1;
-  reprobe_round_[u] = 0;
-  threshold_strikes_[u] = 0;
+  UnitState& s = state_[u];
+  s.reprobing = true;
+  s.reprobe_round = 0;
+  s.threshold_strikes = 0;
 }
 
 void PlbHecScheduler::check_overdue(double now) {
   const double factor = options_.adapt.overdue_factor;
   if (factor <= 1.0) return;
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (failed_[u] || reprobing_[u] != 0) continue;
-    if (inflight_issue_[u] < 0.0 || inflight_predicted_[u] <= 0.0) continue;
-    const double elapsed = now - inflight_issue_[u];
+  for (rt::UnitId u = 0; u < state_.size(); ++u) {
+    const UnitState& s = state_[u];
+    if (s.failed || s.reprobing) continue;
+    if (s.inflight_issue < 0.0 || s.inflight_predicted <= 0.0) continue;
+    const double elapsed = now - s.inflight_issue;
     // The model underestimates tiny end-of-run blocks (fixed overheads
     // dominate far from the fitted range), so the bar is the larger of
     // the prediction and the unit's last completed block under the
     // current selection: a genuinely hung block dwarfs both.
-    const double bar = std::max(inflight_predicted_[u], last_duration_[u]);
+    const double bar = std::max(s.inflight_predicted, s.last_duration);
     if (elapsed <= factor * bar) continue;
     begin_reprobe_censored(u, now, elapsed / bar);
   }
@@ -508,19 +526,20 @@ void PlbHecScheduler::begin_reprobe_censored(rt::UnitId unit, double now,
                             overdue_ratio - 1.0, 0, monitor_.trips(unit)});
   // Same history reset as a completion-triggered trip, except there is no
   // observation yet: the overdue block itself becomes the first post-change
-  // sample when it finally lands (see the censored_ branch in on_complete).
+  // sample when it finally lands (see the censored branch in on_complete).
   profiles_.clear_unit(unit);
   monitor_.reset_unit(unit);
-  reprobing_[unit] = 1;
-  censored_[unit] = 1;
-  reprobe_round_[unit] = 0;
-  threshold_strikes_[unit] = 0;
-  inflight_issue_[unit] = -1.0;
+  UnitState& s = state_[unit];
+  s.reprobing = true;
+  s.censored = true;
+  s.reprobe_round = 0;
+  s.threshold_strikes = 0;
+  s.inflight_issue = -1.0;
 }
 
 void PlbHecScheduler::finish_reprobe(rt::UnitId unit, double now) {
-  reprobing_[unit] = 0;
-  reprobe_round_[unit] = 0;
+  state_[unit].reprobing = false;
+  state_[unit].reprobe_round = 0;
   ++stats_.reprobe_swaps;
   // The refreshed execution curve is selected from the recent window's
   // moments alone (no raw-sample refit); a window too degenerate to yield
@@ -528,7 +547,7 @@ void PlbHecScheduler::finish_reprobe(rt::UnitId unit, double now) {
   // the selection below.
   const fit::FitResult recent = adapt::fit_recent(monitor_.window(unit));
   if (recent.model.valid() && recent.acceptable)
-    exec_override_[unit] = recent.model;
+    state_[unit].exec_override = recent.model;
   PLBHEC_OBS_RECORD(sink_, {now, obs::EventKind::kReprobeSwap,
                             static_cast<std::uint32_t>(unit), recent.r2, 0.0,
                             monitor_.window(unit).count(),
@@ -550,21 +569,21 @@ void PlbHecScheduler::fit_and_select() {
   // its superseded model until the swap boundary. At the swap, the
   // recent-window selection replaces the execution curve for this one
   // generation; later refits draw on the same post-change samples.
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (reprobing_[u] != 0 && u < prev_models.size() &&
-        prev_models[u].valid()) {
+  for (rt::UnitId u = 0; u < state_.size(); ++u) {
+    UnitState& s = state_[u];
+    if (s.reprobing && u < prev_models.size() && prev_models[u].valid()) {
       models_[u] = prev_models[u];
-    } else if (exec_override_[u].valid()) {
-      models_[u].exec = exec_override_[u];
-      exec_override_[u] = fit::CurveModel{};
+    } else if (s.exec_override.valid()) {
+      models_[u].exec = s.exec_override;
+      s.exec_override = fit::CurveModel{};
     }
   }
 
   // Build the model list over alive units only.
   std::vector<fit::PerfModel> alive_models;
   std::vector<rt::UnitId> alive_ids;
-  for (rt::UnitId u = 0; u < units_.size(); ++u) {
-    if (failed_[u]) continue;
+  for (rt::UnitId u = 0; u < state_.size(); ++u) {
+    if (state_[u].failed) continue;
     PLBHEC_ASSERT(models_[u].valid());
     PLBHEC_OBS_RECORD(
         sink_, {last_now_, obs::EventKind::kModelFitted,
@@ -590,13 +609,17 @@ void PlbHecScheduler::fit_and_select() {
 
   // Normalize window shares to a unit sum: next_block() multiplies by the
   // effective window, and Fig. 6 reports the normalized shares.
-  fractions_.assign(units_.size(), 0.0);
+  fractions_.assign(state_.size(), 0.0);
   for (std::size_t i = 0; i < alive_ids.size(); ++i)
     fractions_[alive_ids[i]] = sel.fractions[i] / options_.step_fraction;
 
   stats_.fraction_history.push_back(fractions_);
-  last_duration_.assign(units_.size(), 0.0);
-  gen_samples_.assign(units_.size(), 0);
+  // A new generation: no unit has a sample under this selection yet.
+  for (UnitState& s : state_) {
+    s.last_duration = 0.0;
+    s.gen_samples = 0;
+  }
+  unsampled_ = alive_;
 }
 
 void PlbHecScheduler::on_barrier(double now) {
@@ -626,16 +649,16 @@ void PlbHecScheduler::on_barrier(double now) {
 void PlbHecScheduler::on_unit_failed(rt::UnitId unit,
                                      std::size_t lost_grains,
                                      double now) {
-  PLBHEC_EXPECTS(unit < units_.size());
+  PLBHEC_EXPECTS(unit < state_.size());
   last_now_ = now;
-  if (failed_[unit]) return;
-  failed_[unit] = true;
+  if (state_[unit].failed) return;
+  mark_failed(unit);
   // The unit's in-flight block returned to the pool: credit it back so the
   // remaining-work estimate (and the shrinking tail windows) stay correct.
   issued_grains_ -= std::min(lost_grains, issued_grains_);
-  inflight_issue_[unit] = -1.0;
-  censored_[unit] = 0;
-  if (alive_count() == 0) return;
+  state_[unit].inflight_issue = -1.0;
+  state_[unit].censored = false;
+  if (alive_ == 0) return;
   if (phase_ == Phase::kExecuting) {
     // Redistribute the failed unit's share across the survivors (§VI).
     fit_and_select();

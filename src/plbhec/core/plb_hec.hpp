@@ -62,12 +62,15 @@ struct PlbHecOptions {
   /// Stop the modeling phase once this fraction of the input is consumed,
   /// even if some fit is still below the R^2 threshold (paper: 20%).
   double modeling_data_cap = 0.20;
-  /// Rebalance when task durations diverge by more than this fraction of
-  /// the mean block duration. The paper: "the threshold must be determined
+  /// Rebalance when one unit's block duration deviates from its model's
+  /// prediction by more than this fraction of the prediction on
+  /// kRebalanceStrikes (2) completions in a row. The paper compares the
+  /// finishing times of tasks: "the threshold must be determined
   /// empirically; in practice, values of about 10% ... a good trade-off".
-  /// We compare the max-min *range* across all units, which at 8-10 units
-  /// and 2-3% measurement noise sits near 12%, so the empirically good
-  /// value here is 0.15 (see bench/abl_threshold for the sweep).
+  /// The selection equalizes every block's predicted duration, so one
+  /// unit's deviation from its prediction stands in for the paper's
+  /// difference between tasks, and it holds across selections and
+  /// asynchronous blocks; bench/abl_threshold sweeps the value.
   double rebalance_threshold = 0.15;
   /// Fraction of the total input distributed per execution "step"; each
   /// unit's per-task block is its fraction of this window.
@@ -185,13 +188,66 @@ class PlbHecScheduler final : public rt::Scheduler {
   /// Consecutive over-threshold completions of one unit before a rebalance
   /// is declared (debounces measurement noise).
   static constexpr std::size_t kRebalanceStrikes = 2;
+  /// Probes a unit needs before the data cap may end the modeling phase:
+  /// with fewer there is no reliable slope.
+  static constexpr std::size_t kMinSlopeProbes = 3;
   /// Warm-start lifecycle of one unit: kPending between seeding and the
   /// validation block's completion; kValidated counts as fully probed.
   enum class WarmState : std::uint8_t { kCold, kPending, kValidated };
 
+  /// Everything the scheduler keeps about one unit. Fields marked
+  /// "counted" feed the running counts (alive_, under_slope_,
+  /// under_rounds_, unsampled_, fastest_) and change only through
+  /// set_probe_count, note_probe, mark_failed, count_gen_sample and
+  /// fit_and_select, so no per-block callback rescans the units.
+  struct UnitState {
+    bool failed = false;              ///< counted
+    std::size_t probe_count = 0;      ///< counted: probes completed
+    double last_probe_grains = 0.0;   ///< counted: most recent probe size
+    double last_probe_time = 0.0;     ///< counted: its duration
+    double prev_probe_grains = 0.0;   ///< counted: the probe before it
+    double prev_probe_time = 0.0;     ///< counted: its duration
+    std::size_t gen_samples = 0;      ///< counted: exec completions this
+                                      ///< generation
+    double per_grain = 0.0;           ///< latest per-grain time (s)
+    WarmState warm = WarmState::kCold;
+    std::uint64_t warm_age = 0;       ///< staleness of the seeded profile,
+                                      ///< in store writes
+    bool reprobing = false;           ///< on the re-probe ladder
+    bool censored = false;            ///< tripped with the block in flight
+    std::size_t reprobe_round = 0;    ///< ladder blocks completed
+    double inflight_issue = -1.0;     ///< issue time of the in-flight exec
+                                      ///< block (-1 = idle)
+    double inflight_predicted = 0.0;  ///< its predicted duration
+    fit::CurveModel exec_override;    ///< refreshed recent-window fit,
+                                      ///< consumed by the next selection
+    double last_duration = 0.0;       ///< last exec-phase task duration
+    std::size_t threshold_strikes = 0;  ///< rebalance debounce
+    std::size_t issue_gen = 0;        ///< generation of the outstanding
+                                      ///< block (the engine keeps at most
+                                      ///< one task in flight per unit)
+
+    /// Per-grain cost of the last probe's marginal grains (0 = no probe).
+    [[nodiscard]] double marginal_tau() const;
+  };
+
+  /// Minimum over unit slots at O(log n) per update: a segment tree whose
+  /// leaves start at +infinity.
+  class MinTree {
+   public:
+    void reset(std::size_t slots);
+    void set(std::size_t slot, double value);
+    /// The smallest leaf; +infinity when there is none.
+    [[nodiscard]] double min() const { return node_[1]; }
+
+   private:
+    std::size_t leaves_ = 1;
+    std::vector<double> node_;
+  };
+
   [[nodiscard]] std::size_t plan_probe_block(rt::UnitId unit) const;
   /// Settles a pending warm validation with the observed block. Returns
-  /// true on a hit (probe_count_ already set); false leaves the unit on
+  /// true on a hit (the probe count already set); false leaves the unit on
   /// the cold path with the observation re-recorded as its first sample.
   bool resolve_warm_validation(const rt::TaskObservation& obs,
                                double predicted);
@@ -216,52 +272,39 @@ class PlbHecScheduler final : public rt::Scheduler {
   void finish_reprobe(rt::UnitId unit, double now);
   void maybe_finish_modeling();
   void fit_and_select();
-  [[nodiscard]] bool alive(rt::UnitId u) const { return !failed_[u]; }
-  [[nodiscard]] std::size_t alive_count() const;
+
+  // Mutators of the counted fields.
+  void set_probe_count(rt::UnitId u, std::size_t count);
+  /// Shifts a completed probe into the unit's last two.
+  void note_probe(rt::UnitId u, double grains, double duration);
+  void mark_failed(rt::UnitId u);
+  void count_gen_sample(rt::UnitId u);
 
   PlbHecOptions options_;
-  std::vector<rt::UnitInfo> units_;
   rt::WorkInfo work_;
   rt::ProfileDb profiles_;
 
   Phase phase_ = Phase::kModeling;
   std::size_t initial_block_ = 1;
-  std::vector<std::size_t> probe_count_;     ///< probes completed per unit
-  std::vector<double> per_grain_;            ///< latest per-grain time (s)
-  std::vector<double> last_probe_grains_;    ///< most recent probe size
-  std::vector<double> last_probe_time_;      ///< most recent probe duration
-  std::vector<double> prev_probe_grains_;    ///< previous probe size
-  std::vector<double> prev_probe_time_;      ///< previous probe duration
+  std::vector<UnitState> state_;             ///< indexed by unit id
+  std::size_t alive_ = 0;                    ///< units not failed
+  std::size_t under_slope_ = 0;              ///< alive units with fewer than
+                                             ///< kMinSlopeProbes probes
+  std::size_t under_rounds_ = 0;             ///< alive units with fewer than
+                                             ///< kMinProbeRounds probes
+  std::size_t unsampled_ = 0;                ///< alive units with no exec
+                                             ///< sample this generation
+  MinTree fastest_;                          ///< alive units' positive
+                                             ///< marginal_tau()
   std::size_t modeling_issued_ = 0;          ///< probe grains handed out
-  std::vector<WarmState> warm_state_;        ///< per-unit warm lifecycle
-  std::vector<std::uint64_t> warm_age_;      ///< staleness of the seeded
-                                             ///< profile, in store writes
-  std::vector<bool> failed_;
 
   adapt::DriftMonitor monitor_;              ///< per-unit windows + CUSUMs
-  std::vector<std::uint8_t> reprobing_;      ///< unit is on the ladder
-  std::vector<std::uint8_t> censored_;       ///< tripped with the block
-                                             ///< still in flight
-  std::vector<std::size_t> reprobe_round_;   ///< ladder blocks completed
-  std::vector<double> inflight_issue_;       ///< issue time of the in-flight
-                                             ///< exec block (-1 = idle)
-  std::vector<double> inflight_predicted_;   ///< its predicted duration
-  std::vector<fit::CurveModel> exec_override_;  ///< refreshed recent-window
-                                                ///< fit, consumed by the
-                                                ///< next selection
 
   std::vector<fit::PerfModel> models_;
   std::vector<double> fractions_;
-  std::vector<double> last_duration_;        ///< last exec-phase task duration
-  std::vector<std::size_t> gen_samples_;     ///< exec completions this gen
   std::size_t refine_budget_ = 0;
-  std::vector<std::size_t> threshold_strikes_;  ///< per-unit debounce
   std::size_t issued_grains_ = 0;            ///< grains handed out so far
   std::size_t generation_ = 0;               ///< bumped at every selection
-  std::vector<std::size_t> issue_gen_;       ///< generation of the unit's
-                                             ///< outstanding block (the
-                                             ///< engine keeps at most one
-                                             ///< task in flight per unit)
   double grains_consumed_ = 0.0;
   double last_now_ = 0.0;  ///< latest virtual time seen from the engine;
                            ///< timestamps decision events raised from

@@ -1,11 +1,8 @@
 #include "plbhec/obs/exporters.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 
 namespace plbhec::obs {
 
@@ -173,80 +170,6 @@ std::string run_summary(const rt::RunResult& run,
                  static_cast<unsigned long long>(value));
   }
   return out;
-}
-
-ChromeTraceScan scan_chrome_trace(const std::string& json) {
-  ChromeTraceScan scan;
-  const std::size_t array_at = json.find("\"traceEvents\"");
-  if (array_at == std::string::npos) return scan;
-  const std::size_t open = json.find('[', array_at);
-  if (open == std::string::npos) return scan;
-
-  // Our writer emits no braces inside strings, so a depth counter is a
-  // sound object splitter for round-tripping.
-  std::map<std::pair<long, long>, double> last_slice_ts;  ///< per (pid,tid)
-  bool first_ts = true;
-  int depth = 0;
-  std::size_t obj_start = 0;
-  for (std::size_t pos = open + 1; pos < json.size(); ++pos) {
-    const char c = json[pos];
-    if (c == ']' && depth == 0) {
-      scan.parse_ok = scan.slices + scan.instants + scan.metadata > 0;
-      return scan;
-    }
-    if (c == '{') {
-      if (depth == 0) obj_start = pos;
-      ++depth;
-      continue;
-    }
-    if (c != '}') continue;
-    --depth;
-    if (depth != 0) continue;
-
-    const std::string obj = json.substr(obj_start, pos - obj_start + 1);
-    const auto field = [&obj](const char* name) -> const char* {
-      const std::size_t at = obj.find(name);
-      return at == std::string::npos ? nullptr : obj.c_str() + at +
-                                                     std::strlen(name);
-    };
-    const char* ph = field("\"ph\":\"");
-    if (ph == nullptr) return scan;  // malformed: every record carries ph
-    const char* ts_text = field("\"ts\":");
-    const double ts = ts_text != nullptr ? std::strtod(ts_text, nullptr) : 0.0;
-    const char* tid_text = field("\"tid\":");
-    const long tid =
-        tid_text != nullptr ? std::strtol(tid_text, nullptr, 10) : -1;
-
-    switch (*ph) {
-      case 'X': {
-        ++scan.slices;
-        const char* dur_text = field("\"dur\":");
-        const double dur =
-            dur_text != nullptr ? std::strtod(dur_text, nullptr) : 0.0;
-        const auto track = std::make_pair(0L, tid);
-        const auto it = last_slice_ts.find(track);
-        if (it != last_slice_ts.end() && ts < it->second)
-          scan.ts_monotonic = false;
-        last_slice_ts[track] = ts;
-        scan.max_ts = std::max(scan.max_ts, ts + dur);
-        scan.min_ts = first_ts ? ts : std::min(scan.min_ts, ts);
-        first_ts = false;
-        break;
-      }
-      case 'i':
-        ++scan.instants;
-        scan.max_ts = std::max(scan.max_ts, ts);
-        scan.min_ts = first_ts ? ts : std::min(scan.min_ts, ts);
-        first_ts = false;
-        break;
-      case 'M':
-        ++scan.metadata;
-        break;
-      default:
-        break;
-    }
-  }
-  return scan;  // ran off the end: parse_ok stays false
 }
 
 }  // namespace plbhec::obs

@@ -6,10 +6,6 @@
 /// slices ("ph":"X", one track per processing unit); decision events
 /// from the EventSink become instant events ("ph":"i") on the unit they
 /// belong to (or the scheduler track for cluster-wide decisions).
-///
-/// scan_chrome_trace() is a purpose-built reader for the writer above —
-/// enough JSON to round-trip counts and timestamps in tests and CI
-/// without a JSON library dependency.
 
 #include <span>
 #include <string>
@@ -40,18 +36,5 @@ bool write_chrome_trace(const rt::RunResult& run, std::span<const Event> events,
 [[nodiscard]] std::string run_summary(const rt::RunResult& run,
                                       std::span<const Event> events,
                                       const CounterRegistry* counters = nullptr);
-
-/// What a scan of a Chrome trace found (see scan_chrome_trace).
-struct ChromeTraceScan {
-  bool parse_ok = false;       ///< structurally consumable by this scanner
-  std::size_t slices = 0;      ///< "ph":"X" duration events
-  std::size_t instants = 0;    ///< "ph":"i" instant events
-  std::size_t metadata = 0;    ///< "ph":"M" metadata records
-  bool ts_monotonic = true;    ///< slice starts non-decreasing per track
-  double min_ts = 0.0;         ///< microseconds
-  double max_ts = 0.0;         ///< microseconds (slice end / instant ts)
-};
-
-[[nodiscard]] ChromeTraceScan scan_chrome_trace(const std::string& json);
 
 }  // namespace plbhec::obs

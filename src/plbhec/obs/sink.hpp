@@ -136,8 +136,12 @@ class EventSink {
   [[nodiscard]] std::size_t size() const { return 0; }
 };
 
-#define PLBHEC_OBS_RECORD(sink, ...) \
-  do {                               \
+/// The arguments sit in unevaluated operands: they count as used (no
+/// -Wunused for a value that only feeds an event) but cost nothing.
+#define PLBHEC_OBS_RECORD(sink, ...)                                 \
+  do {                                                               \
+    static_cast<void>(sizeof(sink));                                 \
+    static_cast<void>(sizeof(::plbhec::obs::Event __VA_ARGS__));     \
   } while (0)
 
 #endif  // PLBHEC_OBS_ENABLED

@@ -1,12 +1,25 @@
 #include "plbhec/rt/sim_dispatch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
 #include "plbhec/common/contracts.hpp"
 
 namespace plbhec::rt {
+namespace {
+
+void mark_idle(SimJob& job, UnitId local, bool idle) {
+  const std::uint64_t bit = std::uint64_t{1} << (local % 64);
+  if (idle) {
+    job.idle[local / 64] |= bit;
+  } else {
+    job.idle[local / 64] &= ~bit;
+  }
+}
+
+}  // namespace
 
 UnitInfo sim_unit_info(const sim::SimCluster& cluster, UnitId global,
                        UnitId local) {
@@ -51,12 +64,14 @@ void SimDispatcher::attach(SimJob& job, std::vector<UnitId> units) {
     if (units_[g].job == &job) units_[g].job = nullptr;
   }
   job.units = std::move(units);
+  job.idle.assign((job.units.size() + 63) / 64, 0);
   for (UnitId local = 0; local < job.units.size(); ++local) {
     PLBHEC_EXPECTS(job.units[local] < units_.size());
     Unit& un = units_[job.units[local]];
     PLBHEC_EXPECTS(un.job == nullptr && !un.dead);
     un.job = &job;
     un.local = local;
+    mark_idle(job, local, true);
   }
 }
 
@@ -64,6 +79,7 @@ void SimDispatcher::release(UnitId g) {
   Unit& un = units_[g];
   PLBHEC_EXPECTS(!un.busy);
   if (un.job == nullptr) return;
+  mark_idle(*un.job, un.local, false);
   un.job->scheduler->on_unit_failed(un.local, 0, now_);
   un.job = nullptr;
 }
@@ -85,33 +101,45 @@ SimDispatcher::Outcome SimDispatcher::dispatch(SimJob& job) {
 
 std::size_t SimDispatcher::assignment_round(SimJob& job) {
   std::size_t assigned = 0;
-  for (UnitId local = 0; local < job.units.size(); ++local) {
-    const UnitId g = job.units[local];
-    if (units_[g].job != &job || units_[g].busy) continue;  // left, or busy
-    if (cluster_.unit(g).failed_at(now_)) {  // died while idle
-      kill(g, 0);
-      continue;
+  // A round only clears bits (at issue, or when a unit is found dead), so
+  // walking each word's value from before the round visits exactly the
+  // units idle at its start, in local-id order.
+  for (std::size_t word = 0; word < job.idle.size(); ++word) {
+    for (std::uint64_t bits = job.idle[word]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+      const auto local = static_cast<UnitId>(word * 64 + bit);
+      assigned += issue(job, local);
     }
-    if (job.unassigned() == 0) continue;
-    const std::size_t grains =
-        std::min(job.scheduler->next_block(local, now_), job.unassigned());
-    if (grains == 0) continue;
-
-    Unit& un = units_[g];
-    const sim::BlockCost cost =
-        sim::cost_block(cluster_.unit(g), job.profile, job.bytes_per_grain,
-                        grains, now_, noise_, un.rng);
-    un.busy = true;
-    un.task = {local, grains, cost.transfer_s, cost.exec_s, now_, cost.event_s};
-    job.issued += grains;
-    job.in_flight += grains;
-    PLBHEC_OBS_RECORD(sink_, {now_, obs::EventKind::kBlockDispatched,
-                              static_cast<std::uint32_t>(g), 0.0, 0.0, grains,
-                              sequence_});
-    events_.push({cost.event_s, sequence_++, g, cost.fails});
-    ++assigned;
   }
   return assigned;
+}
+
+bool SimDispatcher::issue(SimJob& job, UnitId local) {
+  const UnitId g = job.units[local];
+  Unit& un = units_[g];
+  PLBHEC_ASSERT(un.job == &job && !un.busy);
+  if (cluster_.unit(g).failed_at(now_)) {  // died while idle
+    kill(g, 0);
+    return false;
+  }
+  if (job.unassigned() == 0) return false;
+  const std::size_t grains =
+      std::min(job.scheduler->next_block(local, now_), job.unassigned());
+  if (grains == 0) return false;
+
+  const sim::BlockCost cost =
+      sim::cost_block(cluster_.unit(g), job.profile, job.bytes_per_grain,
+                      grains, now_, noise_, un.rng);
+  un.busy = true;
+  mark_idle(job, local, false);
+  un.task = {local, grains, cost.transfer_s, cost.exec_s, now_, cost.event_s};
+  job.issued += grains;
+  job.in_flight += grains;
+  PLBHEC_OBS_RECORD(sink_, {now_, obs::EventKind::kBlockDispatched,
+                            static_cast<std::uint32_t>(g), 0.0, 0.0, grains,
+                            sequence_});
+  events_.push({cost.event_s, sequence_++, g, cost.fails});
+  return true;
 }
 
 void SimDispatcher::kill(UnitId g, std::size_t lost) {
@@ -119,6 +147,7 @@ void SimDispatcher::kill(UnitId g, std::size_t lost) {
   SimJob& job = *un.job;
   un.dead = true;
   un.job = nullptr;
+  mark_idle(job, un.local, false);
   PLBHEC_OBS_RECORD(sink_, {now_, obs::EventKind::kUnitFailed,
                             static_cast<std::uint32_t>(g), 0.0, 0.0, lost,
                             job.id});
@@ -148,6 +177,7 @@ std::optional<SimDispatcher::Retired> SimDispatcher::step() {
   if (ev.fails) {
     kill(ev.unit, un.task.grains);
   } else {
+    mark_idle(job, un.local, true);
     job.scheduler->on_complete(un.task);
   }
   return Retired{&job, ev.unit, un.task, ev.fails};

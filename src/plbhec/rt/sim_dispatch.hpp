@@ -55,6 +55,10 @@ struct SimJob {
   std::size_t completed = 0;
   std::size_t in_flight = 0;  ///< grains
   std::vector<UnitId> units;
+  /// Bit i % 64 of word i / 64 is set while local unit i is attached,
+  /// alive and has no block in flight; an assignment round visits only
+  /// those.
+  std::vector<std::uint64_t> idle;
 
   [[nodiscard]] std::size_t unassigned() const { return total - issued; }
 };
@@ -89,9 +93,10 @@ class SimDispatcher {
   /// sees a failure that lost nothing. No-op for a unit of no job.
   void release(UnitId g);
 
-  /// Issues blocks to the job's idle units in local-id order. When that
-  /// leaves every unit of the job idle with grains remaining, the
-  /// scheduler reaches its barrier and one more round follows.
+  /// Issues blocks to the job's idle units in local-id order, visiting
+  /// only those. When that leaves every unit of the job idle with grains
+  /// remaining, the scheduler reaches its barrier and one more round
+  /// follows.
   Outcome dispatch(SimJob& job);
 
   /// Fires the earliest block event. Nothing when no block is in flight
@@ -133,6 +138,9 @@ class SimDispatcher {
   };
 
   std::size_t assignment_round(SimJob& job);
+  /// Offers idle local unit `local` a block, or retires it if it died
+  /// while idle. True when a block went out.
+  bool issue(SimJob& job, UnitId local);
   void kill(UnitId g, std::size_t lost);
 
   const sim::SimCluster& cluster_;

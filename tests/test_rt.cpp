@@ -1,16 +1,20 @@
 // Tests for the task runtime: the discrete-event engine's dispatch /
-// barrier / failure semantics (driven by scripted stub schedulers), the
-// profiling database, and the real-threaded engine
+// barrier / failure semantics and the dispatcher's lease protocol (driven
+// by scripted stub schedulers), the profiling database, and the
+// real-threaded engine
 // (actual kernels on host threads, schedule-independent results).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "plbhec/apps/synthetic.hpp"
 #include "plbhec/rt/engine.hpp"
 #include "plbhec/rt/profile_db.hpp"
+#include "plbhec/rt/sim_dispatch.hpp"
 #include "plbhec/rt/thread_engine.hpp"
 #include "plbhec/sim/machine.hpp"
 
@@ -47,27 +51,56 @@ class FixedScheduler final : public Scheduler {
   std::size_t block_;
 };
 
-/// Parks everyone after the first round until a barrier, N times.
+/// Hands every unit one 10-grain block per round and parks it until the
+/// barrier. Logs whom it served (kRound marks each barrier), every failure
+/// it heard of, and when each unit finished its first block.
 class BarrierScheduler final : public Scheduler {
  public:
+  static constexpr UnitId kRound = ~UnitId{0};
+
   std::string name() const override { return "barrier"; }
   void start(const std::vector<UnitInfo>& units, const WorkInfo&) override {
-    pending_.assign(units.size(), 10);
+    owed_.assign(units.size(), true);
+    first_finish.assign(units.size(), -1.0);
   }
   std::size_t next_block(UnitId u, double) override {
-    const std::size_t b = pending_[u];
-    pending_[u] = 0;
-    return b;
+    if (!owed_[u]) return 0;
+    owed_[u] = false;
+    served.push_back(u);
+    return 10;
   }
-  void on_complete(const TaskObservation&) override {}
+  void on_complete(const TaskObservation& obs) override {
+    if (first_finish[obs.unit] < 0.0) first_finish[obs.unit] = obs.finish_time;
+  }
   void on_barrier(double) override {
     ++barriers;
-    for (auto& p : pending_) p = 10;
+    served.push_back(kRound);
+    owed_.assign(owed_.size(), true);
   }
+  void on_unit_failed(UnitId u, std::size_t lost, double) override {
+    failed.emplace_back(u, lost);
+  }
+
+  /// The units served in each round, in the order they were asked.
+  [[nodiscard]] std::vector<std::vector<UnitId>> rounds() const {
+    std::vector<std::vector<UnitId>> out(1);
+    for (const UnitId u : served) {
+      if (u == kRound) {
+        out.emplace_back();
+      } else {
+        out.back().push_back(u);
+      }
+    }
+    return out;
+  }
+
   std::size_t barriers = 0;
+  std::vector<UnitId> served;
+  std::vector<std::pair<UnitId, std::size_t>> failed;
+  std::vector<double> first_finish;
 
  private:
-  std::vector<std::size_t> pending_;
+  std::vector<bool> owed_;
 };
 
 /// Refuses to schedule anything (engine must error out, not hang).
@@ -282,6 +315,119 @@ TEST(SimEngine, SlowdownEventStretchesRun) {
   const RunResult slow = SimEngine(cluster_slow, opts).run(w, s2);
   ASSERT_TRUE(fast.ok && slow.ok);
   EXPECT_GT(slow.makespan, fast.makespan);
+}
+
+/// 40 copies of machine A: 80 units, so a job's idle set spans two words.
+sim::SimCluster wide_cluster() {
+  return sim::SimCluster(
+      std::vector<sim::MachineConfig>(40, sim::machine_a()));
+}
+
+std::vector<UnitId> ids(std::size_t n, std::vector<UnitId> except = {}) {
+  std::vector<UnitId> out;
+  for (UnitId u = 0; u < n; ++u) {
+    if (std::find(except.begin(), except.end(), u) == except.end())
+      out.push_back(u);
+  }
+  return out;
+}
+
+TEST(SimDispatcher, EngineAsksIdleUnitsInIdOrderAcrossWords) {
+  sim::SimCluster cluster = wide_cluster();
+  const std::size_t n = cluster.size();
+  ASSERT_GT(n, 64u);
+  EngineOptions options;
+  options.noise = sim::NoiseModel::none();
+  // One round for every unit, then three for every unit but one.
+  auto config = small_config();
+  config.grains = 10 * (n + 3 * (n - 1));
+
+  // A fault-free pass says when each unit goes idle in the first round.
+  BarrierScheduler pass;
+  {
+    apps::SyntheticWorkload w(config);
+    SimEngine engine(cluster, options);
+    ASSERT_TRUE(engine.run(w, pass).ok);
+  }
+  const double round_end =
+      *std::max_element(pass.first_finish.begin(), pass.first_finish.end());
+  UnitId victim = 64;  // the second word's earliest finisher
+  for (UnitId u = 64; u < n; ++u) {
+    if (pass.first_finish[u] < pass.first_finish[victim]) victim = u;
+  }
+  ASSERT_LT(pass.first_finish[victim], round_end);
+  // It dies idle, while the round's slowest blocks are still out.
+  cluster.fail_unit(victim, 0.5 * (pass.first_finish[victim] + round_end));
+
+  BarrierScheduler sched;
+  apps::SyntheticWorkload w(config);
+  SimEngine engine(cluster, options);
+  const RunResult r = engine.run(w, sched);
+  ASSERT_TRUE(r.ok) << r.error;
+  const std::vector<std::vector<UnitId>> rounds = sched.rounds();
+  ASSERT_EQ(rounds.size(), 4u);
+  EXPECT_EQ(rounds[0], ids(n));
+  for (std::size_t i = 1; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i], ids(n, {victim})) << "round after barrier " << i;
+  }
+  ASSERT_EQ(sched.failed.size(), 1u);  // retired once, with nothing lost
+  EXPECT_EQ(sched.failed[0], std::make_pair(victim, std::size_t{0}));
+  EXPECT_TRUE(r.unit_stats[victim].failed);
+  EXPECT_EQ(r.unit_stats[victim].tasks, 1u);
+}
+
+TEST(SimDispatcher, SkipsReleasedUnitsAndRejoinsReattachedOnes) {
+  // The service's lease protocol on one dispatcher: a unit leaves a job at
+  // a block boundary (release), serves another job, and comes back with
+  // the first job's next epoch (attach).
+  const sim::SimCluster cluster = wide_cluster();
+  const std::size_t n = cluster.size();
+  ASSERT_GT(n, 64u);
+  auto config = small_config();
+  config.grains = 100'000;
+  apps::SyntheticWorkload wa(config);
+  apps::SyntheticWorkload wb(config);
+  SimDispatcher dispatch(cluster, sim::NoiseModel::none(), 1, nullptr);
+  const auto drain = [&] {
+    while (dispatch.step()) {
+    }
+  };
+  SimJob a(0, wa);
+  SimJob b(1, wb);
+  BarrierScheduler first_epoch;
+  BarrierScheduler borrower;
+  a.scheduler = &first_epoch;
+  b.scheduler = &borrower;
+
+  dispatch.attach(a, ids(n));
+  first_epoch.start(std::vector<UnitInfo>(n), {});
+  ASSERT_EQ(dispatch.dispatch(a), SimDispatcher::Outcome::kOk);
+  drain();
+  dispatch.release(5);
+  dispatch.release(70);
+  // Everyone left is idle and parked: a barrier, then a round without the
+  // two released units.
+  ASSERT_EQ(dispatch.dispatch(a), SimDispatcher::Outcome::kOk);
+  dispatch.attach(b, {5, 70});
+  borrower.start(std::vector<UnitInfo>(2), {});
+  ASSERT_EQ(dispatch.dispatch(b), SimDispatcher::Outcome::kOk);
+  drain();
+  EXPECT_EQ(first_epoch.rounds(),
+            (std::vector<std::vector<UnitId>>{ids(n), ids(n, {5, 70})}));
+  EXPECT_EQ(first_epoch.failed,
+            (std::vector<std::pair<UnitId, std::size_t>>{{5, 0}, {70, 0}}));
+  EXPECT_EQ(borrower.rounds(), (std::vector<std::vector<UnitId>>{{0, 1}}));
+
+  // The borrower gives both back; the first job's next epoch holds all.
+  dispatch.attach(b, {});
+  BarrierScheduler next_epoch;
+  a.scheduler = &next_epoch;
+  dispatch.attach(a, ids(n));
+  next_epoch.start(std::vector<UnitInfo>(n), {});
+  ASSERT_EQ(dispatch.dispatch(a), SimDispatcher::Outcome::kOk);
+  EXPECT_EQ(next_epoch.rounds(), (std::vector<std::vector<UnitId>>{ids(n)}));
+  EXPECT_EQ(a.in_flight, 10 * n);
+  EXPECT_TRUE(dispatch.error().empty());
 }
 
 TEST(ProfileDb, RecordsAndFits) {

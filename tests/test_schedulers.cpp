@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "plbhec/apps/matmul.hpp"
 #include "plbhec/apps/synthetic.hpp"
@@ -13,7 +16,9 @@
 #include "plbhec/baselines/greedy.hpp"
 #include "plbhec/baselines/hdss.hpp"
 #include "plbhec/baselines/static_profile.hpp"
+#include "plbhec/common/rng.hpp"
 #include "plbhec/core/plb_hec.hpp"
+#include "plbhec/fit/least_squares.hpp"
 #include "plbhec/rt/engine.hpp"
 #include "plbhec/sim/machine.hpp"
 
@@ -311,6 +316,418 @@ TEST(PlbHec, HonorsExplicitInitialBlock) {
       seen[seg.unit] = true;
     }
   }
+}
+
+// ---- PLB-HeC's running counts against the scanning rule ------------------
+
+/// PLB-HeC's modeling-phase rule as it read when every callback rescanned
+/// every unit. Probe k of a unit is initial * min(2^k, 8) * clamp(tau_f /
+/// tau_self), where tau_f is the smallest positive marginal cost over the
+/// alive units, clamped to what is left of the 20 % budget. The phase ends
+/// once every alive unit has kMinProbeRounds probes and an acceptable fit,
+/// or once the data cap is hit with every alive unit at three probes or
+/// more. A refinement fires on the completion that gives the last alive
+/// unit a sample of the current selection.
+class ScanningRule {
+ public:
+  struct Unit {
+    bool failed = false;
+    bool warm_pending = false;
+    std::size_t probes = 0;
+    double last_grains = 0.0;
+    double last_time = 0.0;
+    double prev_grains = 0.0;
+    double prev_time = 0.0;
+    std::size_t issue_solves = 0;  ///< selections made when its block left
+    bool sampled = false;  ///< completed a block of the current selection
+  };
+
+  ScanningRule(std::size_t units, std::size_t total, std::size_t initial,
+               const std::vector<rt::WarmProfile>& warm)
+      : units_(units), total_(total), initial_(initial) {
+    for (rt::UnitId u = 0; u < warm.size(); ++u)
+      units_[u].warm_pending = warm[u].usable();
+  }
+
+  [[nodiscard]] bool modeling() const { return modeling_; }
+  [[nodiscard]] const Unit& unit(rt::UnitId u) const { return units_[u]; }
+  [[nodiscard]] std::size_t alive() const {
+    return static_cast<std::size_t>(std::count_if(
+        units_.begin(), units_.end(), [](const Unit& s) { return !s.failed; }));
+  }
+
+  [[nodiscard]] static double marginal_tau(const Unit& s) {
+    if (s.last_grains <= 0.0 || s.last_time <= 0.0) return 0.0;
+    const double avg = s.last_time / s.last_grains;
+    if (s.prev_grains > 0.0 && s.last_grains != s.prev_grains) {
+      const double marg =
+          (s.last_time - s.prev_time) / (s.last_grains - s.prev_grains);
+      return std::clamp(marg, avg / 16.0, avg * 16.0);
+    }
+    return avg;
+  }
+
+  [[nodiscard]] std::size_t probe_block(rt::UnitId u) const {
+    const Unit& self = units_[u];
+    const double multiplier =
+        self.warm_pending
+            ? 1.0
+            : std::min(std::pow(2.0, static_cast<double>(self.probes)),
+                       static_cast<double>(core::kMaxProbeMultiplier));
+    double tau_f = 0.0;
+    for (const Unit& s : units_) {
+      if (s.failed) continue;
+      const double tau = marginal_tau(s);
+      if (tau <= 0.0) continue;
+      if (tau_f == 0.0 || tau < tau_f) tau_f = tau;
+    }
+    double scale = 1.0;
+    const double tau_self = marginal_tau(self);
+    if (tau_f > 0.0 && tau_self > 0.0)
+      scale = std::clamp(tau_f / tau_self, 1.0 / 1024.0, 8.0);
+    double size = multiplier * static_cast<double>(initial_) * scale;
+    const double budget =
+        kCap * static_cast<double>(total_) - static_cast<double>(issued_);
+    size = std::min(size, std::max(budget, 1.0));
+    return std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::llround(size)));
+  }
+
+  void issue(rt::UnitId u, std::size_t block, std::size_t solves) {
+    if (modeling_) issued_ += block;
+    units_[u].issue_solves = solves;
+  }
+
+  /// A modeling-phase completion; `hit` says a pending warm validation
+  /// passed. True when the phase ends on it.
+  bool probe_done(const rt::TaskObservation& obs, bool hit,
+                  const rt::ProfileDb& db) {
+    Unit& s = units_[obs.unit];
+    grains_ += static_cast<double>(obs.grains);
+    s.prev_grains = s.last_grains;
+    s.prev_time = s.last_time;
+    s.last_grains = static_cast<double>(obs.grains);
+    s.last_time = obs.transfer_seconds + obs.exec_seconds;
+    s.probes = hit ? core::kMinProbeRounds : s.probes + 1;
+    s.warm_pending = false;
+
+    const double cap = kCap * static_cast<double>(total_);
+    bool data_cap_hit = grains_ + static_cast<double>(alive()) >= cap;
+    bool enough_samples = true;
+    for (const Unit& v : units_) {
+      if (v.failed) continue;
+      if (v.probes < core::kMinProbeRounds) enough_samples = false;
+      if (v.probes < 3) data_cap_hit = false;
+    }
+    bool fits_acceptable = false;
+    if (enough_samples && !data_cap_hit) {
+      fits_acceptable = true;
+      for (rt::UnitId u = 0; u < units_.size(); ++u) {
+        if (units_[u].failed) continue;
+        if (!db.exec_fit(u).acceptable) {
+          fits_acceptable = false;
+          break;
+        }
+      }
+    }
+    return end_modeling_if((enough_samples && fits_acceptable) ||
+                           data_cap_hit);
+  }
+
+  /// A modeling-phase barrier always ends the phase.
+  bool barrier() { return end_modeling_if(modeling_); }
+
+  /// An execution-phase completion; true when it fires a refinement.
+  bool exec_done(rt::UnitId u, std::size_t solves,
+                 std::size_t refinements_left) {
+    if (units_[u].issue_solves == solves) units_[u].sampled = true;
+    if (refinements_left == 0) return false;
+    return std::none_of(units_.begin(), units_.end(), [](const Unit& s) {
+      return !s.failed && !s.sampled;
+    });
+  }
+
+  void new_selection() {
+    for (Unit& s : units_) s.sampled = false;
+  }
+  void fail(rt::UnitId u) { units_[u].failed = true; }
+
+ private:
+  static constexpr double kCap = 0.20;  // PlbHecOptions::modeling_data_cap
+
+  bool end_modeling_if(bool ends) {
+    if (ends) modeling_ = false;
+    return ends;
+  }
+
+  std::vector<Unit> units_;
+  std::size_t total_;
+  std::size_t initial_;
+  std::size_t issued_ = 0;
+  double grains_ = 0.0;
+  bool modeling_ = true;
+};
+
+struct CountsScenario {
+  std::size_t units;
+  std::size_t total;
+  std::uint64_t seed;
+  std::size_t initial_divisor;  ///< initial block = total / (this * units)
+  bool fail_mid_modeling;  ///< fail the fastest unit, then one under 3 probes
+  bool drain_mid_modeling;  ///< hold blocks back until a barrier
+};
+
+struct CountsRun {
+  std::string mismatch;  ///< the first disagreement; empty when none
+  std::size_t probes_checked = 0;
+  std::size_t phase_change_at = 0;  ///< the completion that ended it; 0 = none
+  bool phase_changed_at_barrier = false;
+  std::size_t refinements = 0;
+  std::size_t warm_hits = 0;
+  std::size_t warm_misses = 0;
+  bool fastest_failed = false;  ///< while modeling
+  bool young_failed = false;    ///< a unit under 3 probes, while modeling
+  bool finished = false;        ///< every grain completed
+};
+
+/// Drives a PLB-HeC scheduler through a seeded event-driven run the way the
+/// simulated dispatcher does (idle units asked in id order, blocks clamped
+/// to the pool, a barrier when everything is idle with grains left) and
+/// checks each decision against ScanningRule.
+CountsRun run_against_scanning_rule(const CountsScenario& sc) {
+  const std::size_t n = sc.units;
+  const std::size_t initial =
+      std::max<std::size_t>(1, sc.total / (sc.initial_divisor * n));
+  Rng rng(sc.seed);
+  // Per-grain cost over a 30x range, a fixed overhead of up to 200 grains'
+  // worth (a flat small-block curve, where marginal and average cost
+  // differ), and a wire a tenth as costly.
+  std::vector<double> per_grain(n);
+  std::vector<double> overhead(n);
+  for (rt::UnitId u = 0; u < n; ++u) {
+    per_grain[u] = 1e-5 * std::exp(rng.uniform(0.0, std::log(30.0)));
+    overhead[u] = per_grain[u] * rng.uniform(0.0, 200.0);
+  }
+  const auto exec_time = [&](rt::UnitId u, double grains) {
+    return overhead[u] + per_grain[u] * grains;
+  };
+
+  // Warm profiles on every third unit, alternately from the unit's own
+  // curve (a hit) and from one three times slower (a miss).
+  core::PlbHecOptions options;
+  options.initial_block = initial;
+  options.warm.resize(n);
+  for (rt::UnitId u = 0; u < n; u += 3) {
+    const double off = (u / 3) % 2 == 0 ? 1.0 : 3.0;
+    rt::WarmProfile& warm = options.warm[u];
+    warm.total_grains = static_cast<double>(sc.total);
+    for (std::size_t i = 0; i < 6; ++i) {
+      const double g = static_cast<double>(initial << i);
+      const double x = g / static_cast<double>(sc.total);
+      warm.exec.add(x, off * exec_time(u, g));
+      warm.transfer.add(x, off * 0.1 * per_grain[u] * g);
+    }
+    warm.fit = fit::select_model(warm.exec);
+  }
+
+  std::vector<rt::UnitInfo> infos(n);
+  for (rt::UnitId u = 0; u < n; ++u) infos[u].id = u;
+  rt::WorkInfo work;
+  work.name = "counts";
+  work.total_grains = sc.total;
+  core::PlbHecScheduler plb(options);
+  plb.start(infos, work);
+  ScanningRule rule(n, sc.total, initial, options.warm);
+
+  CountsRun run;
+  const auto disagree = [&run](std::string what) {
+    if (run.mismatch.empty()) run.mismatch = std::move(what);
+  };
+  std::vector<rt::TaskObservation> in_flight;  // at most one per unit
+  std::vector<bool> busy(n, false);
+  std::vector<bool> dead(n, false);
+  std::size_t unassigned = sc.total;
+  std::size_t completed = 0;
+  std::size_t completions = 0;
+  double now = 0.0;
+  bool draining = false;
+
+  const auto offer_idle = [&] {
+    for (rt::UnitId u = 0; u < n && run.mismatch.empty(); ++u) {
+      if (busy[u] || dead[u] || unassigned == 0) continue;
+      const bool modeling = rule.modeling();
+      const std::size_t expected = modeling ? rule.probe_block(u) : 0;
+      const std::size_t asked = plb.next_block(u, now);
+      if (modeling) {
+        ++run.probes_checked;
+        if (asked != expected)
+          disagree("probe for unit " + std::to_string(u) + " after " +
+                   std::to_string(completions) + " completions: " +
+                   std::to_string(asked) + " grains, the scan says " +
+                   std::to_string(expected));
+      }
+      if (asked == 0) continue;
+      rule.issue(u, asked, plb.stats().solves);
+      const std::size_t grains = std::min(asked, unassigned);
+      const double g = static_cast<double>(grains);
+      rt::TaskObservation obs;
+      obs.unit = u;
+      obs.grains = grains;
+      obs.exec_seconds = exec_time(u, g) * rng.lognormal_factor(0.03);
+      obs.transfer_seconds =
+          0.1 * per_grain[u] * g * rng.lognormal_factor(0.03);
+      obs.start_time = now;
+      obs.finish_time = now + obs.exec_seconds + obs.transfer_seconds;
+      in_flight.push_back(obs);
+      busy[u] = true;
+      unassigned -= grains;
+    }
+  };
+  const auto fail = [&](rt::UnitId u) {
+    std::size_t lost = 0;
+    const auto it = std::find_if(
+        in_flight.begin(), in_flight.end(),
+        [u](const rt::TaskObservation& t) { return t.unit == u; });
+    if (it != in_flight.end()) {
+      lost = it->grains;
+      in_flight.erase(it);
+    }
+    unassigned += lost;
+    busy[u] = false;
+    dead[u] = true;
+    const std::size_t solves = plb.stats().solves;
+    plb.on_unit_failed(u, lost, now);
+    rule.fail(u);
+    if (plb.stats().solves != solves) rule.new_selection();
+  };
+  const auto barrier = [&] {
+    const std::size_t solves = plb.stats().solves;
+    const bool modeling = rule.modeling();
+    plb.on_barrier(now);
+    if (modeling) {
+      rule.barrier();
+      run.phase_changed_at_barrier = true;
+    }
+    if (plb.stats().solves != solves) rule.new_selection();
+    if (modeling != (plb.stats().solves > solves))
+      disagree("a barrier moved the phase against the scan");
+  };
+
+  offer_idle();
+  while (!in_flight.empty() && run.mismatch.empty()) {
+    const auto next = std::min_element(
+        in_flight.begin(), in_flight.end(),
+        [](const rt::TaskObservation& a, const rt::TaskObservation& b) {
+          return a.finish_time < b.finish_time;
+        });
+    const rt::TaskObservation obs = *next;
+    in_flight.erase(next);
+    now = obs.finish_time;
+    busy[obs.unit] = false;
+    completed += obs.grains;
+    ++completions;
+
+    const core::PlbHecStats& stats = plb.stats();
+    const std::size_t solves = stats.solves;
+    const std::size_t refinements = stats.refinements;
+    const std::size_t hits = stats.warm_hits;
+    const std::size_t misses = stats.warm_misses;
+    const bool modeling = rule.modeling();
+    plb.on_complete(obs);
+    run.warm_hits += stats.warm_hits - hits;
+    run.warm_misses += stats.warm_misses - misses;
+    if (modeling) {
+      const bool ends = rule.probe_done(obs, stats.warm_hits > hits,
+                                        plb.profiles());
+      if (ends) run.phase_change_at = completions;
+      if (ends != (stats.solves > solves))
+        disagree("completion " + std::to_string(completions) +
+                 (ends ? " ends" : " does not end") +
+                 " the modeling phase by the scan, not by the scheduler");
+    } else {
+      const bool refines =
+          rule.exec_done(obs.unit, solves, options.refinements - refinements);
+      run.refinements += stats.refinements - refinements;
+      if (refines != (stats.refinements > refinements))
+        disagree("completion " + std::to_string(completions) +
+                 (refines ? " refines" : " does not refine") +
+                 " by the scan, not by the scheduler");
+    }
+    if (stats.solves != solves) rule.new_selection();
+
+    if (sc.fail_mid_modeling && rule.modeling() && rule.alive() > 1) {
+      if (!run.fastest_failed && completions == n + 1) {
+        rt::UnitId fastest = n;
+        double best = 0.0;
+        for (rt::UnitId u = 0; u < n; ++u) {
+          const double tau = ScanningRule::marginal_tau(rule.unit(u));
+          if (rule.unit(u).failed || tau <= 0.0) continue;
+          if (fastest == n || tau < best) {
+            fastest = u;
+            best = tau;
+          }
+        }
+        if (fastest < n) {
+          fail(fastest);
+          run.fastest_failed = true;
+        }
+      } else if (!run.young_failed && completions >= 2 * n) {
+        for (rt::UnitId u = n; u-- > 0;) {
+          if (rule.unit(u).failed || rule.unit(u).probes >= 3) continue;
+          fail(u);
+          run.young_failed = true;
+          break;
+        }
+      }
+    }
+    if (sc.drain_mid_modeling && rule.modeling() && completions == n + n / 2)
+      draining = true;
+    if (!draining) offer_idle();
+    if (in_flight.empty() && unassigned > 0) {
+      draining = false;
+      barrier();
+      offer_idle();
+    }
+  }
+  run.finished = completed == sc.total;
+  return run;
+}
+
+TEST(PlbHecCounts, MatchTheScanningRuleProbeByProbe) {
+  // {units, total, seed, initial divisor, fail, drain}. Divisor 64 is the
+  // scenario grid's first probe, which spends the budget before the fits
+  // are in; 512 leaves the fits to end the phase.
+  const CountsScenario scenarios[] = {
+      {1, 20'000, 1, 64, false, false},   {2, 20'000, 2, 64, true, false},
+      {7, 20'000, 7, 64, true, false},    {7, 200'000, 8, 512, true, false},
+      {7, 50'000, 9, 64, false, true},    {300, 96'000, 300, 64, true, false},
+      {300, 96'000, 301, 64, false, true},
+  };
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t refinements = 0;
+  for (const CountsScenario& sc : scenarios) {
+    SCOPED_TRACE("units " + std::to_string(sc.units) + ", seed " +
+                 std::to_string(sc.seed));
+    const CountsRun run = run_against_scanning_rule(sc);
+    EXPECT_EQ(run.mismatch, "");
+    EXPECT_TRUE(run.finished);
+    EXPECT_GE(run.probes_checked, sc.units);
+    EXPECT_TRUE(run.phase_change_at > 0 || run.phase_changed_at_barrier);
+    if (sc.fail_mid_modeling) {
+      EXPECT_TRUE(run.fastest_failed);
+      EXPECT_TRUE(run.young_failed || sc.units == 2);
+    }
+    if (sc.drain_mid_modeling) {
+      EXPECT_TRUE(run.phase_changed_at_barrier);
+    }
+    hits += run.warm_hits;
+    misses += run.warm_misses;
+    refinements += run.refinements;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(refinements, 0u);
 }
 
 TEST(Greedy, FixedPieces) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -735,13 +736,14 @@ struct EngineAndService {
 };
 
 /// Runs one job alone through a bare SimEngine and through JobManager on
-/// the same scenario(2) cluster under `faults`. Both sides get a fresh
+/// the same cluster of `machines` under `faults`. Both sides get a fresh
 /// PlbHecScheduler with the same one-second block cap, no noise and seed
 /// 7, and the service's store starts empty, so the two runs must be one
 /// run.
-EngineAndService engine_and_service(const JobSpec& spec,
-                                    const chaos::FaultScript& faults) {
-  sim::SimCluster cluster(sim::scenario(2));
+EngineAndService engine_and_service(
+    const JobSpec& spec, const chaos::FaultScript& faults,
+    const std::vector<sim::MachineConfig>& machines = sim::scenario(2)) {
+  sim::SimCluster cluster(machines);
   chaos::SimFaultTarget target(cluster);
   EXPECT_TRUE(chaos::inject(faults, target));
   EngineAndService runs;
@@ -841,6 +843,55 @@ TEST(JobManager, CostsBlocksLikeTheEngineUnderKills) {
   chaos::FaultScript two;
   two.kill(1, 0.05).kill(3, 0.9);
   expect_one_run(engine_and_service(syn, two));
+}
+
+/// 40 copies of machine A: 80 units, so a job's idle set spans two words.
+std::vector<sim::MachineConfig> wide_machines() {
+  return std::vector<sim::MachineConfig>(40, sim::machine_a());
+}
+
+TEST(JobManager, CostsBlocksLikeTheEngineOnMoreThan64Units) {
+  const JobSpec syn =
+      synthetic_job("syn", "syn", PriorityClass::kNormal, 0.0, 200'000);
+  const EngineAndService plain =
+      engine_and_service(syn, chaos::FaultScript{}, wide_machines());
+  expect_one_run(plain);
+  // Kill a unit of the second word mid-run: it is retired once.
+  chaos::FaultScript kill;
+  kill.kill(71, 0.5 * plain.engine.makespan);
+  const EngineAndService killed =
+      engine_and_service(syn, kill, wide_machines());
+  expect_one_run(killed);
+  if (!obs::kCompiledIn) return;
+  std::vector<EventKey> failures;
+  std::copy_if(killed.engine.events.begin(), killed.engine.events.end(),
+               std::back_inserter(failures), [](const EventKey& e) {
+                 return e.kind == obs::EventKind::kUnitFailed;
+               });
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].unit, 71u);
+}
+
+TEST(JobManager, LeasesMoreThan64UnitsAcrossJobsAndDeaths) {
+  // Leases shrink and grow over 80 units while two units of the second
+  // word die: every release, re-attach and death goes through a job's
+  // idle set.
+  sim::SimCluster cluster(wide_machines());
+  cluster.fail_unit(66, 0.02);
+  cluster.fail_unit(79, 0.2);
+  JobManager manager(cluster, quiet_options());
+  manager.submit(synthetic_job("a", "syn-a", PriorityClass::kNormal, 0.0,
+                               200'000));
+  manager.submit(synthetic_job("b", "syn-b", PriorityClass::kHigh, 0.01,
+                               80'000));
+  manager.submit(synthetic_job("c", "syn-a", PriorityClass::kLow, 0.03,
+                               80'000));
+  const ServiceResult result = manager.run();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.completion_order.size(), 3u);
+  for (const JobOutcome& job : result.jobs) EXPECT_TRUE(job.ok);
+  EXPECT_GT(result.leases_revoked, 0u);
+  EXPECT_GT(result.scheduler_restarts, 0u);
 }
 
 TEST(JobManager, LeaseFairnessBoundsStretchUnderBurstyLoad) {
